@@ -1,12 +1,11 @@
 package core
 
 // Differential fuzzing of the fused batched kernel: for arbitrary
-// configurations and outcome streams, RunBatch and the single-lane
-// interleaved kernel must agree exactly — miss count, final table state,
-// final history — with the capability-free Predict/Update protocol loop
-// (what sim.RunGeneric runs per record). The seed corpus in
-// testdata/fuzz is committed so CI's fuzz smoke replays it on every
-// push.
+// configurations and outcome streams, RunBatch must agree exactly — miss
+// count, final table state, final history — with the capability-free
+// Predict/Update protocol loop (what sim.RunGeneric runs per record). The
+// seed corpus in testdata/fuzz is committed so CI's fuzz smoke replays it
+// on every push.
 
 import (
 	"bytes"
@@ -65,13 +64,6 @@ func FuzzRunBatchVsGeneric(f *testing.F) {
 		}
 		if !bytes.Equal(fused.Snapshot(nil), ref.Snapshot(nil)) {
 			t.Fatalf("%s: final table state diverged from the generic loop", fused.Name())
-		}
-
-		// Single-lane interleaved execution is the same state machine again.
-		il := MustNew(cfg)
-		ilMiss := RunBatchInterleaved([]Lane{{P: il, Recs: recs}})
-		if ilMiss[0] != wantMiss || !bytes.Equal(il.Snapshot(nil), ref.Snapshot(nil)) {
-			t.Fatalf("%s: interleaved lane diverged (missed %d, want %d)", il.Name(), ilMiss[0], wantMiss)
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 //     hotpath work — a call that is, or statically reaches, a
 //     //bimode:hotpath function, or any dynamic call when the function is
 //     itself //bimode:hotpath dispatch — must consult ctx somewhere in
-//     its body. The chunking contract (batchRecords = 64Ki in
-//     internal/sim) is the canonical shape: run a bounded chunk, check
+//     its body. The block contract (batchRecords = 64Ki in
+//     internal/trace) is the canonical shape: run a bounded block, check
 //     ctx.Err(), repeat. Loops with no ctx use can spin for the whole
 //     trace with cancellation dead.
 //

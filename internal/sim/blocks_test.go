@@ -1,0 +1,155 @@
+package sim_test
+
+// Block-boundary differential test for the block driver: trace.Blocks cuts
+// materialized and stream-only traces into 64Ki-record blocks and passes a
+// columnar trace's own blocks through, so every record count around a
+// 64Ki multiple, for every source shape and every engine tier, must give
+// exactly what the capability-free RunGeneric loop gives. The suite-trace
+// oracles never reach a block boundary; this test exists to cross them.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"bimode/internal/predictor"
+	"bimode/internal/sim"
+	"bimode/internal/synth"
+	"bimode/internal/trace"
+	"bimode/internal/zoo"
+)
+
+// blockRecords is the block size trace.Blocks cuts non-columnar sources
+// into.
+const blockRecords = 1 << 16
+
+// tierSpecs returns one spec per engine tier: a BatchRunner, a Stepper
+// that is not a BatchRunner, and a predictor with only Predict/Update.
+func tierSpecs(t *testing.T) []string {
+	t.Helper()
+	stepOnly := ""
+	for _, spec := range zoo.Known() {
+		p := zoo.MustNew(spec)
+		_, step := p.(predictor.Stepper)
+		_, batch := p.(predictor.BatchRunner)
+		if step && !batch {
+			stepOnly = spec
+			break
+		}
+	}
+	if stepOnly == "" {
+		t.Fatal("no zoo spec implements Stepper without BatchRunner")
+	}
+	const batchSpec, genericSpec = "bimode:b=11", "yags:c=11,e=10,h=10,t=6"
+	if _, ok := zoo.MustNew(batchSpec).(predictor.BatchRunner); !ok {
+		t.Fatalf("%s is not a BatchRunner", batchSpec)
+	}
+	if _, ok := zoo.MustNew(genericSpec).(predictor.Stepper); ok {
+		t.Fatalf("%s is a Stepper", genericSpec)
+	}
+	return []string{batchSpec, stepOnly, genericSpec}
+}
+
+// timeless zeroes a report's wall-clock fields so reports compare by
+// their simulation content alone.
+func timeless(rep *sim.Report) *sim.Report {
+	rep.WallSeconds, rep.BranchesPerSec = 0, 0
+	return rep
+}
+
+func TestBlockBoundaryDifferential(t *testing.T) {
+	counts := []int{0, 1, blockRecords - 1, blockRecords, blockRecords + 1, 3*blockRecords + 1}
+	full := trace.Materialize(synth.MustWorkload(synth.Profiles()[0].WithDynamic(counts[len(counts)-1])))
+	specs := tierSpecs(t)
+
+	const partEvery = 40000
+	path := filepath.Join(t.TempDir(), "blocks.ckpt")
+	journal, err := sim.CreateJournal(path, "block-boundary-v1")
+	if err != nil {
+		t.Fatalf("CreateJournal: %v", err)
+	}
+	journal.PartEvery = partEvery
+	// wantParts maps each journaled RunAll (its sequence number) to the
+	// part cursors it must write: every partEvery-th record that has
+	// records after it, for predictors that can be snapshotted.
+	wantParts := map[int][]int{}
+	runs := 0
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sched := sim.NewScheduler(2).WithContext(ctx).WithJournal(journal)
+
+	for _, n := range counts {
+		mem := trace.NewMemory(full.Name(), full.StaticCount(), full.Records()[:n])
+		sources := []struct {
+			name string
+			src  trace.Source
+		}{
+			{"memory", mem},
+			{"stream", hideCaps{mem}},
+			{"columnar", columnarize(t, mem, trace.DefaultColumnarBlock)},
+		}
+		for _, spec := range specs {
+			t.Run(fmt.Sprintf("n=%d/%s", n, spec), func(t *testing.T) {
+				ref := sim.RunGeneric(zoo.MustNew(spec), mem)
+				if ref.Branches != n {
+					t.Fatalf("generic loop saw %d branches, want %d", ref.Branches, n)
+				}
+				var firstRep *sim.Report
+				for _, s := range sources {
+					if got := sim.Run(zoo.MustNew(spec), s.src); got != ref {
+						t.Errorf("%s: Run %+v != generic %+v", s.name, got, ref)
+					}
+					job := sim.Job{Make: func() predictor.Predictor { return zoo.MustNew(spec) }, Source: s.src}
+					if got := sched.RunAll([]sim.Job{job})[0]; got != ref {
+						t.Errorf("%s: journaled RunAll %+v != generic %+v", s.name, got, ref)
+					}
+					if _, ok := zoo.MustNew(spec).(predictor.Snapshotter); ok {
+						for c := partEvery; c < n; c += partEvery {
+							wantParts[runs] = append(wantParts[runs], c)
+						}
+					}
+					runs++
+					rep := timeless(sim.Observe(zoo.MustNew(spec), s.src, sim.ObserveOptions{}))
+					if rep.Branches != ref.Branches || rep.Mispredicts != ref.Mispredicts {
+						t.Errorf("%s: Observe counted %d/%d, generic %d/%d",
+							s.name, rep.Mispredicts, rep.Branches, ref.Mispredicts, ref.Branches)
+					}
+					if firstRep == nil {
+						firstRep = rep
+					} else if !reflect.DeepEqual(rep, firstRep) {
+						t.Errorf("%s: Observe report differs from the %s source's:\n%+v\n%+v",
+							s.name, sources[0].name, rep, firstRep)
+					}
+				}
+			})
+		}
+	}
+
+	if err := journal.Close(); err != nil {
+		t.Fatalf("closing journal: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotParts := map[int][]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var l struct {
+			Part *struct{ Seq, Cursor int }
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if l.Part != nil {
+			gotParts[l.Part.Seq] = append(gotParts[l.Part.Seq], l.Part.Cursor)
+		}
+	}
+	if len(wantParts) == 0 || !reflect.DeepEqual(gotParts, wantParts) {
+		t.Errorf("journal part cursors by run:\n got %v\nwant %v", gotParts, wantParts)
+	}
+}

@@ -41,19 +41,19 @@ type ObserveOptions struct {
 func Observe(p predictor.Predictor, src trace.Source, opts ObserveOptions) *Report {
 	rep, err := ObserveContext(context.Background(), p, src, opts)
 	if err != nil {
-		// Unreachable: the background context never cancels and the
-		// instrumented loop has no other failure mode.
+		// The background context never cancels, so this fires only for a
+		// damaged block source — the same panic Run raises.
 		panic(err)
 	}
 	return rep
 }
 
-// ObserveContext is Observe with cooperative cancellation: every 4096
-// records the loop checks ctx and, if it is done, abandons the run and
-// returns ctx's error instead of a report. With a non-cancelable context
-// the check is skipped entirely and the run is identical to Observe.
+// ObserveContext is Observe with cooperative cancellation: at every block
+// boundary of trace.Blocks (at most 64Ki records apart, or one columnar
+// block) the loop checks ctx and, if it is done, abandons the run and
+// returns ctx's error instead of a report. A decode error from a damaged
+// block source is returned the same way.
 func ObserveContext(ctx context.Context, p predictor.Predictor, src trace.Source, opts ObserveOptions) (*Report, error) {
-	cancelable := ctx.Done() != nil
 	rep := &Report{
 		Predictor: p.Name(),
 		Workload:  src.Name(),
@@ -97,18 +97,72 @@ func ObserveContext(ctx context.Context, p predictor.Predictor, src trace.Source
 		shadow[i] = counter.WeakTaken
 	}
 
-	st := src.Stream()
+	o := &observeState{
+		p: p, lookup: lookup, rep: rep, inter: inter, lastWriter: lastWriter, choice: choice,
+		counts: counts, takens: takens, misses: misses, firstPC: firstPC, shadow: shadow,
+	}
+	bs := trace.Blocks(src)
 	start := now()
 	for {
-		if cancelable && rep.Branches&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		rec, ok := st.Next()
-		if !ok {
+		blk, err := bs.NextBlock()
+		if err != nil {
+			return nil, err
+		}
+		if blk == nil {
 			break
 		}
+		o.observeBlock(blk)
+	}
+	rep.WallSeconds = now().Sub(start).Seconds()
+	if rep.WallSeconds > 0 {
+		rep.BranchesPerSec = float64(rep.Branches) / rep.WallSeconds
+	}
+	if rep.Branches > 0 {
+		rep.MispredictRate = float64(rep.Mispredicts) / float64(rep.Branches)
+	}
+	for _, c := range counts {
+		if c > 0 {
+			rep.StaticBranches++
+		}
+	}
+	rep.Interference = inter
+	if choice != nil && choice.Branches > 0 {
+		rep.Choice = choice
+	}
+	if topN > 0 {
+		rep.TopBranches, rep.TopShare = rankBranches(counts, takens, misses, firstPC, rep.Mispredicts, topN)
+	}
+
+	observedRuns.Add(1)
+	observedBranches.Add(int64(rep.Branches))
+	observedMispredicts.Add(int64(rep.Mispredicts))
+	return rep, nil
+}
+
+// observeState is the per-run state ObserveContext threads through its
+// blocks; the slices and metric structs are shared with the caller.
+type observeState struct {
+	p          predictor.Predictor
+	lookup     func(pc uint64) predictor.Lookup
+	rep        *Report
+	inter      *InterferenceMetrics
+	lastWriter []int32
+	choice     *ChoiceMetrics
+	counts     []int
+	takens     []int
+	misses     []int
+	firstPC    []uint64
+	shadow     []counter.State
+}
+
+// observeBlock is the instrumented per-record body, run over one block.
+func (o *observeState) observeBlock(blk []trace.Record) {
+	p, lookup, rep, inter, lastWriter, choice := o.p, o.lookup, o.rep, o.inter, o.lastWriter, o.choice
+	counts, takens, misses, firstPC, shadow := o.counts, o.takens, o.misses, o.firstPC, o.shadow
+	for _, rec := range blk {
 		s := int(rec.Static)
 		if counts[s] == 0 {
 			firstPC[s] = rec.PC &^ (1 << 63)
@@ -176,30 +230,6 @@ func ObserveContext(ctx context.Context, p predictor.Predictor, src trace.Source
 		}
 		rep.Branches++
 	}
-	rep.WallSeconds = now().Sub(start).Seconds()
-	if rep.WallSeconds > 0 {
-		rep.BranchesPerSec = float64(rep.Branches) / rep.WallSeconds
-	}
-	if rep.Branches > 0 {
-		rep.MispredictRate = float64(rep.Mispredicts) / float64(rep.Branches)
-	}
-	for _, c := range counts {
-		if c > 0 {
-			rep.StaticBranches++
-		}
-	}
-	rep.Interference = inter
-	if choice != nil && choice.Branches > 0 {
-		rep.Choice = choice
-	}
-	if topN > 0 {
-		rep.TopBranches, rep.TopShare = rankBranches(counts, takens, misses, firstPC, rep.Mispredicts, topN)
-	}
-
-	observedRuns.Add(1)
-	observedBranches.Add(int64(rep.Branches))
-	observedMispredicts.Add(int64(rep.Mispredicts))
-	return rep, nil
 }
 
 // rankBranches builds the H2P top-N: static branches ordered by

@@ -37,8 +37,8 @@ import (
 //
 //   - WithContext: a Context whose cancellation stops the fan-out in
 //     bounded time — queued jobs are skipped with a context.Canceled
-//     error, running RunAll cells stop at the next record batch
-//     (batchRecords), and completed results are kept.
+//     error, running RunAll cells stop at the next record block (see
+//     trace.Blocks), and completed results are kept.
 //   - WithPolicy: a per-job deadline and a bounded retry-with-backoff
 //     policy for failures whose error chain is Retryable.
 //   - WithJournal: a checkpoint file that records completed cells and
@@ -303,10 +303,6 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 		// arena for the next RunAll.
 		defer s.arena.recycle(owned)
 	}
-	if s.interleaving() {
-		s.runAllInterleaved(jobs, shared, matErrs, results)
-		return results
-	}
 	errs := s.DoContext(len(jobs), func(ctx context.Context, i int) error {
 		if s.journal != nil {
 			if res, ok := s.journal.cached(seq, i, shared[i]); ok {
@@ -336,38 +332,21 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 	return results
 }
 
-// batchRecords is the cooperative-cancellation granularity of a RunAll
-// cell: between consecutive sub-batches the cell re-checks its context
-// and (when journaling parts) snapshots the predictor. Running a record
-// slice as consecutive sub-slices is state-identical to one call for
-// every engine tier — RunBatch, Step and Predict/Update all advance the
-// same per-record state machine — so the chunked loop returns exactly
-// what Run would (TestRunCellChunkEquivalence pins it).
-const batchRecords = 1 << 16
-
-// runCell simulates one RunAll cell. Without a cancelable context or a
-// journal it is exactly Run; with them it runs the materialized records
-// in batchRecords chunks, checking the context between chunks and
-// journaling mid-cell snapshots for predictors that implement
-// predictor.Snapshotter. A usable journaled part (matching predictor,
-// workload and cursor) restores the predictor and skips the records
-// already simulated.
+// runCell simulates one RunAll cell: the block driver under the cell's
+// context, journaling a mid-cell snapshot every Journal.PartEvery records
+// for predictors that implement predictor.Snapshotter. A usable journaled
+// part (matching predictor, workload and cursor) restores the predictor
+// and skips the records already simulated.
 //
 //bimode:deterministic
 func (s *Scheduler) runCell(ctx context.Context, job Job, src trace.Source, seq, idx int) (Result, error) {
-	b, batched := src.(trace.Batched)
-	if !batched || (ctx.Done() == nil && s.journal == nil) {
-		return Run(job.Make(), src), nil
-	}
 	p := job.Make()
 	res := Result{
 		Predictor: p.Name(),
 		Workload:  src.Name(),
 		CostBytes: predictor.CostBytes(p),
 	}
-	recs := b.Records()
-	pos, miss := 0, 0
-
+	var start cursor
 	partEvery := 0
 	var snapper predictor.Snapshotter
 	if s.journal != nil && s.journal.PartEvery > 0 {
@@ -377,49 +356,32 @@ func (s *Scheduler) runCell(ctx context.Context, job Job, src trace.Source, seq,
 		}
 	}
 	if s.journal != nil {
-		if part, ok := s.journal.part(seq, idx); ok && snapper != nil &&
+		sized, isSized := src.(trace.Sized)
+		if part, ok := s.journal.part(seq, idx); ok && snapper != nil && isSized &&
 			part.Predictor == res.Predictor && part.Workload == res.Workload &&
-			part.Cursor > 0 && part.Cursor <= len(recs) {
+			part.Cursor > 0 && part.Cursor <= sized.Len() {
 			if err := snapper.RestoreSnapshot(part.Snap); err == nil {
-				pos, miss = part.Cursor, part.Mispredicts
+				start = cursor{pos: part.Cursor, miss: part.Mispredicts}
 			} else {
 				p.Reset() // a bad snapshot must not leave partial state behind
 			}
 		}
 	}
-
-	nextPart := len(recs) + 1
-	if partEvery > 0 {
-		nextPart = pos + partEvery
+	end, err := drive(ctx, p, src, start, partEvery, func(c cursor) {
+		s.journal.recordPart(partRecord{
+			Seq:         seq,
+			Idx:         idx,
+			Predictor:   res.Predictor,
+			Workload:    res.Workload,
+			Cursor:      c.pos,
+			Mispredicts: c.miss,
+			Snap:        snapper.Snapshot(nil),
+		})
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	for pos < len(recs) {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		end := pos + batchRecords
-		if end > nextPart {
-			end = nextPart
-		}
-		if end > len(recs) {
-			end = len(recs)
-		}
-		miss += runRecords(p, recs[pos:end])
-		pos = end
-		if pos == nextPart && pos < len(recs) {
-			s.journal.recordPart(partRecord{
-				Seq:         seq,
-				Idx:         idx,
-				Predictor:   res.Predictor,
-				Workload:    res.Workload,
-				Cursor:      pos,
-				Mispredicts: miss,
-				Snap:        snapper.Snapshot(nil),
-			})
-			nextPart = pos + partEvery
-		}
-	}
-	res.Branches = len(recs)
-	res.Mispredicts = miss
+	res.Branches, res.Mispredicts = end.pos, end.miss
 	return res, nil
 }
 

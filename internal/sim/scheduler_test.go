@@ -13,8 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bimode/internal/core"
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
+	"bimode/internal/synth"
 	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
@@ -57,6 +59,85 @@ func TestSchedulerOracle(t *testing.T) {
 			t.Errorf("job %d: parallel %+v != sequential %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestRunAllInterleavedOracle holds the pool's own materialization to the
+// sequential ground truth: generator sources beside their materialized
+// twins, over a grid that mixes large bi-mode tables (2x256KB), small
+// bi-mode tables and other engine tiers, must give the sequential
+// scheduler's results at every worker count.
+func TestRunAllInterleavedOracle(t *testing.T) {
+	mixed := mixedSourceJobs()
+	want := sim.NewScheduler(0).RunAll(mixed)
+	for _, workers := range []int{1, 3, 8} {
+		got := sim.NewScheduler(workers).RunAll(mixed)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d mixed job %d: %+v != sequential %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// mixedSourceJobs runs a large bi-mode instance and one spec per engine
+// tier over three workloads, each both as a generator and as a
+// materialized trace.
+func mixedSourceJobs() []sim.Job {
+	bigBiMode := func() predictor.Predictor {
+		return core.MustNew(core.Config{ChoiceBits: 18, BankBits: 18, HistoryBits: 14})
+	}
+	var jobs []sim.Job
+	for _, p := range synth.Profiles()[:3] {
+		src := synth.MustWorkload(p.WithDynamic(fastpathDynamic))
+		mem := trace.Materialize(synth.MustWorkload(p.WithDynamic(fastpathDynamic)))
+		jobs = append(jobs, sim.Job{Make: bigBiMode, Source: src}, sim.Job{Make: bigBiMode, Source: mem})
+		for _, spec := range []string{"bimode:b=11", "gselect:a=6,h=6", "yags:c=11,e=10,h=10,t=6"} {
+			mk := func() predictor.Predictor { return zoo.MustNew(spec) }
+			jobs = append(jobs, sim.Job{Make: mk, Source: src}, sim.Job{Make: mk, Source: mem})
+		}
+	}
+	return jobs
+}
+
+// TestRunAllArenaRace runs overlapping suites through one pooled
+// scheduler so the materialization arena's get/put/recycle and the
+// sharded expvar counters are exercised concurrently; any unsynchronized
+// buffer reuse is a -race hit and any cross-suite aliasing shows up as a
+// wrong count against the sequential reference.
+func TestRunAllArenaRace(t *testing.T) {
+	profile := synth.Profiles()[0].WithDynamic(30000)
+	mkJobs := func() []sim.Job {
+		// Fresh generator sources each call: every RunAll materializes
+		// through the arena instead of sharing a *trace.Memory.
+		src := synth.MustWorkload(profile)
+		return []sim.Job{
+			{Make: func() predictor.Predictor { return zoo.MustNew("bimode:b=12") }, Source: src},
+			{Make: func() predictor.Predictor { return zoo.MustNew("bimode:b=12") }, Source: src},
+			{Make: func() predictor.Predictor { return zoo.MustNew("bimode:b=10") }, Source: src},
+			{Make: func() predictor.Predictor { return zoo.MustNew("smith:a=10") }, Source: src},
+		}
+	}
+	want := sim.NewScheduler(0).RunAll(mkJobs())
+	s := sim.NewScheduler(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 3; it++ {
+				got := s.RunAll(mkJobs())
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("job %d: %+v != sequential %+v", i, got[i], want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // panicSource panics as soon as the simulation touches it.

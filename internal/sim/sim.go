@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"bimode/internal/predictor"
@@ -53,45 +54,77 @@ func (r Result) String() string {
 // Following the paper, no warm-up exclusion is applied (its tables start
 // weakly-taken and the cold-start transient is part of the measurement).
 //
-// Run dispatches on optional capabilities, strongest first, falling back
-// to the generic Predict/Update stream loop so every Predictor works:
-//
-//	source implements trace.Batched (a materialized trace):
-//	    predictor.BatchRunner  -> one fully inlined whole-trace call
-//	    predictor.Stepper      -> one fused call per branch over the slice
-//	    otherwise              -> Predict+Update over the slice
-//	source implements trace.Blocked (a columnar trace):
-//	    the per-slice dispatch above, one decoded block at a time
-//	source streams only:
-//	    predictor.Stepper      -> one fused call per branch
-//	    otherwise              -> the generic loop (see RunGeneric)
-//
-// Every path produces bit-identical Mispredicts (enforced by
-// TestFastPathEquivalence); the capabilities are an optimization, never a
-// semantic fork.
+// Run is the block driver with a context that never cancels: trace.Blocks
+// cuts any source into record slices, and runRecords runs each slice
+// through the fastest capability the predictor has (BatchRunner, then
+// Stepper, then Predict/Update). Every path produces bit-identical
+// Mispredicts (enforced by TestFastPathEquivalence); the capabilities are
+// an optimization, never a semantic fork. A decode error from a damaged
+// block source panics, surfacing through the scheduler's per-job
+// recovery as the cell's Result.Err.
 func Run(p predictor.Predictor, src trace.Source) Result {
 	res := Result{
 		Predictor: p.Name(),
 		Workload:  src.Name(),
 		CostBytes: predictor.CostBytes(p),
 	}
-	if b, ok := src.(trace.Batched); ok {
-		recs := b.Records()
-		res.Branches = len(recs)
-		res.Mispredicts = runRecords(p, recs)
-		return res
+	c, err := drive(context.Background(), p, src, cursor{}, 0, nil)
+	if err != nil {
+		panic(err)
 	}
-	if bl, ok := src.(trace.Blocked); ok {
-		res.Mispredicts, res.Branches = runBlocks(p, bl.BlockStream())
-		return res
-	}
-	st := src.Stream()
-	if stepper, ok := p.(predictor.Stepper); ok {
-		res.Mispredicts, res.Branches = stepStream(stepper, st)
-		return res
-	}
-	res.Mispredicts, res.Branches = predictUpdateStream(p, st)
+	res.Branches, res.Mispredicts = c.pos, c.miss
 	return res
+}
+
+// cursor is a position in a simulation: records consumed and the
+// mispredicts among them.
+type cursor struct{ pos, miss int }
+
+// drive is the engine's one block driver. It pulls blocks from
+// trace.Blocks(src), checks ctx at every block boundary and runs each
+// block through runRecords; the predictor state carries across blocks,
+// so the result is bit-identical to one call over the concatenated
+// records. Starting from a nonzero cursor (a restored snapshot) skips
+// that many leading records. With partEvery > 0, blocks are cut at every
+// partEvery-th cursor after the start, and onPart sees each such cursor
+// that has records after it, followed by another context check.
+func drive(ctx context.Context, p predictor.Predictor, src trace.Source, c cursor, partEvery int, onPart func(cursor)) (cursor, error) {
+	bs := trace.Blocks(src)
+	skip := c.pos
+	nextPart := -1
+	if partEvery > 0 {
+		nextPart = c.pos + partEvery
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return c, err
+		}
+		recs, err := bs.NextBlock()
+		if err != nil {
+			return c, err
+		}
+		if recs == nil {
+			return c, nil
+		}
+		k := min(skip, len(recs))
+		recs, skip = recs[k:], skip-k
+		for len(recs) > 0 {
+			if c.pos == nextPart {
+				onPart(c)
+				nextPart += partEvery
+				if err := ctx.Err(); err != nil {
+					return c, err
+				}
+			}
+			n := len(recs)
+			if nextPart >= 0 {
+				n = min(n, nextPart-c.pos)
+			}
+			c.miss += runRecords(p, recs[:n])
+			c.pos += n
+			recs = recs[n:]
+		}
+	}
 }
 
 // runRecords simulates a flat record slice with the fastest capability p
@@ -104,32 +137,6 @@ func runRecords(p predictor.Predictor, recs []trace.Record) int {
 		return stepRecords(stepper, recs)
 	}
 	return predictUpdateRecords(p, recs)
-}
-
-// runBlocks drives a block-capable source (a columnar trace) through the
-// engine one decoded block at a time: each block is a ready-made record
-// slice, so every block takes whatever runRecords fast path the predictor
-// offers — RunBatch over the slice for BatchRunner predictors — without
-// the trace ever being materialized whole. The predictor state carries
-// across blocks, so the result is bit-identical to running the
-// concatenated records in one call (the same contiguity argument as the
-// scheduler's chunked runCell; TestColumnarDifferential pins it). A
-// decode error (possible only for crafted files; OpenColumnar verifies
-// all checksums up front) panics, surfacing through the scheduler's
-// per-job recovery as the cell's Result.Err.
-func runBlocks(p predictor.Predictor, bs trace.BlockStream) (int, int) {
-	miss, n := 0, 0
-	for {
-		recs, err := bs.NextBlock()
-		if err != nil {
-			panic(err)
-		}
-		if recs == nil {
-			return miss, n
-		}
-		miss += runRecords(p, recs)
-		n += len(recs)
-	}
 }
 
 // stepRecords is the fused per-record loop over a materialized trace: one
@@ -159,24 +166,6 @@ func predictUpdateRecords(p predictor.Predictor, recs []trace.Record) int {
 		p.Update(r.PC, r.Taken)
 	}
 	return miss
-}
-
-// stepStream is the fused per-record loop over a stream, returning
-// (mispredicts, branches).
-//
-//bimode:hotpath dispatch
-func stepStream(stepper predictor.Stepper, st trace.Stream) (int, int) {
-	miss, n := 0, 0
-	for {
-		rec, ok := st.Next()
-		if !ok {
-			return miss, n
-		}
-		if stepper.Step(rec.PC, rec.Taken) != rec.Taken {
-			miss++
-		}
-		n++
-	}
 }
 
 // predictUpdateStream is the base-protocol per-record loop over a stream,

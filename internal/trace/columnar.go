@@ -11,7 +11,7 @@ import (
 // Columnar trace format ("BMC1"): the block-structured, column-oriented
 // sibling of the record-at-a-time varint format in io.go, built for batch
 // iteration — the decoder hands whole blocks of records to the engine
-// (the shape sim.RunBatch and the interleaved kernels consume) instead of
+// (the shape the RunBatch kernels consume) instead of
 // paying an interface call and a varint state machine per record.
 //
 // Layout (all integers are uvarints unless stated):

@@ -9,7 +9,10 @@
 // can attribute substreams to static branches without hashing PCs.
 package trace
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Record is one dynamic conditional branch.
 type Record struct {
@@ -130,11 +133,10 @@ func Materialize(src Source) *Memory {
 }
 
 // MaterializeContext is Materialize with cooperative cancellation: while
-// draining the stream it checks ctx between 64K-record chunks and
+// draining the source it checks ctx between blocks (see Blocks) and
 // abandons the materialization with ctx's error, so a canceled or
 // deadline-bounded suite is not stuck behind an expensive (or stalled)
-// generator. With a non-cancelable ctx the check compiles down to
-// nothing and the drain is identical to Materialize.
+// generator.
 func MaterializeContext(ctx context.Context, src Source) (*Memory, error) {
 	return MaterializeIntoContext(ctx, src, nil)
 }
@@ -157,47 +159,110 @@ func MaterializeIntoContext(ctx context.Context, src Source, buf []Record) (*Mem
 			capacity = n
 		}
 	}
-	cancelable := ctx.Done() != nil
 	recs := buf[:0]
 	if cap(recs) < capacity {
 		recs = make([]Record, 0, capacity)
 	}
-	// Block-capable sources drain block-at-a-time: one bulk append per
-	// block instead of a Next interface call per record, with the
-	// cooperative cancellation check at block granularity. This is the
-	// path that makes columnar files cheap to materialize into the
-	// scheduler's arena buffers.
-	if bl, ok := src.(Blocked); ok {
-		bs := bl.BlockStream()
-		for {
-			if cancelable {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			batch, err := bs.NextBlock()
-			if err != nil {
-				return nil, err
-			}
-			if batch == nil {
-				break
-			}
-			recs = append(recs, batch...)
-		}
-		return NewMemory(src.Name(), src.StaticCount(), recs), nil
-	}
-	st := src.Stream()
+	// One bulk append per block, with the cooperative cancellation check
+	// at block granularity.
+	bs := Blocks(src)
 	for {
-		if cancelable && len(recs)&(1<<16-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		r, ok := st.Next()
-		if !ok {
+		batch, err := bs.NextBlock()
+		if err != nil {
+			return nil, err
+		}
+		if batch == nil {
 			break
 		}
-		recs = append(recs, r)
+		recs = append(recs, batch...)
 	}
 	return NewMemory(src.Name(), src.StaticCount(), recs), nil
 }
+
+// batchRecords is the most records Blocks puts in one block of a source
+// that has no blocks of its own. It is the engine's cooperative-
+// cancellation granularity: consumers check their context once per block.
+const batchRecords = 1 << 16
+
+// Blocks returns a fresh single-use BlockStream over any Source, the one
+// place a trace is cut into record slices:
+//
+//   - a Batched source (a *Memory) yields zero-copy sub-slices of at most
+//     batchRecords records;
+//   - a Blocked source (a *Columnar) yields its own decoded blocks;
+//   - any other source fills one batchRecords buffer from Next, reused
+//     for every block.
+//
+// Every record of the source arrives exactly once, in stream order. A
+// block is valid only until the next NextBlock call.
+func Blocks(src Source) BlockStream {
+	if b, ok := src.(Batched); ok {
+		return &sliceBlocks{recs: b.Records()}
+	}
+	if bl, ok := src.(Blocked); ok {
+		return bl.BlockStream()
+	}
+	return &streamBlocks{st: src.Stream()}
+}
+
+// sliceBlocks cuts a materialized trace into batchRecords sub-slices.
+type sliceBlocks struct{ recs []Record }
+
+// NextBlock implements BlockStream.
+func (b *sliceBlocks) NextBlock() ([]Record, error) {
+	n := min(len(b.recs), batchRecords)
+	if n == 0 {
+		return nil, nil
+	}
+	blk := b.recs[:n:n]
+	b.recs = b.recs[n:]
+	return blk, nil
+}
+
+// streamBlocks buffers a record stream into batchRecords blocks, in a
+// buffer borrowed from streamBufs and returned once the stream is
+// drained. The stream is not called again once it reports its end.
+type streamBlocks struct {
+	st  Stream
+	buf *[]Record
+}
+
+// NextBlock implements BlockStream.
+func (b *streamBlocks) NextBlock() ([]Record, error) {
+	if b.st == nil {
+		if b.buf != nil {
+			streamBufs.Put(b.buf)
+			b.buf = nil
+		}
+		return nil, nil
+	}
+	if b.buf == nil {
+		b.buf = streamBufs.Get().(*[]Record)
+	}
+	buf, st := *b.buf, b.st
+	n := 0
+	for n < len(buf) {
+		r, ok := st.Next()
+		if !ok {
+			b.st = nil
+			break
+		}
+		buf[n] = r
+		n++
+	}
+	if n == 0 {
+		return b.NextBlock()
+	}
+	return buf[:n], nil
+}
+
+// streamBufs recycles the block buffers of stream-only sources, so that
+// materializing a suite of generators does not allocate a fresh 1 MiB
+// buffer per trace.
+var streamBufs = sync.Pool{New: func() any {
+	buf := make([]Record, batchRecords)
+	return &buf
+}}
