@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 
 	"bimode/internal/predictor"
+	"bimode/internal/sim"
 	"bimode/internal/trace"
 )
 
@@ -51,44 +53,26 @@ func (b InterferenceBreakdown) String() string {
 }
 
 // MeasureInterference runs the decomposition for a predictor implementing
-// predictor.Indexed.
+// predictor.Indexed. It is one sim.Observer pass: compulsory misses are
+// the observer's cold mispredictions, conflict misses its aliased
+// mispredictions, and the intrinsic component is the remainder.
 func MeasureInterference(p predictor.Predictor, src trace.Source) (InterferenceBreakdown, error) {
-	ix, ok := p.(predictor.Indexed)
-	if !ok {
+	if _, ok := p.(predictor.Indexed); !ok {
 		return InterferenceBreakdown{}, fmt.Errorf("analysis: predictor %s does not expose counter indices", p.Name())
 	}
-	out := InterferenceBreakdown{Predictor: p.Name(), Workload: src.Name()}
-	lastWriter := make([]int64, ix.NumCounters())
-	for i := range lastWriter {
-		lastWriter[i] = -1
+	rep, err := sim.ObserveContext(context.Background(), p, src, sim.ObserveOptions{TopN: -1})
+	if err != nil {
+		return InterferenceBreakdown{}, fmt.Errorf("analysis: measuring %s on %s: %w", p.Name(), src.Name(), err)
 	}
-	st := src.Stream()
-	for {
-		rec, ok := st.Next()
-		if !ok {
-			break
-		}
-		cid := ix.CounterID(rec.PC)
-		writer := lastWriter[cid]
-		conflictAccess := writer >= 0 && writer != int64(rec.Static)
-		if conflictAccess {
-			out.ConflictAccesses++
-		}
-		miss := p.Predict(rec.PC) != rec.Taken
-		if miss {
-			out.Mispredicts++
-			switch {
-			case writer < 0:
-				out.Compulsory++
-			case conflictAccess:
-				out.Conflict++
-			default:
-				out.Intrinsic++
-			}
-		}
-		p.Update(rec.PC, rec.Taken)
-		lastWriter[cid] = int64(rec.Static)
-		out.Branches++
-	}
-	return out, nil
+	m := rep.Interference
+	return InterferenceBreakdown{
+		Predictor:        rep.Predictor,
+		Workload:         rep.Workload,
+		Branches:         rep.Branches,
+		Mispredicts:      rep.Mispredicts,
+		Compulsory:       m.ColdMispredicts,
+		Conflict:         m.AliasedMispredicts,
+		Intrinsic:        rep.Mispredicts - m.ColdMispredicts - m.AliasedMispredicts,
+		ConflictAccesses: m.Aliased,
+	}, nil
 }

@@ -6,6 +6,10 @@ import (
 
 	"bimode/internal/baselines"
 	"bimode/internal/core"
+	"bimode/internal/predictor"
+	"bimode/internal/synth"
+	"bimode/internal/trace"
+	"bimode/internal/zoo"
 )
 
 func TestInterferencePartitionsMispredictions(t *testing.T) {
@@ -76,5 +80,114 @@ func TestInterferenceEmptyStream(t *testing.T) {
 	c, f, i := z.Rates()
 	if c != 0 || f != 0 || i != 0 {
 		t.Fatalf("empty breakdown rates must be zero")
+	}
+}
+
+// suiteTraces materializes the 14 synthetic suite workloads at a size
+// that keeps the whole-zoo sweeps below quick.
+func suiteTraces(t *testing.T) []*trace.Memory {
+	t.Helper()
+	var out []*trace.Memory
+	for _, prof := range synth.Profiles() {
+		out = append(out, trace.Materialize(synth.MustWorkload(prof.WithDynamic(8000))))
+	}
+	if len(out) != 14 {
+		t.Fatalf("suite has %d workloads, want 14", len(out))
+	}
+	return out
+}
+
+// referenceInterference is the stream loop MeasureInterference ran
+// before it became a sim.Observer pass, kept verbatim as the oracle the
+// observer-derived breakdown must reproduce.
+func referenceInterference(p predictor.Predictor, src trace.Source) InterferenceBreakdown {
+	ix := p.(predictor.Indexed)
+	out := InterferenceBreakdown{Predictor: p.Name(), Workload: src.Name()}
+	lastWriter := make([]int64, ix.NumCounters())
+	for i := range lastWriter {
+		lastWriter[i] = -1
+	}
+	st := src.Stream()
+	for {
+		rec, ok := st.Next()
+		if !ok {
+			break
+		}
+		cid := ix.CounterID(rec.PC)
+		writer := lastWriter[cid]
+		conflictAccess := writer >= 0 && writer != int64(rec.Static)
+		if conflictAccess {
+			out.ConflictAccesses++
+		}
+		miss := p.Predict(rec.PC) != rec.Taken
+		if miss {
+			out.Mispredicts++
+			switch {
+			case writer < 0:
+				out.Compulsory++
+			case conflictAccess:
+				out.Conflict++
+			default:
+				out.Intrinsic++
+			}
+		}
+		p.Update(rec.PC, rec.Taken)
+		lastWriter[cid] = int64(rec.Static)
+		out.Branches++
+	}
+	return out
+}
+
+// TestMeasureInterferenceMatchesReference: for every Indexed zoo spec
+// over the 14 suite workloads, the observer-derived breakdown equals the
+// old private loop's exactly.
+func TestMeasureInterferenceMatchesReference(t *testing.T) {
+	traces := suiteTraces(t)
+	specs := 0
+	for _, spec := range zoo.Known() {
+		if _, ok := zoo.MustNew(spec).(predictor.Indexed); !ok {
+			continue
+		}
+		specs++
+		for _, mem := range traces {
+			got, err := MeasureInterference(zoo.MustNew(spec), mem)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", spec, mem.Name(), err)
+			}
+			if want := referenceInterference(zoo.MustNew(spec), mem); got != want {
+				t.Errorf("%s on %s:\n got %+v\nwant %+v", spec, mem.Name(), got, want)
+			}
+		}
+	}
+	if specs == 0 {
+		t.Fatal("no Indexed specs in the zoo")
+	}
+}
+
+// TestProbeAgreesWithIndexed pins what MeasureInterference's move onto
+// the observer relies on: for every zoo spec that is both a Probe and
+// Indexed, ProbeLookup names the counter CounterID names, before every
+// Update of a training run.
+func TestProbeAgreesWithIndexed(t *testing.T) {
+	recs := suiteTraces(t)[0].Records()
+	specs := 0
+	for _, spec := range zoo.Known() {
+		p := zoo.MustNew(spec)
+		pr, isProbe := p.(predictor.Probe)
+		ix, isIndexed := p.(predictor.Indexed)
+		if !isProbe || !isIndexed {
+			continue
+		}
+		specs++
+		for i, r := range recs {
+			if got, want := pr.ProbeLookup(r.PC).CounterID, ix.CounterID(r.PC); got != want {
+				t.Fatalf("%s record %d: ProbeLookup counter %d, CounterID %d", spec, i, got, want)
+			}
+			p.Predict(r.PC)
+			p.Update(r.PC, r.Taken)
+		}
+	}
+	if specs == 0 {
+		t.Fatal("no Probe+Indexed specs in the zoo")
 	}
 }

@@ -80,15 +80,17 @@ type chaosClient struct {
 	recs     []trace.Record
 	statics  int
 	id       string
-	expected int // records the server has acknowledged
-	pos      int // position in recs of the next clean chunk
+	expected int            // records the server has acknowledged
+	acked    []trace.Record // those records, in acknowledgment order
+	pos      int            // position in recs of the next clean chunk
 }
 
 // TestServiceChaos is the tentpole's proof: N concurrent clients per
 // schedule, each interleaving clean traffic with injected faults, every
 // acknowledged record durable and every fault either cleanly surfaced or
-// transparently healed. A final sweep checks the server is still healthy
-// and every surviving session still answers.
+// transparently healed. A final sweep checks the server is still healthy,
+// every surviving session still answers, and each one's report equals
+// one Observe pass over exactly the records its client had acknowledged.
 func TestServiceChaos(t *testing.T) {
 	mem := testTrace(t, 4000)
 	before := runtime.NumGoroutine()
@@ -145,6 +147,7 @@ func runChaosSchedule(t *testing.T, seed int64, mem *trace.Memory) {
 
 	const nClients = 3
 	var wg sync.WaitGroup
+	clients := make([]*chaosClient, nClients)
 	for c := 0; c < nClients; c++ {
 		cc := &chaosClient{
 			t:       t,
@@ -155,6 +158,7 @@ func runChaosSchedule(t *testing.T, seed int64, mem *trace.Memory) {
 			recs:    mem.Records(),
 			statics: mem.StaticCount(),
 		}
+		clients[c] = cc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -189,6 +193,30 @@ func runChaosSchedule(t *testing.T, seed int64, mem *trace.Memory) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("surviving session %s not resumable: status %d", sum.ID, resp.StatusCode)
+		}
+	}
+
+	// Every surviving session reports, per live spec, exactly what one
+	// Observe pass over the records it acknowledged does: no fault
+	// smuggled in, dropped or double-counted a single record.
+	for _, cc := range clients {
+		if cc.id == "" {
+			continue
+		}
+		resp, err := client.Get(ts.URL + "/v1/sessions/" + cc.id)
+		if err != nil {
+			t.Fatalf("surviving session %s: %v", cc.id, err)
+		}
+		var rep Report
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("surviving session %s: %v", cc.id, err)
+		}
+		for _, sr := range rep.Specs {
+			if !sr.Failed {
+				sameSpecReport(t, sr, referenceSpecReport(sr.Spec, cc.acked, s.cfg.TopN))
+			}
 		}
 	}
 }
@@ -279,7 +307,7 @@ func (c *chaosClient) do(op chaosOp) {
 			c.t.Errorf("%v: status %d: %s", op, status, body)
 			return
 		}
-		c.expected += len(recs)
+		c.ack(recs)
 
 	case opCleanBinary:
 		recs := c.chunk()
@@ -293,7 +321,7 @@ func (c *chaosClient) do(op chaosOp) {
 			c.t.Errorf("%v: status %d: %s", op, status, body)
 			return
 		}
-		c.expected += len(recs)
+		c.ack(recs)
 
 	case opSlowLoris:
 		// A dribbling but complete body must succeed, just slowly.
@@ -304,7 +332,7 @@ func (c *chaosClient) do(op chaosOp) {
 			c.t.Errorf("%v: status %d: %s", op, status, body)
 			return
 		}
-		c.expected += len(recs)
+		c.ack(recs)
 
 	case opCutBody:
 		// The connection drops mid-body: the client sees a transport
@@ -340,6 +368,12 @@ func (c *chaosClient) do(op chaosOp) {
 			c.t.Errorf("%v: session %s vanished", op, c.id)
 		}
 	}
+}
+
+// ack records a successful ingest of recs.
+func (c *chaosClient) ack(recs []trace.Record) {
+	c.expected += len(recs)
+	c.acked = append(c.acked, recs...)
 }
 
 // verify asserts the one invariant every operation must preserve: the

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"bimode/internal/sim"
 )
 
 // The per-session journal: an append-only JSONL file, one per session,
@@ -31,8 +33,10 @@ import (
 // file and atomically renamed into place, so a long-lived session's
 // journal stays proportional to its state, not its request count.
 
-// journalVersion guards the line schema.
-const journalVersion = 1
+// journalVersion guards the line schema. Version 2 replaced the
+// hand-kept per-spec counters of version 1 with sim.Observer snapshots;
+// a version-1 journal is refused (and quarantined), never converted.
+const journalVersion = 2
 
 // sessionHeader is the journal's first line: the session's identity and
 // admitted plan, immutable for the session's life.
@@ -46,30 +50,23 @@ type sessionHeader struct {
 
 // sessionSnap is one committed state snapshot: everything needed to
 // rebuild the session exactly — the site table (dense static id -> PC,
-// so the slice index is the id), per-static occurrence counts, the
-// cursor, runtime footnotes accrued since creation, and per-spec state.
+// so the slice index is the id), the cursor, runtime footnotes accrued
+// since creation, and per-spec state.
 type sessionSnap struct {
 	Cursor    int        `json:"cursor"`
 	PCs       []uint64   `json:"pcs,omitempty"`
-	Occ       []int64    `json:"occ,omitempty"`
 	Footnotes []string   `json:"footnotes,omitempty"`
 	Specs     []specSnap `json:"specs"`
 }
 
-// specSnap is one predictor's slice of a snapshot. State carries the
-// predictor.Snapshotter bytes; Last packs the aliasing tracker's
-// consulted-counter ownership array (little-endian int32s). A failed
-// spec (disabled by a runtime panic, see session.runSpecChunk) keeps its
-// frozen counts but no State.
+// specSnap is one predictor's slice of a snapshot: a live spec's
+// sim.Observer snapshot (predictor state and every metric, in the
+// observer's binary codec), or a failed spec's report, frozen when a
+// runtime panic disabled it (see session.feed).
 type specSnap struct {
-	Spec             string  `json:"spec"`
-	Mispredicts      int64   `json:"mispredicts"`
-	Miss             []int64 `json:"miss,omitempty"`
-	State            []byte  `json:"state,omitempty"`
-	Last             []byte  `json:"last,omitempty"`
-	AliasConflicts   int64   `json:"alias_conflicts"`
-	AliasDestructive int64   `json:"alias_destructive"`
-	Failed           bool    `json:"failed,omitempty"`
+	Spec     string      `json:"spec"`
+	Observer []byte      `json:"observer,omitempty"`
+	Frozen   *sim.Report `json:"frozen,omitempty"`
 }
 
 // journalLine is the on-disk union: exactly one field set per line.
@@ -219,39 +216,11 @@ func (j *sessionJournal) writeLine(line journalLine) error {
 // journal (complete) or the new one (complete), never a half-file.
 func (j *sessionJournal) compact(snap *sessionSnap) error {
 	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
+	err := writeSynced(tmp, journalLine{Header: &j.hdr}, journalLine{Snap: snap})
+	if err == nil {
+		err = os.Rename(tmp, j.path)
+	}
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, line := range []journalLine{{Header: &j.hdr}, {Snap: snap}} {
-		data, err := json.Marshal(line)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -268,6 +237,30 @@ func (j *sessionJournal) compact(snap *sessionSnap) error {
 	old.Close()
 	j.f, j.w, j.size = nf, bufio.NewWriter(nf), size
 	return nil
+}
+
+// writeSynced writes lines as a fresh JSONL file at path and syncs it.
+func writeSynced(path string, lines ...journalLine) error {
+	var buf []byte
+	for _, line := range lines {
+		data, err := json.Marshal(line)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, data...), '\n')
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // close releases the file handle; the journal stays on disk.

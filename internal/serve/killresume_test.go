@@ -2,11 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bimode/internal/sim"
+	"bimode/internal/synth"
+	"bimode/internal/trace"
+	"bimode/internal/zoo"
 )
 
 // The service-layer kill-and-resume suite: the analogue of internal/sim's
@@ -229,5 +236,133 @@ func TestJournalCompaction(t *testing.T) {
 	matches, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if len(matches) != 0 {
 		t.Fatalf("compaction left temp files: %v", matches)
+	}
+}
+
+// remapFirstAppearance renumbers static ids densely in first-appearance
+// order of the PC — the id space a session assigns as records arrive.
+func remapFirstAppearance(recs []trace.Record) *trace.Memory {
+	ids := map[uint64]uint32{}
+	out := make([]trace.Record, len(recs))
+	for i, r := range recs {
+		st, ok := ids[r.PC]
+		if !ok {
+			st = uint32(len(ids))
+			ids[r.PC] = st
+		}
+		r.Static = st
+		out[i] = r
+	}
+	return trace.NewMemory("reference", len(ids), out)
+}
+
+// referenceSpecReport is the report a session's spec must serve after
+// committing exactly recs: one sim.Observe pass over them, remapped to
+// the session's id space.
+func referenceSpecReport(spec string, recs []trace.Record, topN int) SpecReport {
+	r := sim.Observe(zoo.MustNew(spec), remapFirstAppearance(recs), sim.ObserveOptions{TopN: topN})
+	return SpecReport{
+		Spec:           spec,
+		Predictor:      r.Predictor,
+		CostBytes:      r.CostBytes,
+		Mispredicts:    r.Mispredicts,
+		MispredictRate: r.MispredictRate,
+		Interference:   r.Interference,
+		Choice:         r.Choice,
+		Top:            r.TopBranches,
+	}
+}
+
+// sameSpecReport fails the test unless two spec reports serialize
+// identically.
+func sameSpecReport(t *testing.T, got, want SpecReport) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Errorf("spec %q report diverged from one Observe pass:\n got %s\nwant %s", got.Spec, g, w)
+	}
+}
+
+// TestSessionMatchesOneObservePass: for every service family, a session
+// fed a suite trace in random chunk sizes, through text and binary
+// bodies, with the server killed and restarted over the same journal
+// directory between chunks, reports exactly what one sim.Observe pass
+// over the whole trace does — interference, choice, H2P ranking and
+// mispredicts.
+func TestSessionMatchesOneObservePass(t *testing.T) {
+	prof, ok := synth.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("no gcc profile")
+	}
+	mem := trace.Materialize(synth.MustWorkload(prof.WithDynamic(6000)))
+	recs := mem.Records()
+	for i, spec := range snapSpecs {
+		spec := spec
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		t.Run(spec, func(t *testing.T) {
+			dir := t.TempDir()
+			s, base := newTestServer(t, Config{Dir: dir})
+			id := createSession(t, base, spec).ID
+			for pos := 0; pos < len(recs); {
+				n := min(1+rng.Intn(1500), len(recs)-pos)
+				chunk := recs[pos : pos+n]
+				if rng.Intn(2) == 0 {
+					ingestText(t, base, id, textBody(chunk))
+				} else {
+					var buf bytes.Buffer
+					if err := trace.Write(&buf, trace.NewMemory("chunk", mem.StaticCount(), chunk)); err != nil {
+						t.Fatal(err)
+					}
+					ingestText(t, base, id, buf.String())
+				}
+				pos += n
+				s.Kill()
+				s.Close()
+				s, base = newTestServer(t, Config{Dir: dir})
+			}
+
+			_, rep := rawReport(t, base, id)
+			if rep.Cursor != len(recs) || len(rep.Specs) != 1 {
+				t.Fatalf("cursor %d with %d specs, want %d with 1", rep.Cursor, len(rep.Specs), len(recs))
+			}
+			sameSpecReport(t, rep.Specs[0], referenceSpecReport(spec, recs, s.cfg.TopN))
+		})
+	}
+}
+
+// TestV1JournalQuarantined: a journal written under the version-1 line
+// schema (hand-kept counters, no observer snapshots) is refused and
+// quarantined, never converted by guesswork.
+func TestV1JournalQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s, base := newTestServer(t, Config{Dir: dir})
+	rep := createSession(t, base, "smith:a=12")
+	ingestText(t, base, rep.ID, "0x1000 1\n0x2000 0\n")
+	s.Kill()
+
+	path := journalPath(dir, rep.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(data, []byte(`{"header":{"v":2,`), []byte(`{"header":{"v":1,`), 1)
+	if bytes.Equal(v1, data) {
+		t.Fatalf("journal header not in the expected form: %.80s", data)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if resp := doJSON(t, "GET", base+"/v1/sessions/"+rep.ID, nil, nil); resp.StatusCode != http.StatusGone {
+		t.Fatalf("v1 journal: status %d, want 410", resp.StatusCode)
+	}
+	if _, err := os.Stat(path + ".damaged"); err != nil {
+		t.Fatalf("v1 journal not quarantined: %v", err)
 	}
 }

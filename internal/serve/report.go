@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
+
+	"bimode/internal/sim"
 )
 
 // Wire types for the service's JSON responses. Reports deliberately carry
@@ -30,85 +31,30 @@ type Report struct {
 	Specs     []SpecReport `json:"specs"`
 }
 
-// SpecReport is one predictor's slice of a Report.
+// SpecReport is one predictor's slice of a Report: the fields of the
+// spec's sim.Observer report, so the service's aliasing, choice and H2P
+// figures are the ones cmd/obsreport prints for the same records, under
+// the same definitions.
 type SpecReport struct {
 	Spec        string  `json:"spec"`
 	Predictor   string  `json:"predictor,omitempty"`
 	CostBytes   float64 `json:"cost_bytes,omitempty"`
-	Mispredicts int64   `json:"mispredicts"`
-	// MispredictRate is mispredicts over the session cursor (0 when no
-	// records have been committed).
+	Mispredicts int     `json:"mispredicts"`
+	// MispredictRate is mispredicts over the records the spec has seen
+	// (0 when it has seen none).
 	MispredictRate float64 `json:"mispredict_rate"`
-	// Failed marks a spec disabled by a runtime failure; its counts are
+	// Failed marks a spec disabled by a runtime failure; its report is
 	// frozen at the point of failure and the session's footnotes say why.
-	Failed   bool            `json:"failed,omitempty"`
-	Aliasing *AliasingReport `json:"aliasing,omitempty"`
-	Top      []H2PEntry      `json:"top,omitempty"`
-}
-
-// AliasingReport is the streaming aliasing proxy for predictor.Indexed
-// families: how often a consulted second-level counter was last consulted
-// by a different static branch (a conflict), and how many of those
-// conflicts coincided with a mispredict (destructive, the paper's
-// Section 3 failure mode).
-type AliasingReport struct {
-	Counters    int   `json:"counters"`
-	Conflicts   int64 `json:"conflicts"`
-	Destructive int64 `json:"destructive"`
-}
-
-// H2PEntry is one static branch in a spec's hard-to-predict ranking,
-// mirroring the H2P top-N of internal/sim's observability reports.
-type H2PEntry struct {
-	Static      int    `json:"static"`
-	PC          string `json:"pc"`
-	Occurrences int64  `json:"occurrences"`
-	Mispredicts int64  `json:"mispredicts"`
-}
-
-// h2pTop ranks statics by per-spec mispredicts (descending, then by
-// static id for determinism), keeping the top n.
-func h2pTop(miss []int64, occ []int64, pcs []uint64, n int) []H2PEntry {
-	if n <= 0 {
-		return nil
-	}
-	var out []H2PEntry
-	for st, m := range miss {
-		if m > 0 {
-			out = append(out, H2PEntry{Static: st, Mispredicts: m})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mispredicts != out[j].Mispredicts {
-			return out[i].Mispredicts > out[j].Mispredicts
-		}
-		return out[i].Static < out[j].Static
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	for i := range out {
-		st := out[i].Static
-		out[i].Occurrences = occ[st]
-		out[i].PC = pcHex(pcs[st])
-	}
-	return out
-}
-
-// pcHex formats a branch address the way the text import accepts it back.
-func pcHex(pc uint64) string {
-	const digits = "0123456789abcdef"
-	buf := make([]byte, 0, 18)
-	buf = append(buf, '0', 'x')
-	started := false
-	for shift := 60; shift >= 0; shift -= 4 {
-		d := byte(pc>>uint(shift)) & 0xf
-		if d != 0 || started || shift == 0 {
-			started = true
-			buf = append(buf, digits[d])
-		}
-	}
-	return string(buf)
+	Failed bool `json:"failed,omitempty"`
+	// Interference is present for predictor.Indexed families; its
+	// destructive count is the paper's Section 4 metric, and
+	// aliased_mispredicts counts every mispredicted aliased access.
+	Interference *sim.InterferenceMetrics `json:"interference,omitempty"`
+	// Choice is present for families with a steering structure.
+	Choice *sim.ChoiceMetrics `json:"choice,omitempty"`
+	// Top is the spec's hard-to-predict ranking: static branches (session
+	// static ids) ordered by mispredicts, at most Config.TopN rows.
+	Top []sim.BranchMetrics `json:"top,omitempty"`
 }
 
 // ingestResult is the body of a successful POST .../branches: the updated

@@ -487,7 +487,7 @@ func (s *Server) dropResident(sess *session) {
 	sess.journal.close()
 	sess.resident = false
 	sess.specs = nil
-	sess.pcs, sess.occ, sess.sites, sess.footnotes = nil, nil, nil, nil
+	sess.pcs, sess.sites, sess.footnotes = nil, nil, nil
 	sess.cursor = 0
 	s.mu.Lock()
 	if sess.lruToken != nil {

@@ -164,10 +164,13 @@ func TestSessionLifecycle(t *testing.T) {
 			t.Errorf("spec %q: missing predictor identity (%q, %v)", sr.Spec, sr.Predictor, sr.CostBytes)
 		}
 	}
-	// The bimode spec is Indexed: its aliasing proxy and H2P ranking must
-	// be populated.
-	if a := res.Report.Specs[0].Aliasing; a == nil || a.Counters == 0 {
-		t.Errorf("bimode spec: no aliasing report (%+v)", a)
+	// The bimode spec is Indexed and a Probe: its interference and choice
+	// metrics and its H2P ranking must be populated.
+	if a := res.Report.Specs[0].Interference; a == nil || a.Counters == 0 {
+		t.Errorf("bimode spec: no interference metrics (%+v)", a)
+	}
+	if c := res.Report.Specs[0].Choice; c == nil || c.Branches != len(recs) {
+		t.Errorf("bimode spec: choice metrics %+v, want %d branches", c, len(recs))
 	}
 	if len(res.Report.Specs[0].Top) == 0 {
 		t.Errorf("bimode spec: empty H2P ranking")

@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -15,10 +15,10 @@ import (
 	"bimode/internal/trace"
 )
 
-// A session is one client's long-lived simulation: a set of predictor
-// instances being trained incrementally by streamed trace chunks, plus
-// the per-static bookkeeping (site table, occurrence and mispredict
-// counts, aliasing trackers) behind its reports.
+// A session is one client's long-lived simulation: a site table mapping
+// branch PCs to dense static ids, plus one sim.Observer per predictor
+// spec, trained incrementally by streamed trace chunks and holding every
+// metric behind the spec's report.
 //
 // Sessions live in two states. Resident: predictors in memory, journal
 // open, requests apply directly. Spilled: nothing in memory but the
@@ -47,7 +47,6 @@ type session struct {
 	footnotes []string
 	pcs       []uint64          // dense static id -> branch PC
 	sites     map[uint64]uint32 // branch PC -> dense static id
-	occ       []int64           // per-static occurrence counts
 	cursor    int               // records committed (the durability watermark)
 
 	lruToken any // opaque LRU handle owned by the Server, nil when spilled
@@ -66,42 +65,23 @@ func (sess *session) lock(ctx context.Context) error {
 
 func (sess *session) unlock() { <-sess.mu }
 
-// specState is one predictor's slice of a session.
+// specState is one predictor's slice of a session: a live spec's
+// observer, or — once a runtime failure disabled the spec — its report,
+// frozen at the point of failure.
 type specState struct {
-	spec string
-	p    predictor.Predictor
-	snap predictor.Snapshotter
-	idx  predictor.Indexed // nil when the family is not Indexed
-
-	mispredicts int64
-	miss        []int64 // per-static mispredicts (the H2P input)
-	// last tracks, per second-level counter, the static id that consulted
-	// it most recently (-1 = never): the streaming aliasing proxy. A
-	// consult whose owner differs is a conflict; a conflicting consult
-	// that also mispredicts is destructive interference (Section 3).
-	last             []int32
-	aliasConflicts   int64
-	aliasDestructive int64
-	failed           bool // disabled by a runtime failure; counts frozen
+	spec   string
+	obs    *sim.Observer // nil once failed
+	frozen *sim.Report   // the failed spec's full report; nil while live
 }
 
-// newSpecState wires the optional capabilities for a freshly built
-// predictor. Only Snapshotter-capable predictors are admitted — without
-// a snapshot the session could not honor its durability contract.
+// newSpecState wires a freshly built predictor into an observer. Only
+// Snapshotter-capable predictors are admitted — without a snapshot the
+// session could not honor its durability contract.
 func newSpecState(spec string, p predictor.Predictor) (*specState, error) {
-	snap, ok := p.(predictor.Snapshotter)
-	if !ok {
+	if _, ok := p.(predictor.Snapshotter); !ok {
 		return nil, fmt.Errorf("predictor %q does not support snapshots", p.Name())
 	}
-	sp := &specState{spec: spec, p: p, snap: snap}
-	if idx, ok := p.(predictor.Indexed); ok {
-		sp.idx = idx
-		sp.last = make([]int32, idx.NumCounters())
-		for i := range sp.last {
-			sp.last[i] = -1
-		}
-	}
-	return sp, nil
+	return &specState{spec: spec, obs: sim.NewObserver(p)}, nil
 }
 
 // buildPredictor constructs a predictor from a spec through the Server's
@@ -156,9 +136,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // siteFor maps a branch PC to the session's dense static id, assigning
-// the next id on first appearance and growing every per-static array to
-// cover it. The site table may run ahead of the arrays (the text scanner
-// inserts PCs as it parses), so growth is by-need here.
+// the next id on first appearance. The site table may run ahead of pcs
+// (the text scanner inserts PCs as it parses), so pcs grows by need.
 func (sess *session) siteFor(pc uint64) uint32 {
 	st, ok := sess.sites[pc]
 	if !ok {
@@ -167,10 +146,6 @@ func (sess *session) siteFor(pc uint64) uint32 {
 	}
 	for int(st) >= len(sess.pcs) {
 		sess.pcs = append(sess.pcs, 0)
-		sess.occ = append(sess.occ, 0)
-		for _, sp := range sess.specs {
-			sp.miss = append(sp.miss, 0)
-		}
 	}
 	sess.pcs[st] = pc
 	return st
@@ -179,58 +154,34 @@ func (sess *session) siteFor(pc uint64) uint32 {
 // applyChunk runs one chunk of records through every live spec. Static
 // ids are remapped by PC into the session's id space first — a binary
 // body's embedded Static ids belong to the client's capture, not to this
-// session — then each spec processes the whole chunk, so one spec's
-// runtime failure (caught in runSpecChunk) cannot corrupt another's
+// session — then each spec's observer takes the whole chunk, so one
+// spec's runtime failure (caught in feed) cannot corrupt another's
 // interleaving.
 func (sess *session) applyChunk(recs []trace.Record) {
 	for i := range recs {
-		st := sess.siteFor(recs[i].PC)
-		recs[i].Static = st
-		sess.occ[st]++
+		recs[i].Static = sess.siteFor(recs[i].PC)
 	}
 	for _, sp := range sess.specs {
-		if !sp.failed {
-			sess.runSpecChunk(sp, recs)
+		if sp.obs != nil {
+			sess.feed(sp, recs)
 		}
 	}
 	sess.cursor += len(recs)
 }
 
-// runSpecChunk trains one spec on a chunk. A panic anywhere in the
-// predictor disables the spec — counts freeze, a footnote records where
-// and why — and the session carries on with its surviving specs: the
+// feed trains one spec on a chunk. A panic anywhere in the predictor
+// disables the spec — its report freezes, a footnote records where and
+// why — and the session carries on with its surviving specs: the
 // graceful-degradation contract, per spec rather than per request.
-func (sess *session) runSpecChunk(sp *specState, recs []trace.Record) {
-	done := 0
+func (sess *session) feed(sp *specState, recs []trace.Record) {
 	defer func() {
 		if r := recover(); r != nil {
-			sp.failed = true
 			sess.footnotes = append(sess.footnotes, fmt.Sprintf(
-				"spec %q disabled at record %d: %v", sp.spec, sess.cursor+done, r))
+				"spec %q disabled at record %d: %v", sp.spec, sp.obs.Branches(), r))
+			sp.frozen, sp.obs = sp.obs.Report(math.MaxInt), nil
 		}
 	}()
-	for _, rec := range recs {
-		pc, taken, st := rec.PC, rec.Taken, rec.Static
-		conflict := false
-		if sp.idx != nil {
-			cid := sp.idx.CounterID(pc)
-			if prev := sp.last[cid]; prev >= 0 && prev != int32(st) {
-				conflict = true
-				sp.aliasConflicts++
-			}
-			sp.last[cid] = int32(st)
-		}
-		predicted := sp.p.Predict(pc)
-		sp.p.Update(pc, taken)
-		if predicted != taken {
-			sp.mispredicts++
-			sp.miss[st]++
-			if conflict {
-				sp.aliasDestructive++
-			}
-		}
-		done++
-	}
+	sp.obs.Feed(recs)
 }
 
 // buildSnap captures the session's complete committed state as one
@@ -239,21 +190,12 @@ func (sess *session) buildSnap() *sessionSnap {
 	snap := &sessionSnap{
 		Cursor:    sess.cursor,
 		PCs:       append([]uint64(nil), sess.pcs...),
-		Occ:       append([]int64(nil), sess.occ...),
 		Footnotes: append([]string(nil), sess.footnotes...),
 	}
 	for _, sp := range sess.specs {
-		ss := specSnap{
-			Spec:             sp.spec,
-			Mispredicts:      sp.mispredicts,
-			Miss:             append([]int64(nil), sp.miss...),
-			AliasConflicts:   sp.aliasConflicts,
-			AliasDestructive: sp.aliasDestructive,
-			Failed:           sp.failed,
-		}
-		if !sp.failed {
-			ss.State = sp.snap.Snapshot(nil)
-			ss.Last = packInt32s(sp.last)
+		ss := specSnap{Spec: sp.spec, Frozen: sp.frozen}
+		if sp.obs != nil {
+			ss.Observer = sp.obs.Snapshot(nil)
 		}
 		snap.Specs = append(snap.Specs, ss)
 	}
@@ -267,95 +209,51 @@ func (sess *session) buildSnap() *sessionSnap {
 // the journal does not describe this server's world, and the session is
 // unrecoverable rather than approximately recovered.
 func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionSnap) error {
-	specs := make([]*specState, 0, len(sess.specsAdmitted()))
-	if snap == nil {
-		sess.pcs, sess.occ, sess.cursor = nil, nil, 0
-		sess.sites = map[uint64]uint32{}
-		sess.footnotes = append([]string(nil), sess.journal.hdr.Footnotes...)
-		for _, spec := range sess.specsAdmitted() {
-			p, err := s.buildPredictor(ctx, spec)
-			if err != nil {
-				return fmt.Errorf("rebuilding %q: %w", spec, err)
-			}
-			sp, err := newSpecState(spec, p)
-			if err != nil {
-				return fmt.Errorf("rebuilding %q: %w", spec, err)
-			}
-			specs = append(specs, sp)
-		}
-		sess.specs = specs
-		return nil
-	}
 	admitted := sess.specsAdmitted()
+	if snap == nil {
+		snap = &sessionSnap{Footnotes: sess.journal.hdr.Footnotes, Specs: make([]specSnap, len(admitted))}
+		for i, spec := range admitted {
+			snap.Specs[i].Spec = spec
+		}
+	}
 	if len(snap.Specs) != len(admitted) {
 		return fmt.Errorf("snapshot has %d specs, session admitted %d", len(snap.Specs), len(admitted))
 	}
-	sess.pcs = append([]uint64(nil), snap.PCs...)
-	sess.occ = append([]int64(nil), snap.Occ...)
-	if len(sess.occ) != len(sess.pcs) {
-		return fmt.Errorf("snapshot occ/pcs length mismatch: %d != %d", len(sess.occ), len(sess.pcs))
+	specs := make([]*specState, 0, len(admitted))
+	for i, ss := range snap.Specs {
+		if ss.Spec != admitted[i] {
+			return fmt.Errorf("snapshot spec %d is %q, session admitted %q", i, ss.Spec, admitted[i])
+		}
+		if ss.Frozen != nil {
+			// A disabled spec never runs again: its frozen report is all
+			// that is left of it.
+			specs = append(specs, &specState{spec: ss.Spec, frozen: ss.Frozen})
+			continue
+		}
+		var sp *specState
+		p, err := s.buildPredictor(ctx, ss.Spec)
+		if err == nil {
+			sp, err = newSpecState(ss.Spec, p)
+		}
+		if err == nil && ss.Observer != nil {
+			err = sp.obs.Restore(ss.Observer)
+		}
+		if err != nil {
+			return fmt.Errorf("restoring %q: %w", ss.Spec, err)
+		}
+		// A live spec has seen every committed record.
+		if sp.obs.Branches() != snap.Cursor {
+			return fmt.Errorf("spec %q has seen %d records, cursor is %d", ss.Spec, sp.obs.Branches(), snap.Cursor)
+		}
+		specs = append(specs, sp)
 	}
+	sess.pcs = append([]uint64(nil), snap.PCs...)
 	sess.sites = make(map[uint64]uint32, len(sess.pcs))
 	for st, pc := range sess.pcs {
 		sess.sites[pc] = uint32(st)
 	}
 	sess.cursor = snap.Cursor
 	sess.footnotes = append([]string(nil), snap.Footnotes...)
-	for i, ss := range snap.Specs {
-		if ss.Spec != admitted[i] {
-			return fmt.Errorf("snapshot spec %d is %q, session admitted %q", i, ss.Spec, admitted[i])
-		}
-		if len(ss.Miss) > len(sess.pcs) {
-			return fmt.Errorf("spec %q: %d miss rows for %d statics", ss.Spec, len(ss.Miss), len(sess.pcs))
-		}
-		sp := &specState{
-			spec:             ss.Spec,
-			mispredicts:      ss.Mispredicts,
-			miss:             append(make([]int64, 0, len(sess.pcs)), ss.Miss...),
-			aliasConflicts:   ss.AliasConflicts,
-			aliasDestructive: ss.AliasDestructive,
-			failed:           ss.Failed,
-		}
-		for len(sp.miss) < len(sess.pcs) {
-			sp.miss = append(sp.miss, 0)
-		}
-		if ss.Failed {
-			// A disabled spec never runs again; its predictor is rebuilt
-			// only for the report's name/cost, and a rebuild failure just
-			// leaves those blank.
-			if p, err := s.buildPredictor(ctx, ss.Spec); err == nil {
-				sp.p = p
-			}
-			specs = append(specs, sp)
-			continue
-		}
-		p, err := s.buildPredictor(ctx, ss.Spec)
-		if err != nil {
-			return fmt.Errorf("rebuilding %q: %w", ss.Spec, err)
-		}
-		live, err := newSpecState(ss.Spec, p)
-		if err != nil {
-			return fmt.Errorf("rebuilding %q: %w", ss.Spec, err)
-		}
-		if err := live.snap.RestoreSnapshot(ss.State); err != nil {
-			return fmt.Errorf("restoring %q: %w", ss.Spec, err)
-		}
-		if live.idx != nil {
-			last, err := unpackInt32s(ss.Last)
-			if err != nil {
-				return fmt.Errorf("restoring %q aliasing tracker: %w", ss.Spec, err)
-			}
-			if len(last) != len(live.last) {
-				return fmt.Errorf("restoring %q: %d counter owners for %d counters", ss.Spec, len(last), len(live.last))
-			}
-			live.last = last
-		}
-		live.mispredicts = sp.mispredicts
-		live.miss = sp.miss
-		live.aliasConflicts = sp.aliasConflicts
-		live.aliasDestructive = sp.aliasDestructive
-		specs = append(specs, live)
-	}
 	sess.specs = specs
 	return nil
 }
@@ -377,27 +275,23 @@ func (sess *session) report(topN int) Report {
 		Specs:     []SpecReport{},
 	}
 	for _, sp := range sess.specs {
-		sr := SpecReport{
-			Spec:        sp.spec,
-			Mispredicts: sp.mispredicts,
-			Failed:      sp.failed,
+		r := sp.frozen
+		if r == nil {
+			r = sp.obs.Report(topN)
 		}
-		if sess.cursor > 0 {
-			sr.MispredictRate = float64(sp.mispredicts) / float64(sess.cursor)
-		}
-		if sp.p != nil {
-			sr.Predictor = sp.p.Name()
-			sr.CostBytes = predictor.CostBytes(sp.p)
-		}
-		if sp.idx != nil {
-			sr.Aliasing = &AliasingReport{
-				Counters:    len(sp.last),
-				Conflicts:   sp.aliasConflicts,
-				Destructive: sp.aliasDestructive,
-			}
-		}
-		sr.Top = h2pTop(sp.miss, sess.occ, sess.pcs, topN)
-		rep.Specs = append(rep.Specs, sr)
+		rep.Specs = append(rep.Specs, SpecReport{
+			Spec:           sp.spec,
+			Predictor:      r.Predictor,
+			CostBytes:      r.CostBytes,
+			Mispredicts:    r.Mispredicts,
+			MispredictRate: r.MispredictRate,
+			Failed:         sp.frozen != nil,
+			Interference:   r.Interference,
+			Choice:         r.Choice,
+			// A frozen report holds the full ranking; the ranking is
+			// prefix-stable, so its first topN rows are the top-N.
+			Top: r.TopBranches[:min(max(topN, 0), len(r.TopBranches))],
+		})
 	}
 	return rep
 }
@@ -445,21 +339,16 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 		if err != nil {
 			return 0, httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
 		}
-		recs := append([]trace.Record(nil), mem.Records()...)
-		total := 0
-		for len(recs) > 0 {
-			chunk := recs
-			if len(chunk) > ingestChunk {
-				chunk = chunk[:ingestChunk]
-			}
-			if err := s.admitChunk(ctx, len(chunk)); err != nil {
+		// Decode materializes fresh records the session owns, so their
+		// static ids are remapped in place.
+		for recs := mem.Records(); len(recs) > 0; {
+			k := min(len(recs), ingestChunk)
+			if err := s.admitChunk(ctx, sess, recs[:k]); err != nil {
 				return 0, err
 			}
-			sess.applyChunk(chunk)
-			total += len(chunk)
-			recs = recs[len(chunk):]
+			recs = recs[k:]
 		}
-		return total, nil
+		return mem.Len(), nil
 	}
 
 	// Anything else is the text capture format, parsed record-at-a-time —
@@ -470,26 +359,15 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 	tracked := &errTrackReader{r: body}
 	sc := trace.NewTextScanner(io.MultiReader(bytes.NewReader(head), tracked))
 	sc.SetSites(sess.sites)
-	total := 0
+	start := sess.cursor
 	chunk := make([]trace.Record, 0, ingestChunk)
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		if err := s.admitChunk(ctx, len(chunk)); err != nil {
-			return err
-		}
-		sess.applyChunk(chunk)
-		total += len(chunk)
-		chunk = chunk[:0]
-		return nil
-	}
 	for sc.Scan() {
 		chunk = append(chunk, sc.Record())
 		if len(chunk) == ingestChunk {
-			if err := flush(); err != nil {
+			if err := s.admitChunk(ctx, sess, chunk); err != nil {
 				return 0, err
 			}
+			chunk = chunk[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -498,22 +376,26 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 		}
 		return 0, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if err := flush(); err != nil {
+	if err := s.admitChunk(ctx, sess, chunk); err != nil {
 		return 0, err
 	}
-	return total, nil
+	return sess.cursor - start, nil
 }
 
-// admitChunk applies the per-chunk gates: the request deadline and the
-// shared ingest token bucket.
-func (s *Server) admitChunk(ctx context.Context, n int) error {
+// admitChunk applies the per-chunk gates — the request deadline and the
+// shared ingest token bucket — and then the chunk itself.
+func (s *Server) admitChunk(ctx context.Context, sess *session, recs []trace.Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return ctxError(err)
 	}
-	if wait, ok := s.bucket.take(n); !ok {
+	if wait, ok := s.bucket.take(len(recs)); !ok {
 		s.ctr.overload.Add(1)
 		return overloadError("ingest rate", wait)
 	}
+	sess.applyChunk(recs)
 	return nil
 }
 
@@ -551,24 +433,4 @@ func (t *errTrackReader) Read(p []byte) (int, error) {
 		t.err = err
 	}
 	return n, err
-}
-
-// packInt32s encodes the aliasing tracker for a snapshot (little-endian).
-func packInt32s(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
-
-func unpackInt32s(data []byte) ([]int32, error) {
-	if len(data)%4 != 0 {
-		return nil, fmt.Errorf("owner array length %d is not a multiple of 4", len(data))
-	}
-	out := make([]int32, len(data)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
-	}
-	return out, nil
 }

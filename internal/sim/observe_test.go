@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"bimode/internal/predictor"
@@ -211,5 +212,54 @@ func TestLookupOf(t *testing.T) {
 	}
 	if !look.HasChoice || look.Bank < 0 || look.Bank > 1 {
 		t.Errorf("bi-mode probe missing choice/bank: %+v", look)
+	}
+}
+
+// TestObserverIncremental: an Observer fed a trace in uneven blocks, and
+// snapshotted into a fresh observer between every block, reports exactly
+// what one Observe pass does — minus the timing only Observe stamps.
+func TestObserverIncremental(t *testing.T) {
+	mem := observeWorkload(t, "gcc", 30000)
+	recs := mem.Records()
+	for _, spec := range []string{"bimode:b=9", "trimode:b=8", "gshare:i=10,h=10", "smith:a=10"} {
+		want := sim.Observe(zoo.MustNew(spec), mem, sim.ObserveOptions{TopN: 7})
+		want.Workload, want.WallSeconds, want.BranchesPerSec = "", 0, 0
+
+		o := sim.NewObserver(zoo.MustNew(spec))
+		for pos, n := 0, 1; pos < len(recs); pos, n = pos+n, n*3+1 {
+			o.Feed(recs[pos:min(pos+n, len(recs))])
+			snap := o.Snapshot(nil)
+			o = sim.NewObserver(zoo.MustNew(spec))
+			if err := o.Restore(snap); err != nil {
+				t.Fatalf("%s: restoring at %d: %v", spec, pos, err)
+			}
+		}
+		if got := o.Report(7); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: incremental report\n%+v\nwant\n%+v", spec, got, want)
+		}
+	}
+}
+
+// TestObserverRestoreRejects: snapshots that do not fit the receiving
+// observer's predictor, or whose counts do not add up, are refused.
+func TestObserverRestoreRejects(t *testing.T) {
+	mem := observeWorkload(t, "compress", 5000)
+	o := sim.NewObserver(zoo.MustNew("bimode:b=8"))
+	o.Feed(mem.Records())
+	snap := o.Snapshot(nil)
+	if err := sim.NewObserver(zoo.MustNew("bimode:b=9")).Restore(snap); err == nil {
+		t.Error("a bimode:b=8 snapshot restored into bimode:b=9")
+	}
+	if err := sim.NewObserver(zoo.MustNew("smith:a=8")).Restore(snap); err == nil {
+		t.Error("a bimode snapshot restored into smith")
+	}
+	if err := sim.NewObserver(zoo.MustNew("bimode:b=8")).Restore(snap[:len(snap)-1]); err == nil {
+		t.Error("a truncated snapshot restored")
+	}
+	if err := sim.NewObserver(zoo.MustNew("bimode:b=8")).Restore(append(snap, 0)); err == nil {
+		t.Error("a snapshot with trailing bytes restored")
+	}
+	if err := sim.NewObserver(zoo.MustNew("taken")).Restore(snap); err == nil {
+		t.Error("an observer over a predictor without snapshots restored")
 	}
 }

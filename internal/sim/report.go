@@ -59,6 +59,11 @@ type Report struct {
 //
 // Destructive+Constructive+Neutral == Aliased. Cold counts first-touch
 // accesses (the counter had no writer yet).
+//
+// This is the one definition of destructive aliasing in the repository:
+// cmd/obsreport, the predserve session reports and
+// analysis.MeasureInterference all read these fields. "Aliased and
+// mispredicted" is a different, weaker quantity, AliasedMispredicts.
 type InterferenceMetrics struct {
 	Counters     int `json:"counters"`
 	Aliased      int `json:"aliased_accesses"`
@@ -69,14 +74,9 @@ type InterferenceMetrics struct {
 	// AliasedMispredicts counts mispredictions on aliased accesses (the
 	// conflict-miss exposure, cf. analysis.InterferenceBreakdown).
 	AliasedMispredicts int `json:"aliased_mispredicts"`
-}
-
-// DestructiveRate returns destructive aliased accesses per branch.
-func (m *InterferenceMetrics) DestructiveRate(branches int) float64 {
-	if branches == 0 {
-		return 0
-	}
-	return float64(m.Destructive) / float64(branches)
+	// ColdMispredicts counts mispredictions on cold accesses (the
+	// compulsory misses of analysis.InterferenceBreakdown).
+	ColdMispredicts int `json:"cold_mispredicts"`
 }
 
 // ChoiceMetrics aggregates the steering structure's behavior: how often
