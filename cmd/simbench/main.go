@@ -37,10 +37,13 @@ func main() {
 	}
 }
 
-// defaultSpecs covers each fast-path tier: full BatchRunner loops
-// (bi-mode, gshare, smith), fused Steppers (tri-mode, GAs), and the
-// generic loop as the common baseline.
-const defaultSpecs = "bimode:b=11,trimode:b=10,gshare:i=12;h=12,smith:a=12,gas:h=10;s=2"
+// defaultSpecs covers each fast-path tier against the generic loop as
+// the common baseline: whole-trace BatchRunner loops (bi-mode, tri-mode,
+// gshare, smith, GAs) and fused Steppers (e-gskew, and the 21264-style
+// tournament stepping its two components). A Stepper rival that silently
+// fell back to Predict/Update would lose its speedup and trip the
+// guard's per-spec floor.
+const defaultSpecs = "bimode:b=11,trimode:b=10,gshare:i=12;h=12,smith:a=12,gas:h=10;s=2,gskew:b=10;h=10;p=1,alpha:s=12"
 
 // defaultDynamic keeps each workload's record slice (16 B/branch)
 // cache-resident so the measurement reflects the engines rather than

@@ -141,16 +141,17 @@ func RunStudy(mk func() predictor.Predictor, src trace.Source) (*Study, error) {
 	}
 	sort.Slice(st.Counters, func(i, j int) bool { return st.Counters[i].Counter < st.Counters[j].Counter })
 
-	dominantOf := make(map[int]Class, len(counterAgg))
+	// Per-counter pass-2 state, indexed by the dense counter id.
+	dominantOf := make([]Class, st.NumCounters)
 	for c, cb := range counterAgg {
 		dominantOf[c] = cb.DominantClass()
 	}
+	lastClass := make([]Class, st.NumCounters)
+	hasLast := make([]bool, st.NumCounters)
 
 	// Pass 2: attribute mispredictions and count interruptions.
 	p2 := mk()
 	ix2 := p2.(predictor.Indexed) // same concrete type as p1
-	lastClass := map[int]Class{}
-	hasLast := map[int]bool{}
 	stream = src.Stream()
 	for {
 		rec, ok := stream.Next()

@@ -53,7 +53,9 @@ func NewAgree(indexBits, histBits, biasBits int) *Agree {
 // Name implements predictor.Predictor.
 func (a *Agree) Name() string { return fmt.Sprintf("agree(%di,%dh)", a.indexBit, a.histBits) }
 
-func (a *Agree) index(pc uint64) int   { return int(((pc >> 2) ^ a.ghr.Value()) & a.idxMask) }
+//bimode:hotpath
+func (a *Agree) index(pc uint64) int { return int(((pc >> 2) ^ a.ghr.Value()) & a.idxMask) }
+
 func (a *Agree) biasIdx(pc uint64) int { return int((pc >> 2) & a.biasMask) }
 
 // biasTaken returns the branch's bias direction; before the first update a
@@ -80,6 +82,31 @@ func (a *Agree) Update(pc uint64, taken bool) {
 	agree := taken == a.biasTaken(pc)
 	a.pht.Update(a.index(pc), agree)
 	a.ghr.Push(taken)
+}
+
+// Step implements predictor.Stepper: the bias entry and the PHT counter
+// are each read once. The prediction uses the bias bit as it stood before
+// this branch; on a branch's first encounter its outcome is then latched
+// as the bias bit, and the PHT trains toward whether the outcome agreed
+// with the (latched) bias.
+//
+//bimode:hotpath
+func (a *Agree) Step(pc uint64, taken bool) bool {
+	bias := a.bias
+	if len(bias) == 0 {
+		return false // unreachable (the bias table is non-empty); lets the compiler drop bounds checks
+	}
+	bi := uint(pc>>2) & uint(len(bias)-1)
+	b := bias[bi]
+	before := b != 1
+	if b == 0 {
+		// First encounter: latch the outcome as the bias bit.
+		b = 1 + counter.OutcomeBit(taken)
+		bias[bi] = b
+	}
+	agreed := a.pht.Step(a.index(pc), taken == (b != 1))
+	a.ghr.Push(taken)
+	return agreed == before
 }
 
 // Reset implements predictor.Predictor.

@@ -102,14 +102,9 @@ func TestGskewDisperses(t *testing.T) {
 	// banks; the majority vote then survives single-bank aliasing.
 	g := NewGskew(6, 0, false)
 	a, b := uint64(0x100), uint64(0x100+4*(1<<6))
-	ia, ib := g.indices(a), g.indices(b)
-	same := 0
-	for k := 0; k < 3; k++ {
-		if ia[k] == ib[k] {
-			same++
-		}
-	}
-	if same == 3 {
+	a0, a1, a2 := g.indices(a)
+	b0, b1, b2 := g.indices(b)
+	if a0 == b0 && a1 == b1 && a2 == b2 {
 		t.Fatalf("skewing failed: all three banks collide for %x and %x", a, b)
 	}
 }

@@ -58,7 +58,9 @@ func (f *Filter) Name() string {
 	return fmt.Sprintf("filter(%di,%dh,max%d)", f.indexBits, f.histBits, f.filterMax)
 }
 
-func (f *Filter) index(pc uint64) int  { return int(((pc >> 2) ^ f.ghr.Value()) & f.idxMask) }
+//bimode:hotpath
+func (f *Filter) index(pc uint64) int { return int(((pc >> 2) ^ f.ghr.Value()) & f.idxMask) }
+
 func (f *Filter) fIndex(pc uint64) int { return int((pc >> 2) & f.fltMask) }
 
 // filtered reports whether the branch is currently classified highly
@@ -93,6 +95,35 @@ func (f *Filter) Update(pc uint64, taken bool) {
 		f.run[fi] = 1
 	}
 	f.ghr.Push(taken)
+}
+
+// Step implements predictor.Stepper: the filter entry and, for an
+// unfiltered branch, the PHT counter are each read once, and both
+// indices are computed once. The PHT is consulted and trained only by
+// unfiltered branches; the run counter then tracks the direction run.
+//
+//bimode:hotpath
+func (f *Filter) Step(pc uint64, taken bool) bool {
+	dir, run := f.dir, f.run
+	if len(dir) == 0 || len(run) != len(dir) {
+		return false // unreachable (equal, non-empty tables); lets the compiler drop bounds checks
+	}
+	fi := uint(pc>>2) & uint(len(dir)-1)
+	d, n := dir[fi], run[fi]
+	pred := d
+	if n < f.filterMax {
+		pred = f.pht.Step(f.index(pc), taken)
+	}
+	if d == taken {
+		if n < f.filterMax {
+			run[fi] = n + 1
+		}
+	} else {
+		dir[fi] = taken
+		run[fi] = 1
+	}
+	f.ghr.Push(taken)
+	return pred
 }
 
 // Reset implements predictor.Predictor.

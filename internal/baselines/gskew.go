@@ -67,6 +67,8 @@ func (g *Gskew) Name() string {
 
 // shuffleH is the skewing bijection H over bankBits-wide values: a right
 // shift whose incoming most-significant bit is lsb XOR msb of the input.
+//
+//bimode:hotpath
 func (g *Gskew) shuffleH(y uint64) uint64 {
 	n := uint(g.bankBits)
 	msbOut := (y ^ y>>(n-1)) & 1
@@ -75,6 +77,8 @@ func (g *Gskew) shuffleH(y uint64) uint64 {
 
 // shuffleHInv is the inverse bijection H^-1 (shuffleH(shuffleHInv(y)) ==
 // y; asserted by a property test).
+//
+//bimode:hotpath
 func (g *Gskew) shuffleHInv(y uint64) uint64 {
 	n := uint(g.bankBits)
 	lsbOut := (y>>(n-1) ^ y>>(n-2)) & 1
@@ -83,44 +87,79 @@ func (g *Gskew) shuffleHInv(y uint64) uint64 {
 
 // indices computes the three skewed bank indices for the current
 // (address, history) pair.
-func (g *Gskew) indices(pc uint64) [3]int {
+//
+//bimode:hotpath
+func (g *Gskew) indices(pc uint64) (f0, f1, f2 int) {
 	v := ((pc >> 2) ^ g.ghr.Value()<<uint(g.bankBits/2)) & g.inputMask
 	v1 := v & g.bankMask
 	v2 := (v >> uint(g.bankBits)) & g.bankMask
-	f0 := g.shuffleH(v1) ^ g.shuffleHInv(v2) ^ v2
-	f1 := g.shuffleH(v1) ^ g.shuffleHInv(v2) ^ v1
-	f2 := g.shuffleHInv(v1) ^ g.shuffleH(v2) ^ v2
-	return [3]int{int(f0), int(f1), int(f2)}
+	shared := g.shuffleH(v1) ^ g.shuffleHInv(v2)
+	return int(shared ^ v2), int(shared ^ v1), int(g.shuffleHInv(v1) ^ g.shuffleH(v2) ^ v2)
 }
 
-// Predict implements predictor.Predictor.
+// Predict implements predictor.Predictor: the majority vote of the three
+// banks.
 func (g *Gskew) Predict(pc uint64) bool {
-	idx := g.indices(pc)
+	i0, i1, i2 := g.indices(pc)
+	t0, t1, t2 := g.banks[0].Taken(i0), g.banks[1].Taken(i1), g.banks[2].Taken(i2)
+	return t0 && (t1 || t2) || t1 && t2
+}
+
+// Update implements predictor.Predictor. The e-gskew partial update needs
+// the vote, which comes from the same three counter reads the per-bank
+// agreement test uses.
+func (g *Gskew) Update(pc uint64, taken bool) {
+	i0, i1, i2 := g.indices(pc)
+	idx := [3]int{i0, i1, i2}
+	var agrees [3]bool
 	votes := 0
 	for b, i := range idx {
-		if g.banks[b].Taken(i) {
+		agrees[b] = g.banks[b].Taken(i) == taken
+		if agrees[b] {
 			votes++
 		}
 	}
-	return votes >= 2
-}
-
-// Update implements predictor.Predictor.
-func (g *Gskew) Update(pc uint64, taken bool) {
-	idx := g.indices(pc)
-	if g.partial {
-		correct := g.Predict(pc) == taken
-		for b, i := range idx {
-			if !correct || g.banks[b].Taken(i) == taken {
-				g.banks[b].Update(i, taken)
-			}
-		}
-	} else {
-		for b, i := range idx {
+	correct := votes >= 2
+	for b, i := range idx {
+		if !g.partial || !correct || agrees[b] {
 			g.banks[b].Update(i, taken)
 		}
 	}
 	g.ghr.Push(taken)
+}
+
+// Step implements predictor.Stepper: the three skewed indices are
+// computed once and each bank counter is read once; the majority vote and
+// the (partial) update both come from those three reads. Under the
+// partial policy a correct vote strengthens only the agreeing banks; a
+// wrong vote, or the total policy, retrains all three.
+//
+//bimode:hotpath
+func (g *Gskew) Step(pc uint64, taken bool) bool {
+	i0, i1, i2 := g.indices(pc)
+	b0, b1, b2 := g.banks[0].Raw(), g.banks[1].Raw(), g.banks[2].Raw()
+	if len(b0) == 0 || len(b1) == 0 || len(b2) == 0 {
+		return false // unreachable (banks are non-empty); lets the compiler drop bounds checks
+	}
+	j0 := uint(i0) & uint(len(b0)-1)
+	j1 := uint(i1) & uint(len(b1)-1)
+	j2 := uint(i2) & uint(len(b2)-1)
+	v0, v1, v2 := b0[j0], b1[j1], b2[j2]
+	t0, t1, t2 := v0.TakenBit(), v1.TakenBit(), v2.TakenBit()
+	vote := t0&t1 | t0&t2 | t1&t2
+	tk := counter.OutcomeBit(taken)
+	all := !g.partial || vote != tk
+	if all || t0 == tk {
+		b0[j0] = counter.SatNext(v0, tk)
+	}
+	if all || t1 == tk {
+		b1[j1] = counter.SatNext(v1, tk)
+	}
+	if all || t2 == tk {
+		b2[j2] = counter.SatNext(v2, tk)
+	}
+	g.ghr.Push(taken)
+	return vote == 1
 }
 
 // Reset implements predictor.Predictor.

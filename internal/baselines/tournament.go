@@ -14,15 +14,20 @@ import (
 // always train; the meta counter moves toward the component that was
 // right when exactly one of them was.
 type Tournament struct {
-	meta    *counter.Table
-	a, b    predictor.Predictor
-	metaBit int
-	mask    uint64
+	meta *counter.Table
+	a, b predictor.Predictor
+	// stepA and stepB drive a and b one fused call per branch: the
+	// component itself when it is a predictor.Stepper, its Predict+Update
+	// otherwise. Resolved once at construction.
+	stepA, stepB predictor.Stepper
+	metaBit      int
+	mask         uint64
 }
 
 // NewTournament combines predictors a and b under a 2^metaBits-entry
 // selector. Meta counters start weakly preferring b (the "global"
-// component in the classic pairing).
+// component in the classic pairing). a and b must be distinct instances
+// that share no state.
 func NewTournament(metaBits int, a, b predictor.Predictor) *Tournament {
 	if metaBits < 0 || metaBits > 28 {
 		panic(fmt.Sprintf("baselines: tournament meta width %d out of range [0,28]", metaBits))
@@ -31,9 +36,30 @@ func NewTournament(metaBits int, a, b predictor.Predictor) *Tournament {
 		meta:    counter.NewTwoBit(1<<uint(metaBits), counter.WeakTaken),
 		a:       a,
 		b:       b,
+		stepA:   asStepper(a),
+		stepB:   asStepper(b),
 		metaBit: metaBits,
 		mask:    1<<uint(metaBits) - 1,
 	}
+}
+
+// splitStep gives a component without a fused Step the Stepper shape
+// through its own Predict+Update.
+type splitStep struct{ predictor.Predictor }
+
+// Step implements predictor.Stepper.
+func (s splitStep) Step(pc uint64, taken bool) bool {
+	pred := s.Predict(pc)
+	s.Update(pc, taken)
+	return pred
+}
+
+// asStepper returns p's own Step when it has one, else splitStep{p}.
+func asStepper(p predictor.Predictor) predictor.Stepper {
+	if s, ok := p.(predictor.Stepper); ok {
+		return s
+	}
+	return splitStep{p}
 }
 
 // Name implements predictor.Predictor.
@@ -62,6 +88,26 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 	}
 	t.a.Update(pc, taken)
 	t.b.Update(pc, taken)
+}
+
+// Step implements predictor.Stepper: the meta counter is read once and
+// each component runs one Step. Components share no state, so stepping a
+// before b sees the same predictions as predicting both before updating
+// either.
+//
+//bimode:hotpath dispatch
+func (t *Tournament) Step(pc uint64, taken bool) bool {
+	mi := t.metaIndex(pc)
+	useB := t.meta.Taken(mi)
+	pa := t.stepA.Step(pc, taken)
+	pb := t.stepB.Step(pc, taken)
+	if pa != pb {
+		t.meta.Update(mi, pb == taken)
+	}
+	if useB {
+		return pb
+	}
+	return pa
 }
 
 // Reset implements predictor.Predictor.

@@ -100,7 +100,15 @@ func (t *Table) Set(i int, v State) {
 // Update moves counter i toward the branch outcome, saturating.
 //
 //bimode:hotpath
-func (t *Table) Update(i int, taken bool) {
+func (t *Table) Update(i int, taken bool) { t.Step(i, taken) }
+
+// Step reports the prediction of counter i and then moves the counter
+// toward the branch outcome, saturating: Taken(i) followed by Update(i,
+// taken), reading the counter once. The fused Steps of the predictors
+// built on a table use it.
+//
+//bimode:hotpath
+func (t *Table) Step(i int, taken bool) bool {
 	entries := t.entries
 	if uint(i) >= uint(len(entries)) {
 		panic(errTableBounds)
@@ -113,11 +121,16 @@ func (t *Table) Update(i int, taken bool) {
 	} else if v > 0 {
 		entries[uint(i)] = v - 1
 	}
+	return v > t.mid
 }
 
-// Reset restores every counter to the table's initialization value.
+// Reset restores every counter to the table's initialization value. It
+// sets the first entry and doubles the initialized prefix with copy, so a
+// fresh table costs a few memmoves instead of a store per counter.
 func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i] = t.init
+	e := t.entries
+	e[0] = t.init
+	for n := 1; n < len(e); n *= 2 {
+		copy(e[n:], e[:n])
 	}
 }

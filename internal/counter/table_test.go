@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,55 @@ func TestTableReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if tb.Value(i) != WeakNotTaken {
 			t.Fatalf("entry %d not reset: %d", i, tb.Value(i))
+		}
+	}
+}
+
+// TestTableResetAfterRandomUpdates checks the doubling Reset at sizes
+// around the power-of-two boundaries its copies step through: every
+// entry must be back at init, whatever the updates left there.
+func TestTableResetAfterRandomUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097} {
+		for _, bits := range []int{1, 2, 3} {
+			init := State(rng.Intn(1 << bits))
+			tb := NewTable(n, bits, init)
+			for k := 0; k < 4*n; k++ {
+				tb.Update(rng.Intn(n), rng.Intn(2) == 1)
+			}
+			tb.Reset()
+			for i := 0; i < n; i++ {
+				if tb.Value(i) != init {
+					t.Fatalf("n=%d bits=%d: entry %d = %d after Reset, want %d", n, bits, i, tb.Value(i), init)
+				}
+			}
+		}
+	}
+}
+
+// TestTableStepMatchesCounters drives a table through Step and one
+// Counter per entry through Taken+Update in lockstep at every counter
+// width, comparing each prediction and the final table contents.
+func TestTableStepMatchesCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for bits := 1; bits <= 4; bits++ {
+		tb := NewTable(16, bits, 0)
+		twins := make([]Counter, 16)
+		for i := range twins {
+			twins[i] = New(bits, 0)
+		}
+		for k := 0; k < 5000; k++ {
+			i, taken := rng.Intn(16), rng.Intn(3) != 0
+			want := twins[i].Taken()
+			twins[i].Update(taken)
+			if got := tb.Step(i, taken); got != want {
+				t.Fatalf("bits=%d step %d: Step=%v, Counter.Taken=%v", bits, k, got, want)
+			}
+		}
+		for i, c := range twins {
+			if tb.Value(i) != c.Value() {
+				t.Fatalf("bits=%d: entry %d = %d, counter %d", bits, i, tb.Value(i), c.Value())
+			}
 		}
 	}
 }

@@ -27,6 +27,40 @@ func TestAllKnownSpecsBuild(t *testing.T) {
 	}
 }
 
+// TestSimulationRungs pins the strongest simulation capability each
+// family reaches (DESIGN.md §7). A family that silently loses its fused
+// Step or RunBatch would still pass every equivalence oracle, only
+// slower; this names the fallback instead. YAGS stays on Predict/Update
+// deliberately: it is the benchmark's generic-tier probe.
+func TestSimulationRungs(t *testing.T) {
+	want := map[string]string{
+		"smith": "batch", "gshare": "batch", "gag": "batch", "gas": "batch",
+		"pag": "batch", "pas": "batch", "bimode": "batch", "trimode": "batch",
+		"gselect": "step", "gskew": "step", "agree": "step", "filter": "step", "alpha": "step",
+		"yags": "generic", "loopgshare": "generic",
+		"taken": "generic", "not-taken": "generic", "btfn": "generic",
+	}
+	for _, spec := range Known() {
+		family, _, _ := strings.Cut(spec, ":")
+		p := MustNew(spec)
+		rung := "generic"
+		if _, ok := p.(predictor.Stepper); ok {
+			rung = "step"
+		}
+		if _, ok := p.(predictor.BatchRunner); ok {
+			rung = "batch"
+		}
+		w, ok := want[family]
+		if !ok {
+			t.Errorf("spec %q: family %q has no expected rung; add it here and to DESIGN.md §7", spec, family)
+			continue
+		}
+		if rung != w {
+			t.Errorf("spec %q runs on the %s rung, want %s", spec, rung, w)
+		}
+	}
+}
+
 func TestSpecDefaults(t *testing.T) {
 	g, err := New("gshare:i=10")
 	if err != nil {
