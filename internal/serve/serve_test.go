@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -441,18 +442,72 @@ func TestBadBodies(t *testing.T) {
 }
 
 // TestAdmissionBodyLimit: an oversized body is refused with 413 and no
-// state change.
+// state change, in the text format and in the binary ones, which are
+// read whole before decoding.
 func TestAdmissionBodyLimit(t *testing.T) {
 	_, base := newTestServer(t, Config{MaxBodyBytes: 1024})
-	rep := createSession(t, base, "smith:a=12")
-	big := strings.Repeat("0x1000 1\n", 1024)
-	resp := doJSON(t, "POST", base+"/v1/sessions/"+rep.ID+"/branches", strings.NewReader(big), nil)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	mem := testTrace(t, 2000)
+	var bmc1 bytes.Buffer
+	if err := trace.WriteColumnar(&bmc1, mem); err != nil {
+		t.Fatal(err)
 	}
-	_, got := rawReport(t, base, rep.ID)
-	if got.Cursor != 0 {
-		t.Fatalf("oversize body committed %d records", got.Cursor)
+	for name, big := range map[string]string{
+		"text": strings.Repeat("0x1000 1\n", 1024),
+		"bmc1": bmc1.String(),
+	} {
+		rep := createSession(t, base, "smith:a=12")
+		resp := doJSON(t, "POST", base+"/v1/sessions/"+rep.ID+"/branches", strings.NewReader(big), nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize %s body: status %d, want 413", name, resp.StatusCode)
+		}
+		_, got := rawReport(t, base, rep.ID)
+		if got.Cursor != 0 {
+			t.Fatalf("oversize %s body committed %d records", name, got.Cursor)
+		}
+	}
+}
+
+// TestBinaryClientIDsUntrusted: a binary body's static ids are the
+// client's, so the session maps sites by PC whatever they say. Bodies
+// whose ids are shuffled, shared by several PCs, or near 2^30 under a
+// matching static count still report exactly like one Observe pass, and
+// the per-session id remap stays within the sites plus one body.
+func TestBinaryClientIDsUntrusted(t *testing.T) {
+	s, base := newTestServer(t, Config{})
+	const spec, per = "bimode:b=11", 1000
+	recs := testTrace(t, 4*per).Records()
+	id := createSession(t, base, spec).ID
+	rewrites := []func(st uint32) uint32{
+		func(st uint32) uint32 { return st },
+		func(st uint32) uint32 { return st * 7919 % 97 },
+		func(st uint32) uint32 { return st % 3 },
+		func(st uint32) uint32 { return st + 1<<30 },
+	}
+	for i, rewrite := range rewrites {
+		body := append([]trace.Record(nil), recs[i*per:(i+1)*per]...)
+		statics := 0
+		for j := range body {
+			body[j].Static = rewrite(body[j].Static)
+			statics = max(statics, int(body[j].Static)+1)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteColumnar(&buf, trace.NewMemory("client", statics, body)); err != nil {
+			t.Fatal(err)
+		}
+		ingestText(t, base, id, buf.String())
+	}
+	_, rep := rawReport(t, base, id)
+	sameSpecReport(t, rep.Specs[0], referenceSpecReport(spec, recs, s.cfg.TopN))
+
+	s.mu.Lock()
+	sess := s.sessions[id]
+	s.mu.Unlock()
+	if sess.lock(context.Background()) != nil {
+		t.Fatal("locking the session")
+	}
+	defer sess.unlock()
+	if len(sess.remap) > len(sess.pcs)+per {
+		t.Fatalf("remap grew to %d entries for %d sites and %d-record bodies", len(sess.remap), len(sess.pcs), per)
 	}
 }
 

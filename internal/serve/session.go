@@ -49,6 +49,12 @@ type session struct {
 	sites     map[uint64]uint32 // branch PC -> dense static id
 	cursor    int               // records committed (the durability watermark)
 
+	// Derived state, rebuilt on demand and dropped with the rest: the
+	// remap from binary bodies' static ids to session ids (see mapSites)
+	// and the buffer each commit encodes its snapshot record into.
+	remap []uint32
+	enc   []byte
+
 	lruToken any // opaque LRU handle owned by the Server, nil when spilled
 }
 
@@ -136,31 +142,61 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // siteFor maps a branch PC to the session's dense static id, assigning
-// the next id on first appearance. The site table may run ahead of pcs
-// (the text scanner inserts PCs as it parses), so pcs grows by need.
+// the next id on first appearance.
 func (sess *session) siteFor(pc uint64) uint32 {
 	st, ok := sess.sites[pc]
 	if !ok {
 		st = uint32(len(sess.sites))
 		sess.sites[pc] = st
+		sess.pcs = append(sess.pcs, pc)
 	}
-	for int(st) >= len(sess.pcs) {
-		sess.pcs = append(sess.pcs, 0)
-	}
-	sess.pcs[st] = pc
 	return st
 }
 
-// applyChunk runs one chunk of records through every live spec. Static
-// ids are remapped by PC into the session's id space first — a binary
-// body's embedded Static ids belong to the client's capture, not to this
-// session — then each spec's observer takes the whole chunk, so one
-// spec's runtime failure (caught in feed) cannot corrupt another's
-// interleaving.
-func (sess *session) applyChunk(recs []trace.Record) {
+// mapSites rewrites a binary body's static ids, which belong to the
+// client's capture, into the session's id space, in place. The site map
+// is consulted once per distinct site, not once per record: remap caches
+// client id -> session id + 1, and an entry is used only when the
+// session id's PC is the record's, so a client whose ids are wrong or
+// reused costs lookups, never a wrong site. Client ids are untrusted, so
+// remap grows only to the largest id seen below limit; ids past it take
+// the map every time.
+func (sess *session) mapSites(recs []trace.Record, limit int) {
 	for i := range recs {
-		recs[i].Static = sess.siteFor(recs[i].PC)
+		r := &recs[i]
+		id := int(r.Static)
+		if id < len(sess.remap) {
+			if e := sess.remap[id]; e != 0 && sess.pcs[e-1] == r.PC {
+				r.Static = e - 1
+				continue
+			}
+		}
+		r.Static = sess.siteFor(r.PC)
+		if id < limit {
+			for id >= len(sess.remap) {
+				sess.remap = append(sess.remap, 0)
+			}
+			sess.remap[id] = r.Static + 1
+		}
 	}
+}
+
+// notePCs records in pcs the sites a text chunk introduced. The text
+// scanner assigns session ids itself, through the shared site map, in
+// order of first appearance, so every id past the table's end is new.
+func (sess *session) notePCs(recs []trace.Record) {
+	for _, r := range recs {
+		if int(r.Static) == len(sess.pcs) {
+			sess.pcs = append(sess.pcs, r.PC)
+		}
+	}
+}
+
+// applyChunk runs one chunk of records, already in the session's id
+// space, through every live spec: each spec's observer takes the whole
+// chunk, so one spec's runtime failure (caught in feed) cannot corrupt
+// another's interleaving.
+func (sess *session) applyChunk(recs []trace.Record) {
 	for _, sp := range sess.specs {
 		if sp.obs != nil {
 			sess.feed(sp, recs)
@@ -182,24 +218,6 @@ func (sess *session) feed(sp *specState, recs []trace.Record) {
 		}
 	}()
 	sp.obs.Feed(recs)
-}
-
-// buildSnap captures the session's complete committed state as one
-// journal snapshot.
-func (sess *session) buildSnap() *sessionSnap {
-	snap := &sessionSnap{
-		Cursor:    sess.cursor,
-		PCs:       append([]uint64(nil), sess.pcs...),
-		Footnotes: append([]string(nil), sess.footnotes...),
-	}
-	for _, sp := range sess.specs {
-		ss := specSnap{Spec: sp.spec, Frozen: sp.frozen}
-		if sp.obs != nil {
-			ss.Observer = sp.obs.Snapshot(nil)
-		}
-		snap.Specs = append(snap.Specs, ss)
-	}
-	return snap
 }
 
 // restoreState rebuilds the session's in-memory state from a journal
@@ -247,11 +265,14 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 		}
 		specs = append(specs, sp)
 	}
-	sess.pcs = append([]uint64(nil), snap.PCs...)
-	sess.sites = make(map[uint64]uint32, len(sess.pcs))
-	for st, pc := range sess.pcs {
-		sess.sites[pc] = uint32(st)
+	sites := make(map[uint64]uint32, len(snap.PCs))
+	for st, pc := range snap.PCs {
+		sites[pc] = uint32(st)
 	}
+	if len(sites) != len(snap.PCs) {
+		return errors.New("snapshot site table repeats a PC")
+	}
+	sess.pcs, sess.sites = append([]uint64(nil), snap.PCs...), sites
 	sess.cursor = snap.Cursor
 	sess.footnotes = append([]string(nil), snap.Footnotes...)
 	sess.specs = specs
@@ -299,7 +320,7 @@ func (sess *session) report(topN int) Report {
 // ingest streams one request body into the session: sniff the format,
 // decode, apply in bounded chunks (checking the deadline and the ingest
 // token bucket at every chunk boundary), and commit by journaling a
-// snapshot. Nothing is acknowledged before the journal flush returns; on
+// snapshot. Nothing is acknowledged before the journal append returns; on
 // ANY error the session's in-memory state is dropped and the journal's
 // last snapshot stands, so a failed request rolls back exactly to the
 // previous commit and the client retries from the reported cursor.
@@ -310,7 +331,10 @@ func (s *Server) ingest(ctx context.Context, sess *session, body io.Reader) (int
 		s.dropResident(sess)
 		return 0, err
 	}
-	if err := sess.journal.append(sess.buildSnap()); err != nil {
+	if sess.enc, err = sess.appendSnap(sess.enc[:0]); err == nil {
+		err = sess.journal.append(sess.enc)
+	}
+	if err != nil {
 		s.ctr.rollbacks.Add(1)
 		s.dropResident(sess)
 		return 0, fmt.Errorf("serve: committing session %s: %w", sess.id, err)
@@ -331,18 +355,23 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 	}
 	head = head[:n]
 	if string(head) == "BMT1" || trace.IsColumnar(head) {
-		rest, err := io.ReadAll(body)
-		if err != nil {
+		// The body is read once, into a buffer that starts with the head.
+		data := bytes.NewBuffer(head)
+		if _, err := data.ReadFrom(body); err != nil {
 			return 0, bodyError(err)
 		}
-		mem, err := trace.Decode(append(head, rest...))
+		mem, err := trace.Decode(data.Bytes())
 		if err != nil {
 			return 0, httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
 		}
 		// Decode materializes fresh records the session owns, so their
-		// static ids are remapped in place.
+		// static ids are remapped in place. The remap may grow to the
+		// session's sites plus the body's records: never more memory than
+		// the decoded body itself takes.
+		limit := len(sess.pcs) + mem.Len()
 		for recs := mem.Records(); len(recs) > 0; {
 			k := min(len(recs), ingestChunk)
+			sess.mapSites(recs[:k], limit)
 			if err := s.admitChunk(ctx, sess, recs[:k]); err != nil {
 				return 0, err
 			}
@@ -364,6 +393,7 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 	for sc.Scan() {
 		chunk = append(chunk, sc.Record())
 		if len(chunk) == ingestChunk {
+			sess.notePCs(chunk)
 			if err := s.admitChunk(ctx, sess, chunk); err != nil {
 				return 0, err
 			}
@@ -376,6 +406,7 @@ func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader)
 		}
 		return 0, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
+	sess.notePCs(chunk)
 	if err := s.admitChunk(ctx, sess, chunk); err != nil {
 		return 0, err
 	}
