@@ -171,13 +171,15 @@ func Retryable(err error) bool { return sim.Retryable(err) }
 // the work it lost, with output identical to an uninterrupted run.
 type Journal = sim.Journal
 
-// CreateJournal starts a fresh checkpoint at path; key identifies the run
-// plan so a resume under different parameters is refused.
-func CreateJournal(path, key string) (*Journal, error) { return sim.CreateJournal(path, key) }
+// CreateJournal starts a fresh checkpoint at path. Cells are keyed by
+// what they are (predictor configuration and trace content), so one
+// checkpoint serves any plan that repeats its cells.
+func CreateJournal(path string) (*Journal, error) { return sim.CreateJournal(path) }
 
-// ResumeJournal reopens an existing checkpoint written with the same key,
-// tolerating the torn trailing line a killed writer leaves behind.
-func ResumeJournal(path, key string) (*Journal, error) { return sim.ResumeJournal(path, key) }
+// ResumeJournal reopens an existing checkpoint, dropping the torn
+// trailing record a killed writer leaves behind; a checkpoint of another
+// version or with a damaged interior is an error.
+func ResumeJournal(path string) (*Journal, error) { return sim.ResumeJournal(path) }
 
 // Study is a two-pass bias-class analysis (paper Section 4).
 type Study = analysis.Study

@@ -161,8 +161,7 @@ func run(args []string) error {
 		})
 	}
 	if *checkpoint != "" {
-		key := fmt.Sprintf("bimodesim|w=%s|p=%s|n=%d|seed=%d", *workloadList, *predList, *branches, *seed)
-		j, err := openJournal(*checkpoint, key, *resume)
+		j, err := openJournal(*checkpoint, *resume)
 		if err != nil {
 			return err
 		}
@@ -192,14 +191,14 @@ func run(args []string) error {
 
 // openJournal creates or resumes the checkpoint file, announcing how many
 // cells a resume will serve from cache.
-func openJournal(path, key string, resume bool) (*sim.Journal, error) {
+func openJournal(path string, resume bool) (*sim.Journal, error) {
 	if resume {
-		j, err := sim.ResumeJournal(path, key)
+		j, err := sim.ResumeJournal(path)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "bimodesim: resuming %s (%d completed cells cached)\n", path, j.Cells())
 		return j, nil
 	}
-	return sim.CreateJournal(path, key)
+	return sim.CreateJournal(path)
 }

@@ -73,17 +73,14 @@ func run(args []string) error {
 		cfg.Dynamic = 600000
 	}
 	if *checkpoint != "" {
-		// The key pins every flag that shapes the fan-out sequence the
-		// journal's (seq, idx) cells are keyed by.
-		key := fmt.Sprintf("paper|only=%s|n=%d", *only, cfg.Dynamic)
 		var j *sim.Journal
 		var err error
 		if *resume {
-			if j, err = sim.ResumeJournal(*checkpoint, key); err != nil {
+			if j, err = sim.ResumeJournal(*checkpoint); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "paper: resuming %s (%d completed cells cached)\n", *checkpoint, j.Cells())
-		} else if j, err = sim.CreateJournal(*checkpoint, key); err != nil {
+		} else if j, err = sim.CreateJournal(*checkpoint); err != nil {
 			return err
 		}
 		j.PartEvery = *partEvery

@@ -73,14 +73,46 @@ func TestPaperDegradedRun(t *testing.T) {
 func TestPaperCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "paper.ckpt")
-	args := []string{"-out", dir, "-only", "table2", "-n", "25000", "-checkpoint", ckpt}
-	if err := run(args); err != nil {
+	out := func(name string) string { return filepath.Join(dir, name) }
+	args := []string{"-only", "programs", "-n", "25000", "-checkpoint", ckpt}
+	if err := run(append([]string{"-out", out("first")}, args...)); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
-	if err := run(append(args[:len(args):len(args)], "-resume")); err != nil {
+	if err := run(append([]string{"-out", out("resumed")}, append(args, "-resume")...)); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	if err := run(append(args[:len(args):len(args)], "-n", "26000", "-resume")); err == nil {
-		t.Fatal("resume with a different plan must fail")
+	if got, want := artifacts(t, out("resumed")), artifacts(t, out("first")); got != want {
+		t.Errorf("resumed artifacts differ from the original run:\n%s\nvs\n%s", got, want)
 	}
+	// A different plan serves the cells it shares with the checkpoint and
+	// runs the rest: exactly what a fresh run of that plan emits.
+	other := []string{"-only", "programs,ctxswitch", "-n", "25000"}
+	if err := run(append([]string{"-out", out("other")}, append(other, "-checkpoint", ckpt, "-resume")...)); err != nil {
+		t.Fatalf("resume under a different plan: %v", err)
+	}
+	if err := run(append([]string{"-out", out("fresh")}, other...)); err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	if got, want := artifacts(t, out("other")), artifacts(t, out("fresh")); got != want {
+		t.Errorf("resume under a different plan emitted:\n%s\nwant a fresh run's:\n%s", got, want)
+	}
+}
+
+// artifacts concatenates the files a run wrote to dir, in name order.
+func artifacts(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString("==== " + e.Name() + " ====\n")
+		b.Write(data)
+	}
+	return b.String()
 }

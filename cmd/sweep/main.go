@@ -155,14 +155,13 @@ func run(args []string, out io.Writer) (err error) {
 		})
 	}
 	if *checkpoint != "" {
-		key := fmt.Sprintf("sweep|w=%s|schemes=%s|min=%d|max=%d|n=%d", *wl, *schemeL, *minBits, *maxBits, *dynamic)
 		var j *sim.Journal
 		if *resume {
-			if j, err = sim.ResumeJournal(*checkpoint, key); err != nil {
+			if j, err = sim.ResumeJournal(*checkpoint); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "sweep: resuming %s (%d completed cells cached)\n", *checkpoint, j.Cells())
-		} else if j, err = sim.CreateJournal(*checkpoint, key); err != nil {
+		} else if j, err = sim.CreateJournal(*checkpoint); err != nil {
 			return err
 		}
 		j.PartEvery = *partEvery

@@ -51,7 +51,9 @@ func NewAgree(indexBits, histBits, biasBits int) *Agree {
 }
 
 // Name implements predictor.Predictor.
-func (a *Agree) Name() string { return fmt.Sprintf("agree(%di,%dh)", a.indexBit, a.histBits) }
+func (a *Agree) Name() string {
+	return fmt.Sprintf("agree(%di,%dh,%db)", a.indexBit, a.histBits, a.biasBit)
+}
 
 //bimode:hotpath
 func (a *Agree) index(pc uint64) int { return int(((pc >> 2) ^ a.ghr.Value()) & a.idxMask) }

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bimode/internal/counter"
 	"bimode/internal/history"
@@ -55,7 +56,7 @@ func NewFilter(indexBits, histBits, filterBits int, filterMax uint8) *Filter {
 
 // Name implements predictor.Predictor.
 func (f *Filter) Name() string {
-	return fmt.Sprintf("filter(%di,%dh,max%d)", f.indexBits, f.histBits, f.filterMax)
+	return fmt.Sprintf("filter(%di,%dh,%df,max%d)", f.indexBits, f.histBits, bits.Len64(f.fltMask), f.filterMax)
 }
 
 //bimode:hotpath

@@ -65,7 +65,7 @@ func TestFilterCostAndName(t *testing.T) {
 	if f.CostBits() != want {
 		t.Fatalf("cost = %d, want %d", f.CostBits(), want)
 	}
-	if f.Name() != "filter(10i,10h,max32)" {
+	if f.Name() != "filter(10i,10h,8f,max32)" {
 		t.Fatalf("name = %q", f.Name())
 	}
 }

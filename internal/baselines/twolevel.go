@@ -25,6 +25,7 @@ type TwoLevel struct {
 	table    *counter.Table
 	ghr      *history.Global     // nil when perAddr
 	bht      *history.PerAddress // nil when !perAddr
+	bhtBits  int                 // 0 when !perAddr
 	histBits int
 	setBits  int
 	setMask  uint64
@@ -66,6 +67,7 @@ func newPerAddrTwoLevel(name string, bhtBits, histBits, setBits int) *TwoLevel {
 		perAddr:  true,
 		table:    counter.NewTwoBit(1<<uint(histBits+setBits), counter.WeakTaken),
 		bht:      history.NewPerAddress(bhtBits, histBits),
+		bhtBits:  bhtBits,
 		histBits: histBits,
 		setBits:  setBits,
 		setMask:  1<<uint(setBits) - 1,
@@ -78,12 +80,17 @@ func checkTwoLevel(histBits, setBits int) {
 	}
 }
 
-// Name implements predictor.Predictor.
+// Name implements predictor.Predictor. The per-address variants lead
+// with the BHT width: PAg(10b,10h) has 2^10 history registers.
 func (t *TwoLevel) Name() string {
-	if t.setBits == 0 {
-		return fmt.Sprintf("%s(%dh)", t.name, t.histBits)
+	name := t.name + "("
+	if t.perAddr {
+		name += fmt.Sprintf("%db,", t.bhtBits)
 	}
-	return fmt.Sprintf("%s(%dh,%ds)", t.name, t.histBits, t.setBits)
+	if t.setBits == 0 {
+		return name + fmt.Sprintf("%dh)", t.histBits)
+	}
+	return name + fmt.Sprintf("%dh,%ds)", t.histBits, t.setBits)
 }
 
 //bimode:hotpath

@@ -36,7 +36,7 @@ type yagsCache struct {
 // and histBits of global history.
 func NewYAGS(choiceBits, cacheBits, histBits, tagBits int) *YAGS {
 	if cacheBits < 0 || cacheBits > 26 || histBits < 0 || histBits > cacheBits {
-		panic(fmt.Sprintf("baselines: yags widths (%dc,%dh) invalid", cacheBits, histBits))
+		panic(fmt.Sprintf("baselines: yags widths (%de,%dh) invalid", cacheBits, histBits))
 	}
 	if tagBits < 1 || tagBits > 16 {
 		panic(fmt.Sprintf("baselines: yags tag width %d out of range [1,16]", tagBits))
@@ -66,7 +66,7 @@ func NewYAGS(choiceBits, cacheBits, histBits, tagBits int) *YAGS {
 
 // Name implements predictor.Predictor.
 func (y *YAGS) Name() string {
-	return fmt.Sprintf("yags(%dc,%dh,%dt)", y.cacheBits, y.histBits, y.tagBits)
+	return fmt.Sprintf("yags(%dc,%de,%dh,%dt)", y.choice.bits, y.cacheBits, y.histBits, y.tagBits)
 }
 
 func (y *YAGS) index(pc uint64) int { return int(((pc >> 2) ^ y.ghr.Value()) & y.idxMask) }

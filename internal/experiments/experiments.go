@@ -166,8 +166,16 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// Workload materializes one named workload.
+// Workload materializes one named workload: a suite benchmark comes from
+// the SuiteSources memo, a program workload is generated afresh.
 func Workload(name string, cfg Config) (trace.Source, error) {
+	if prof, ok := synth.ProfileByName(name); ok {
+		for _, src := range SuiteSources(prof.Suite, cfg) {
+			if src.Name() == name {
+				return src, nil
+			}
+		}
+	}
 	src, err := workloads.Get(name, workloads.Options{Dynamic: cfg.Dynamic})
 	if err != nil {
 		return nil, err

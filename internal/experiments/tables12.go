@@ -74,26 +74,21 @@ var paperTable2 = map[string][2]int{
 	"video_play": {4606, 5759231},
 }
 
-// Table2 measures branch statistics for all fourteen benchmarks; the
-// per-benchmark collection runs through cfg's scheduler with row order
-// (and therefore the rendered bytes) independent of the worker count.
+// Table2 measures branch statistics for all fourteen benchmarks, in
+// paper order, over the traces the SuiteSources memo holds.
 func Table2(cfg Config) []Table2Row {
-	profiles := synth.Profiles()
-	rows := make([]Table2Row, len(profiles))
-	mustAll(cfg.sched().Do(len(profiles), func(i int) error {
-		p := profiles[i]
-		if cfg.Dynamic > 0 {
-			p = p.WithDynamic(cfg.Dynamic)
+	var rows []Table2Row
+	for _, suite := range []string{synth.SuiteSPEC, synth.SuiteIBS} {
+		for _, src := range SuiteSources(suite, cfg) {
+			paper := paperTable2[src.Name()]
+			rows = append(rows, Table2Row{
+				Suite:        suite,
+				Stats:        trace.Collect(src),
+				PaperStatic:  paper[0],
+				PaperDynamic: paper[1],
+			})
 		}
-		paper := paperTable2[p.Name]
-		rows[i] = Table2Row{
-			Suite:        p.Suite,
-			Stats:        trace.Collect(synth.MustWorkload(p)),
-			PaperStatic:  paper[0],
-			PaperDynamic: paper[1],
-		}
-		return nil
-	}))
+	}
 	return rows
 }
 

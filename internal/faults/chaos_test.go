@@ -229,15 +229,14 @@ func TestChaosResumableCheckpoint(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "chaos.ckpt")
-	const key = "chaos-resume-v1"
-	j, err := sim.CreateJournal(path, key)
+	j, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
-	j.OnCell = func(int, int, sim.Result) {
+	j.OnCell = func(sim.Result) {
 		if done.Add(1) == int64(len(jobs)/3) {
 			cancel()
 		}
@@ -260,7 +259,7 @@ func TestChaosResumableCheckpoint(t *testing.T) {
 
 	// Resume leg: no faults, no cancel — must reproduce the reference
 	// exactly, reusing the journaled cells.
-	j2, err := sim.ResumeJournal(path, key)
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal: %v", err)
 	}

@@ -19,7 +19,7 @@ import (
 // committed ingest request. Every record is in the file when its append
 // returns, a torn trailing record is dropped as the residue of a killed
 // writer, and damage anywhere else is refused rather than guessed at.
-// Where sim.Journal checkpoints a batch run's (seq, idx) cells, this
+// Where sim.Journal checkpoints a batch run's completed cells, this
 // journal checkpoints a live session: the last good snapshot record IS
 // the session's durable state, and a server (re)start or an LRU eviction
 // recovers a session by replaying nothing — it just reloads that

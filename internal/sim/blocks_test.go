@@ -67,16 +67,17 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 
 	const partEvery = 40000
 	path := filepath.Join(t.TempDir(), "blocks.ckpt")
-	journal, err := sim.CreateJournal(path, "block-boundary-v1")
+	journal, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
 	journal.PartEvery = partEvery
-	// wantParts maps each journaled RunAll (its sequence number) to the
-	// part cursors it must write: every partEvery-th record that has
-	// records after it, for predictors that can be snapshotted.
-	wantParts := map[int][]int{}
-	runs := 0
+	// wantParts maps each journaled cell (predictor and record count) to
+	// the part cursors it must write: every partEvery-th record that has
+	// records after it, for predictors that can be snapshotted. The three
+	// sources of one count hold the same records, so they are one cell:
+	// the first runs it and the other two are served from the journal.
+	wantParts := map[string][]int{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sched := sim.NewScheduler(2).WithContext(ctx).WithJournal(journal)
@@ -97,6 +98,14 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 				if ref.Branches != n {
 					t.Fatalf("generic loop saw %d branches, want %d", ref.Branches, n)
 				}
+				if p := zoo.MustNew(spec); n > partEvery {
+					if _, ok := p.(predictor.Snapshotter); ok {
+						cell := fmt.Sprintf("%s/%d", p.Name(), n)
+						for c := partEvery; c < n; c += partEvery {
+							wantParts[cell] = append(wantParts[cell], c)
+						}
+					}
+				}
 				var firstRep *sim.Report
 				for _, s := range sources {
 					if got := sim.Run(zoo.MustNew(spec), s.src); got != ref {
@@ -106,12 +115,6 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 					if got := sched.RunAll([]sim.Job{job})[0]; got != ref {
 						t.Errorf("%s: journaled RunAll %+v != generic %+v", s.name, got, ref)
 					}
-					if _, ok := zoo.MustNew(spec).(predictor.Snapshotter); ok {
-						for c := partEvery; c < n; c += partEvery {
-							wantParts[runs] = append(wantParts[runs], c)
-						}
-					}
-					runs++
 					rep := timeless(sim.Observe(zoo.MustNew(spec), s.src, sim.ObserveOptions{}))
 					if rep.Branches != ref.Branches || rep.Mispredicts != ref.Mispredicts {
 						t.Errorf("%s: Observe counted %d/%d, generic %d/%d",
@@ -131,21 +134,23 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 	if err := journal.Close(); err != nil {
 		t.Fatalf("closing journal: %v", err)
 	}
-	gotParts := map[int][]int{}
+	gotParts := map[string][]int{}
 	err = jnl.Load(path, func(_ int64, payload []byte) error {
-		// A part record: 'P', seq, idx, predictor, workload, cursor, ...
+		// A part record: 'P', predictor, workload, records, checksum,
+		// cursor, ...
 		d := jnl.NewDecoder(payload)
 		if d.Byte() != 'P' {
 			return nil
 		}
-		seq, _, _, _ := d.Int(), d.Int(), d.String(), d.String()
-		gotParts[seq] = append(gotParts[seq], d.Int())
+		pred, _, records, _ := d.String(), d.String(), d.Int(), d.Uint64()
+		cell := fmt.Sprintf("%s/%d", pred, records)
+		gotParts[cell] = append(gotParts[cell], d.Int())
 		return d.Err()
 	})
 	if err != nil {
 		t.Fatalf("reading journal parts: %v", err)
 	}
 	if len(wantParts) == 0 || !reflect.DeepEqual(gotParts, wantParts) {
-		t.Errorf("journal part cursors by run:\n got %v\nwant %v", gotParts, wantParts)
+		t.Errorf("journal part cursors by cell:\n got %v\nwant %v", gotParts, wantParts)
 	}
 }

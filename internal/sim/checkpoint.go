@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"sync"
 
@@ -13,24 +14,20 @@ import (
 )
 
 // Journal is the suite-level checkpoint: an append-only record file
-// (internal/journal) holding every completed (fan-out, cell) Result and,
-// optionally, mid-cell predictor snapshots for cells still in flight. A
-// scheduler carrying a Journal (see WithJournal) writes cells as they
-// complete and, on a resumed run, serves cached cells instead of
-// re-simulating them — so a suite killed partway re-runs only the work it
-// lost, and the resumed output is Result-for-Result identical to an
-// uninterrupted run (TestKillResumeEquivalence pins this for every zoo
-// spec over the whole suite).
+// (internal/journal) holding every completed RunAll cell and, optionally,
+// mid-cell predictor snapshots for cells still in flight. A scheduler
+// carrying a Journal (see WithJournal) writes cells as they complete and
+// serves any cell the journal already holds instead of re-simulating it,
+// so a suite killed partway re-runs only the work it lost, and the
+// resumed output is Result-for-Result identical to an uninterrupted run
+// (TestKillResumeEquivalence pins this for every zoo spec over the whole
+// suite).
 //
-// Cells are keyed by (seq, idx): idx is the job's position in its RunAll
-// call and seq numbers the RunAll (and materialization) fan-outs a
-// scheduler issues, in order. That key is only meaningful because the
-// CLIs issue their fan-outs from a single goroutine in a deterministic
-// order fixed by the flags; the journal's header key (built from those
-// flags) guards against resuming under a different plan. Cached cells are
-// additionally validated against the live job's workload name, and
-// mid-cell snapshots against the predictor name too — a mismatched entry
-// is ignored and the cell re-run, never trusted.
+// A cell is keyed by what it is, never by where it sits: by the
+// predictor's Name and by the trace's name, record count and checksum
+// (see cellKey). A resume under a different plan therefore serves the
+// cells both plans share and runs the rest, and a run that repeats a
+// cell serves the repeat.
 //
 // Each record is in the file when its append returns, so a killed
 // process loses at most the record in flight; ResumeJournal cuts that
@@ -42,79 +39,82 @@ type Journal struct {
 	PartEvery int
 
 	// OnCell, when non-nil, is called after each newly completed cell is
-	// journaled (not for cells served from cache). Callers use it for
-	// progress output; tests use it to cancel a run at a chosen cell. It
-	// may be called concurrently from worker goroutines.
-	OnCell func(seq, idx int, res Result)
+	// journaled (not for cells served from the journal). Callers use it
+	// for progress output; tests use it to cancel a run at a chosen cell.
+	// It may be called concurrently from worker goroutines.
+	OnCell func(res Result)
 
 	mu    sync.Mutex
 	w     *journal.Writer
-	buf   []byte // the record being encoded, reused under mu
-	seq   int
-	cells map[cellKey]cellRecord
+	buf   []byte          // the record being encoded, reused under mu
+	cells map[cellKey]int // completed cells: their mispredicts
 	parts map[cellKey]partRecord
 }
 
-type cellKey struct{ Seq, Idx int }
+// cellKey is a RunAll cell's identity. Predictor is the predictor's Name,
+// which spells out its whole configuration (TestCellIdentityInjective
+// pins that); traceKey names the records it runs. What the key leaves to
+// the build, the simulator's behaviour, journalVersion covers. A
+// completed cell simulated every record, so its Branches is Records.
+type cellKey struct {
+	Predictor string
+	traceKey
+}
 
-// cellRecord is one completed Result. Only successful cells are
-// journaled: a failed cell must re-run on resume.
-type cellRecord struct {
-	Seq, Idx            int
-	Predictor, Workload string
-	CostBytes           float64
-	Branches            int
-	Mispredicts         int
+// traceKey identifies a materialized trace: its workload name, its record
+// count and a checksum of its records.
+type traceKey struct {
+	Workload string
+	Records  int
+	Sum      uint64
 }
 
 // partRecord is a mid-cell snapshot: the predictor's serialized state
 // after Cursor records, plus the mispredictions counted so far.
 type partRecord struct {
-	Seq, Idx            int
-	Predictor, Workload string
-	Cursor              int
-	Mispredicts         int
-	Snap                []byte
+	Cursor      int
+	Mispredicts int
+	Snap        []byte
 }
 
-// The checkpoint's records. The first is the header: tagHeader, the
-// version as a uvarint and the plan key. Each later one is a cell
-// (tagCell: seq, idx, predictor, workload, the cost's float64 bits,
-// branches, mispredicts) or a part (tagPart: seq, idx, predictor,
-// workload, cursor, mispredicts, the Snapshotter bytes as a blob), in the
-// internal/journal codec.
+// The checkpoint's records. The first is the header: tagHeader and the
+// version as a uvarint. Each later one is a cell (tagCell, the key,
+// mispredicts) or a part (tagPart, the key, cursor, mispredicts, the
+// Snapshotter bytes as a blob), in the internal/journal codec. A key is
+// the predictor and workload strings, the record count and the checksum
+// as eight little-endian bytes.
 const (
 	tagHeader = 'H'
 	tagCell   = 'C'
 	tagPart   = 'P'
 )
 
-// journalVersion guards the record schema. Version 2 is the binary
-// framing; a version-1 checkpoint (JSON lines) is refused, never
-// converted — rerun without -resume.
-const journalVersion = 2
+// journalVersion guards the record schema and what a cell means. Version
+// 3 keys cells by identity; checkpoints of earlier versions (1: JSON
+// lines, 2: cells keyed by fan-out position) are refused, never
+// converted — rerun without -resume. The version is also bumped whenever
+// a predictor's or the engine's behaviour changes, so a rebuilt binary
+// never serves a cell the old one computed; TestJournalVersionPinsBehaviour
+// fails until it is.
+const journalVersion = 3
 
 // CreateJournal starts a fresh checkpoint file at path, truncating any
-// existing one. key identifies the run plan (the CLIs build it from the
-// flags that determine the job grid); ResumeJournal refuses a different
-// key rather than serving cells from a different plan.
-func CreateJournal(path, key string) (*Journal, error) {
-	hdr := binary.AppendUvarint([]byte{tagHeader}, journalVersion)
-	w, err := journal.Create(path, journal.AppendString(hdr, key))
+// existing one.
+func CreateJournal(path string) (*Journal, error) {
+	w, err := journal.Create(path, binary.AppendUvarint([]byte{tagHeader}, journalVersion))
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{w: w, cells: map[cellKey]cellRecord{}, parts: map[cellKey]partRecord{}}, nil
+	return &Journal{w: w, cells: map[cellKey]int{}, parts: map[cellKey]partRecord{}}, nil
 }
 
 // ResumeJournal loads an existing checkpoint file and reopens it for
 // appending, so the resumed run both serves the cached cells and keeps
 // journaling new ones. A torn trailing record (a killed writer) is
-// dropped; a key mismatch, an older version or a damaged interior is an
-// error. Later records win, so a cell completed after a resume shadows
-// stale parts.
-func ResumeJournal(path, key string) (*Journal, error) {
-	j := &Journal{cells: map[cellKey]cellRecord{}, parts: map[cellKey]partRecord{}}
+// dropped; another version or a damaged interior is an error. Later
+// records win, so a cell completed after a resume shadows stale parts.
+func ResumeJournal(path string) (*Journal, error) {
+	j := &Journal{cells: map[cellKey]int{}, parts: map[cellKey]partRecord{}}
 	header := true
 	w, err := journal.Open(path, func(_ int64, payload []byte) error {
 		d := journal.NewDecoder(payload)
@@ -128,20 +128,13 @@ func ResumeJournal(path, key string) (*Journal, error) {
 			if v := d.Uvarint(math.MaxInt); d.Err() == nil && v != journalVersion {
 				return &journal.VersionError{Got: int(v), Want: journalVersion}
 			}
-			if got := d.String(); d.Err() == nil && got != key {
-				return fmt.Errorf("checkpoint was written for a different run (key %q, want %q)", got, key)
-			}
 		case tagCell:
-			c := cellRecord{Seq: d.Int(), Idx: d.Int(), Predictor: d.String(), Workload: d.String(),
-				CostBytes: math.Float64frombits(d.Uint64()), Branches: d.Int(), Mispredicts: d.Int()}
-			k := cellKey{c.Seq, c.Idx}
-			j.cells[k] = c
+			k := readKey(d)
+			j.cells[k] = d.Int()
 			delete(j.parts, k) // the completed cell supersedes its parts
 		case tagPart:
-			p := partRecord{Seq: d.Int(), Idx: d.Int(), Predictor: d.String(), Workload: d.String(),
-				Cursor: d.Int(), Mispredicts: d.Int()}
-			p.Snap = bytes.Clone(d.Blob())
-			j.parts[cellKey{p.Seq, p.Idx}] = p
+			k := readKey(d)
+			j.parts[k] = partRecord{Cursor: d.Int(), Mispredicts: d.Int(), Snap: bytes.Clone(d.Blob())}
 		default:
 			return fmt.Errorf("unknown record tag %q", tag)
 		}
@@ -176,86 +169,59 @@ func (j *Journal) Cells() int {
 	return len(j.cells)
 }
 
-// beginRun allocates the sequence number for one scheduler fan-out.
-func (j *Journal) beginRun() int {
+// cell returns the mispredicts of the completed cell k, if journaled.
+func (j *Journal) cell(k cellKey) (int, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	seq := j.seq
-	j.seq++
-	return seq
+	miss, ok := j.cells[k]
+	return miss, ok
 }
 
-// cached returns the journaled Result for (seq, idx) if one exists and
-// matches the live job's workload; a mismatch (the plan changed despite
-// the key) falls through to a re-run.
-func (j *Journal) cached(seq, idx int, src trace.Source) (Result, bool) {
-	j.mu.Lock()
-	c, ok := j.cells[cellKey{seq, idx}]
-	j.mu.Unlock()
-	if !ok || src == nil || c.Workload != src.Name() {
-		return Result{}, false
-	}
-	return Result{
-		Predictor:   c.Predictor,
-		Workload:    c.Workload,
-		CostBytes:   c.CostBytes,
-		Branches:    c.Branches,
-		Mispredicts: c.Mispredicts,
-	}, true
-}
-
-// part returns the latest mid-cell snapshot for (seq, idx), if any.
-func (j *Journal) part(seq, idx int) (partRecord, bool) {
+// part returns the latest mid-cell snapshot of cell k, if any.
+func (j *Journal) part(k cellKey) (partRecord, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	p, ok := j.parts[cellKey{seq, idx}]
+	p, ok := j.parts[k]
 	return p, ok
 }
 
-// recordCell journals one completed Result and fires OnCell.
+// recordCell journals one completed cell and fires OnCell.
 //
 //bimode:deterministic
-func (j *Journal) recordCell(seq, idx int, res Result) {
-	rec := cellRecord{
-		Seq:         seq,
-		Idx:         idx,
-		Predictor:   res.Predictor,
-		Workload:    res.Workload,
-		CostBytes:   res.CostBytes,
-		Branches:    res.Branches,
-		Mispredicts: res.Mispredicts,
-	}
+func (j *Journal) recordCell(k cellKey, res Result) {
 	j.mu.Lock()
-	j.cells[cellKey{seq, idx}] = rec
-	delete(j.parts, cellKey{seq, idx})
-	b := appendKey(append(j.buf[:0], tagCell), seq, idx, rec.Predictor, rec.Workload)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.CostBytes))
-	b = binary.AppendUvarint(b, uint64(rec.Branches))
-	j.append(binary.AppendUvarint(b, uint64(rec.Mispredicts)))
+	j.cells[k] = res.Mispredicts
+	delete(j.parts, k)
+	j.append(binary.AppendUvarint(appendKey(append(j.buf[:0], tagCell), k), uint64(res.Mispredicts)))
 	j.mu.Unlock()
 	if j.OnCell != nil {
-		j.OnCell(seq, idx, res)
+		j.OnCell(res)
 	}
 }
 
-// recordPart journals a mid-cell snapshot.
+// recordPart journals a mid-cell snapshot of cell k.
 //
 //bimode:deterministic
-func (j *Journal) recordPart(rec partRecord) {
+func (j *Journal) recordPart(k cellKey, rec partRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.parts[cellKey{rec.Seq, rec.Idx}] = rec
-	b := appendKey(append(j.buf[:0], tagPart), rec.Seq, rec.Idx, rec.Predictor, rec.Workload)
+	j.parts[k] = rec
+	b := appendKey(append(j.buf[:0], tagPart), k)
 	b = binary.AppendUvarint(b, uint64(rec.Cursor))
 	b = binary.AppendUvarint(b, uint64(rec.Mispredicts))
 	j.append(journal.AppendBlob(b, func(dst []byte) []byte { return append(dst, rec.Snap...) }))
 }
 
-// appendKey encodes the fields cell and part records open with.
-func appendKey(dst []byte, seq, idx int, pred, workload string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(seq))
-	dst = binary.AppendUvarint(dst, uint64(idx))
-	return journal.AppendString(journal.AppendString(dst, pred), workload)
+// appendKey encodes the key cell and part records open with.
+func appendKey(dst []byte, k cellKey) []byte {
+	dst = journal.AppendString(journal.AppendString(dst, k.Predictor), k.Workload)
+	dst = binary.AppendUvarint(dst, uint64(k.Records))
+	return binary.LittleEndian.AppendUint64(dst, k.Sum)
+}
+
+// readKey decodes what appendKey wrote.
+func readKey(d *journal.Decoder) cellKey {
+	return cellKey{Predictor: d.String(), traceKey: traceKey{Workload: d.String(), Records: d.Int(), Sum: d.Uint64()}}
 }
 
 // append writes one encoded record, keeping the buffer for the next.
@@ -266,4 +232,27 @@ func appendKey(dst []byte, seq, idx int, pred, workload string) []byte {
 func (j *Journal) append(rec []byte) {
 	j.buf = rec
 	_ = j.w.Append(rec)
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// keyTrace computes m's traceKey. The checksum is CRC-32C and CRC-32
+// (IEEE) side by side, both hardware-accelerated, over each record's PC
+// and then its static id and direction as one word.
+func keyTrace(m *trace.Memory) traceKey {
+	var c, ieee uint32
+	buf := make([]byte, 0, 16<<10)
+	for i, r := range m.Records() {
+		word := uint64(r.Static) << 1
+		if r.Taken {
+			word |= 1
+		}
+		buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, r.PC), word)
+		if len(buf) == cap(buf) || i == m.Len()-1 {
+			c = crc32.Update(c, castagnoli, buf)
+			ieee = crc32.Update(ieee, crc32.IEEETable, buf)
+			buf = buf[:0]
+		}
+	}
+	return traceKey{Workload: m.Name(), Records: m.Len(), Sum: uint64(c)<<32 | uint64(ieee)}
 }

@@ -2,21 +2,30 @@ package sim_test
 
 // Checkpoint/resume tests: the Journal must make a killed suite
 // resumable with Result-for-Result identical output, and must never
-// trust a checkpoint entry that does not match the live plan.
+// serve a checkpoint entry for a cell other than the live one.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"bimode/internal/experiments"
 	jnl "bimode/internal/journal"
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
+	"bimode/internal/synth"
+	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
 
@@ -30,17 +39,16 @@ func TestKillResumeEquivalence(t *testing.T) {
 	want := sim.NewScheduler(0).RunAll(jobs)
 
 	path := filepath.Join(t.TempDir(), "suite.ckpt")
-	const key = "kill-resume-grid-v1"
 
 	// First run: journaled, canceled after 40 completed cells.
-	j1, err := sim.CreateJournal(path, key)
+	j1, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed atomic.Int64
-	j1.OnCell = func(seq, idx int, res sim.Result) {
+	j1.OnCell = func(sim.Result) {
 		if completed.Add(1) == 40 {
 			cancel()
 		}
@@ -68,7 +76,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 
 	// Resume: the journal must serve the completed cells and the resumed
 	// output must be indistinguishable from an uninterrupted run.
-	j2, err := sim.ResumeJournal(path, key)
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal: %v", err)
 	}
@@ -78,7 +86,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 		t.Fatalf("journal cached %d cells, want a strict partial of %d", cached, len(jobs))
 	}
 	var rerun atomic.Int64
-	j2.OnCell = func(int, int, sim.Result) { rerun.Add(1) }
+	j2.OnCell = func(sim.Result) { rerun.Add(1) }
 	got := sim.NewScheduler(8).WithJournal(j2).RunAll(jobs)
 	for i := range want {
 		if got[i] != want[i] {
@@ -133,8 +141,7 @@ func TestMidCellPartResume(t *testing.T) {
 	want := sim.Run(zoo.MustNew(spec), mem)
 
 	path := filepath.Join(t.TempDir(), "cell.ckpt")
-	const key = "mid-cell-v1"
-	j1, err := sim.CreateJournal(path, key)
+	j1, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
@@ -161,7 +168,7 @@ func TestMidCellPartResume(t *testing.T) {
 		t.Fatalf("first run was not killed mid-cell: %+v", partial[0])
 	}
 
-	j2, err := sim.ResumeJournal(path, key)
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal: %v", err)
 	}
@@ -188,19 +195,66 @@ func TestMidCellPartResume(t *testing.T) {
 	}
 }
 
-// TestJournalRejectsKeyMismatch: a checkpoint written under one plan key
-// must refuse to resume under another.
-func TestJournalRejectsKeyMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "k.ckpt")
-	j, err := sim.CreateJournal(path, "plan-a")
+// journalThenResume journals one job, then resumes the checkpoint and
+// runs another: the second run's Result and the first's.
+func journalThenResume(t *testing.T, first, second sim.Job) (got, journaled sim.Result) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cell.ckpt")
+	j, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
+	journaled = sim.NewScheduler(0).WithJournal(j).RunAll([]sim.Job{first})[0]
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := sim.ResumeJournal(path, "plan-b"); err == nil || !strings.Contains(err.Error(), "different run") {
-		t.Fatalf("ResumeJournal under wrong key: err %v, want key-mismatch error", err)
+	j2, err := sim.ResumeJournal(path)
+	if err != nil {
+		t.Fatalf("ResumeJournal: %v", err)
+	}
+	defer j2.Close()
+	if j2.Cells() != 1 {
+		t.Fatalf("resumed checkpoint holds %d cells, want 1", j2.Cells())
+	}
+	return sim.NewScheduler(0).WithJournal(j2).RunAll([]sim.Job{second})[0], journaled
+}
+
+// TestJournalNeverServesOtherPredictor: a checkpoint holding a bi-mode
+// cell, resumed by a plan that runs gshare in the same slot on the same
+// trace, must simulate gshare, not serve bi-mode's result.
+func TestJournalNeverServesOtherPredictor(t *testing.T) {
+	mem := suiteTraces()[0]
+	job := func(spec string) sim.Job {
+		return sim.Job{Make: func() predictor.Predictor { return zoo.MustNew(spec) }, Source: mem}
+	}
+	got, journaled := journalThenResume(t, job("bimode:b=11"), job("gshare:i=12,h=12"))
+	want := sim.Run(zoo.MustNew("gshare:i=12,h=12"), mem)
+	if journaled.Mispredicts == want.Mispredicts {
+		t.Fatalf("bi-mode and gshare agree on %s; the test cannot tell them apart", mem.Name())
+	}
+	if got != want {
+		t.Fatalf("resumed gshare cell %+v, want %+v", got, want)
+	}
+}
+
+// TestJournalNeverServesOtherTrace: a checkpoint holding a cell on one
+// trace, resumed by a plan whose trace has the same workload name and
+// length but other records (another seed), must simulate the new trace.
+func TestJournalNeverServesOtherTrace(t *testing.T) {
+	prof := synth.Profiles()[0].WithDynamic(fastpathDynamic)
+	memA := trace.Materialize(synth.MustWorkload(prof))
+	memB := trace.Materialize(synth.MustWorkload(prof.WithSeed(prof.Seed + 1)))
+	if memA.Name() != memB.Name() || memA.Len() != memB.Len() {
+		t.Fatalf("traces differ in name or length: %s/%d vs %s/%d", memA.Name(), memA.Len(), memB.Name(), memB.Len())
+	}
+	mk := func() predictor.Predictor { return zoo.MustNew("bimode:b=11") }
+	got, journaled := journalThenResume(t, sim.Job{Make: mk, Source: memA}, sim.Job{Make: mk, Source: memB})
+	want := sim.Run(mk(), memB)
+	if journaled == want {
+		t.Fatalf("the two seeds give identical results; the test cannot tell them apart")
+	}
+	if got != want {
+		t.Fatalf("resumed cell on the other trace %+v, want %+v", got, want)
 	}
 }
 
@@ -210,8 +264,7 @@ func TestJournalRejectsKeyMismatch(t *testing.T) {
 func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	mem := suiteTraces()[0]
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
-	const key = "torn-v1"
-	j, err := sim.CreateJournal(path, key)
+	j, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
@@ -228,13 +281,13 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 		t.Fatalf("reopening checkpoint: %v", err)
 	}
 	// A cell record cut mid-payload, as a killed writer leaves it.
-	rec := jnl.AppendRecord(nil, []byte("C\x00\x07\x0bsmith(12a)\x08compress"))
+	rec := jnl.AppendRecord(nil, []byte("C\x0asmith(12a)\x08compress"))
 	if _, err := f.Write(rec[:len(rec)-8]); err != nil {
 		t.Fatalf("appending torn record: %v", err)
 	}
 	f.Close()
 
-	j2, err := sim.ResumeJournal(path, key)
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal over torn trailing record: %v", err)
 	}
@@ -244,18 +297,13 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	}
 }
 
-// checkpointHeader is the header record payload of a version-2
-// checkpoint under key: 'H', the version, the key.
-func checkpointHeader(key string) []byte {
-	return jnl.AppendString([]byte{'H', 2}, key)
-}
-
 // TestJournalRejectsDamage: a torn header or a torn interior record is
 // corruption, not kill residue, and an empty file is not a checkpoint.
 func TestJournalRejectsDamage(t *testing.T) {
-	const key = "damage-v1"
-	header := jnl.AppendRecord(nil, checkpointHeader(key))
-	cell := jnl.AppendRecord(nil, []byte("C\x00\x01\x01x\x01y\x00\x00\x00\x00\x00\x00\xf0?\x01\x00"))
+	header := jnl.AppendRecord(nil, []byte{'H', 3})
+	// A cell: predictor "x", workload "y", one record, checksum, no
+	// mispredicts.
+	cell := jnl.AppendRecord(nil, []byte("C\x01x\x01y\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	cases := []struct {
 		name string
 		body []byte
@@ -272,7 +320,7 @@ func TestJournalRejectsDamage(t *testing.T) {
 			if err := os.WriteFile(path, tc.body, 0o644); err != nil {
 				t.Fatalf("writing fixture: %v", err)
 			}
-			if _, err := sim.ResumeJournal(path, key); err == nil {
+			if _, err := sim.ResumeJournal(path); err == nil {
 				t.Fatalf("ResumeJournal accepted a damaged checkpoint")
 			}
 		})
@@ -283,7 +331,7 @@ func TestJournalRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(path, append(header, cell...), 0o644); err != nil {
 		t.Fatalf("writing fixture: %v", err)
 	}
-	j, err := sim.ResumeJournal(path, key)
+	j, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal over the undamaged fixture: %v", err)
 	}
@@ -293,50 +341,26 @@ func TestJournalRejectsDamage(t *testing.T) {
 	j.Close()
 }
 
-// TestJournalRefusesV1Checkpoint: a JSON-lines checkpoint of an earlier
-// build is refused with a version error that says to start afresh,
-// never converted.
+// TestJournalRefusesV1Checkpoint: checkpoints of earlier builds — the
+// JSON lines of version 1, the position-keyed cells of version 2 — are
+// refused with a version error that says to start afresh, never
+// converted.
 func TestJournalRefusesV1Checkpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
 	v1 := "{\"v\":1,\"key\":\"legacy\"}\n{\"cell\":{\"seq\":0,\"idx\":0,\"predictor\":\"x\",\"workload\":\"y\",\"cost_bytes\":1,\"branches\":1,\"mispredicts\":0}}\n"
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatalf("writing fixture: %v", err)
-	}
-	_, err := sim.ResumeJournal(path, "legacy")
-	var ve *jnl.VersionError
-	if !errors.As(err, &ve) || !strings.Contains(err.Error(), "without -resume") {
-		t.Fatalf("ResumeJournal over a v1 checkpoint: err %v, want a version error saying to rerun without -resume", err)
-	}
-}
-
-// TestJournalBraceLengthKeyResumes: a plan key that makes the header
-// record 123 bytes long starts the file with '{', the first byte of a
-// JSON-lines checkpoint; it resumes all the same.
-func TestJournalBraceLengthKeyResumes(t *testing.T) {
-	key := strings.Repeat("k", 123-len(checkpointHeader("")))
-	if len(checkpointHeader(key)) != 123 {
-		t.Fatalf("header record is %d bytes, want 123", len(checkpointHeader(key)))
-	}
-	path := filepath.Join(t.TempDir(), "brace.ckpt")
-	j, err := sim.CreateJournal(path, key)
-	if err != nil {
-		t.Fatalf("CreateJournal: %v", err)
-	}
-	mem := suiteTraces()[0]
-	sim.NewScheduler(0).WithJournal(j).RunAll([]sim.Job{{Make: func() predictor.Predictor { return zoo.MustNew("smith:a=12") }, Source: mem}})
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if data, err := os.ReadFile(path); err != nil || data[0] != '{' {
-		t.Fatalf("the checkpoint does not start with '{' (%v)", err)
-	}
-	j2, err := sim.ResumeJournal(path, key)
-	if err != nil {
-		t.Fatalf("ResumeJournal: %v", err)
-	}
-	defer j2.Close()
-	if j2.Cells() != 1 {
-		t.Fatalf("resumed checkpoint holds %d cells, want 1", j2.Cells())
+	// Version 2: a header with the plan key, then a cell keyed by
+	// (seq, idx).
+	v2 := append(jnl.AppendRecord(nil, jnl.AppendString([]byte{'H', 2}, "legacy")),
+		jnl.AppendRecord(nil, []byte("C\x00\x01\x01x\x01y\x00\x00\x00\x00\x00\x00\xf0?\x01\x00"))...)
+	for name, data := range map[string][]byte{"v1": []byte(v1), "v2": v2} {
+		path := filepath.Join(t.TempDir(), name+".ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatalf("writing fixture: %v", err)
+		}
+		_, err := sim.ResumeJournal(path)
+		var ve *jnl.VersionError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), "without -resume") {
+			t.Fatalf("ResumeJournal over a %s checkpoint: err %v, want a version error saying to rerun without -resume", name, err)
+		}
 	}
 }
 
@@ -389,7 +413,7 @@ func TestJournalConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j, err := sim.CreateJournal(sv.path, sv.key)
+			j, err := sim.CreateJournal(sv.path)
 			if err != nil {
 				t.Errorf("%s: CreateJournal: %v", sv.key, err)
 				return
@@ -397,7 +421,7 @@ func TestJournalConcurrentSessions(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var n atomic.Int64
-			j.OnCell = func(int, int, sim.Result) {
+			j.OnCell = func(sim.Result) {
 				if n.Add(1) == 3 {
 					cancel()
 				}
@@ -421,7 +445,7 @@ func TestJournalConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j, err := sim.ResumeJournal(sv.path, sv.key)
+			j, err := sim.ResumeJournal(sv.path)
 			if err != nil {
 				t.Errorf("%s: ResumeJournal: %v", sv.key, err)
 				return
@@ -448,8 +472,7 @@ func TestJournalIgnoresMismatchedCell(t *testing.T) {
 	traces := suiteTraces()
 	memA, memB := traces[0], traces[1]
 	path := filepath.Join(t.TempDir(), "swap.ckpt")
-	const key = "swap-v1"
-	j, err := sim.CreateJournal(path, key)
+	j, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
@@ -459,9 +482,9 @@ func TestJournalIgnoresMismatchedCell(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Same key, but the job grid now runs workload B in slot 0: the cached
-	// A cell must be ignored and B actually simulated.
-	j2, err := sim.ResumeJournal(path, key)
+	// The job grid now runs workload B in slot 0: the cached A cell must
+	// be ignored and B actually simulated.
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal: %v", err)
 	}
@@ -470,5 +493,111 @@ func TestJournalIgnoresMismatchedCell(t *testing.T) {
 	want := sim.Run(mk(), memB)
 	if got[0] != want {
 		t.Fatalf("mismatched cache slot: got %+v, want freshly simulated %+v", got[0], want)
+	}
+}
+
+// TestCellIdentityInjective: a journaled cell names its predictor by
+// Name, so predictors that share a Name must be one configuration. Over
+// every zoo example and every example with one parameter changed,
+// predictors sharing a Name must run a trace to the same Result (cost
+// included) and, if they can be snapshotted, the same final state. Over
+// every predictor the experiment drivers build, a run sharing one
+// journal (as cmd/paper does) must equal a run without one: a cell
+// identity two of them shared would serve one's result as the other's.
+func TestCellIdentityInjective(t *testing.T) {
+	mem := suiteTraces()[0]
+	type probe struct {
+		spec string
+		res  sim.Result
+		snap []byte
+	}
+	byName := map[string]probe{}
+	check := func(spec string) {
+		p, err := zoo.New(spec)
+		if err != nil {
+			return // the change left the parameter's valid range
+		}
+		got := probe{spec: spec, res: sim.Run(p, mem)}
+		if sn, ok := p.(predictor.Snapshotter); ok {
+			got.snap = sn.Snapshot(nil)
+		}
+		prev, ok := byName[got.res.Predictor]
+		if !ok {
+			byName[got.res.Predictor] = got
+			return
+		}
+		if prev.res != got.res || !bytes.Equal(prev.snap, got.snap) {
+			t.Errorf("%s and %s share the name %q but differ: %+v vs %+v", prev.spec, spec, got.res.Predictor, prev.res, got.res)
+		}
+	}
+	for _, spec := range zoo.Known() {
+		check(spec)
+		family, opts, _ := strings.Cut(spec, ":")
+		if opts == "" {
+			continue
+		}
+		kvs := strings.Split(opts, ",")
+		for i, kv := range kvs {
+			key, val, _ := strings.Cut(kv, "=")
+			n, err := strconv.Atoi(val)
+			if err != nil {
+				t.Fatalf("%s: option %q: %v", spec, kv, err)
+			}
+			if n > 1 {
+				n--
+			} else {
+				n++
+			}
+			changed := append([]string(nil), kvs...)
+			changed[i] = key + "=" + strconv.Itoa(n)
+			check(family + ":" + strings.Join(changed, ","))
+		}
+	}
+
+	cfg := experiments.Config{Dynamic: 4000, MinSizeBits: 8, MaxSizeBits: 9, Sched: sim.NewScheduler(0)}
+	drivers := func(cfg experiments.Config) []any {
+		programs, err := experiments.ProgramsCrossCheck(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, err := experiments.ContextSwitch("gcc", "sdet", 500, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{experiments.Figures234(cfg), experiments.Rivals(cfg), programs, ctx}
+	}
+	want := drivers(cfg)
+	j, err := sim.CreateJournal(filepath.Join(t.TempDir(), "drivers.ckpt"))
+	if err != nil {
+		t.Fatalf("CreateJournal: %v", err)
+	}
+	defer j.Close()
+	cfg.Sched = cfg.Sched.WithJournal(j)
+	if got := drivers(cfg); !reflect.DeepEqual(got, want) {
+		t.Errorf("the experiment drivers sharing a journal differ from a run without one")
+	}
+}
+
+// behaviourDigests pins, per journalVersion, the digest of every zoo
+// example's Result over one short suite trace. A journaled cell is only
+// as good as the build that computed it, so a change to any predictor's
+// behaviour must come with a new version.
+var behaviourDigests = map[int]string{
+	3: "ed2aa236f9525b29ff6fd0a5b0580f004d96775a56a30275ca0d3dcfa5522fc5",
+}
+
+// TestJournalVersionPinsBehaviour: the zoo's behaviour digest must be the
+// one committed for the current journalVersion.
+func TestJournalVersionPinsBehaviour(t *testing.T) {
+	mem := suiteTraces()[0]
+	h := sha256.New()
+	for _, spec := range zoo.Known() {
+		r := sim.Run(zoo.MustNew(spec), mem)
+		fmt.Fprintf(h, "%s|%s|%v|%d|%d\n", r.Predictor, r.Workload, r.CostBytes, r.Branches, r.Mispredicts)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if want, ok := behaviourDigests[sim.JournalVersion]; !ok || got != want {
+		t.Fatalf("journalVersion %d: behaviour digest %s, committed %q; a predictor's behaviour changed: bump journalVersion and add its digest",
+			sim.JournalVersion, got, want)
 	}
 }

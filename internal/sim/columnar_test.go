@@ -135,16 +135,14 @@ func TestColumnarKillResume(t *testing.T) {
 	want := sim.NewScheduler(0).RunAll(jobs)
 
 	path := filepath.Join(t.TempDir(), "columnar-suite.ckpt")
-	const key = "columnar-kill-resume-v1"
-
-	j1, err := sim.CreateJournal(path, key)
+	j1, err := sim.CreateJournal(path)
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed atomic.Int64
-	j1.OnCell = func(seq, idx int, res sim.Result) {
+	j1.OnCell = func(sim.Result) {
 		if completed.Add(1) == 40 {
 			cancel()
 		}
@@ -170,7 +168,7 @@ func TestColumnarKillResume(t *testing.T) {
 		t.Fatalf("the kill did not interrupt the run; the resume leg would prove nothing")
 	}
 
-	j2, err := sim.ResumeJournal(path, key)
+	j2, err := sim.ResumeJournal(path)
 	if err != nil {
 		t.Fatalf("ResumeJournal: %v", err)
 	}

@@ -111,9 +111,7 @@ func (s *Scheduler) WithPolicy(p Policy) *Scheduler {
 }
 
 // WithJournal returns a copy of s that checkpoints completed RunAll cells
-// into j and serves cached cells from it. The journal's (seq, idx) keying
-// assumes fan-outs are issued from one goroutine in a deterministic
-// order; see Journal.
+// into j and serves cached cells from it; see Journal.
 func (s *Scheduler) WithJournal(j *Journal) *Scheduler {
 	c := *s
 	c.journal = j
@@ -286,15 +284,11 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 // other jobs are unaffected. Under a canceled context the completed
 // prefix is returned, with context.Canceled-tagged Err fields on the
 // remaining slots; with a journal attached, completed cells are
-// checkpointed and served from cache on a resumed run.
+// checkpointed, and a cell the journal already holds is served from it.
 //
 //bimode:deterministic
 func (s *Scheduler) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	seq := 0
-	if s.journal != nil {
-		seq = s.journal.beginRun()
-	}
 	shared, matErrs, owned := s.sharedSources(jobs)
 	if s.arena != nil {
 		// The internally materialized traces are dead once the results
@@ -303,24 +297,31 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 		// arena for the next RunAll.
 		defer s.arena.recycle(owned)
 	}
-	errs := s.DoContext(len(jobs), func(ctx context.Context, i int) error {
-		if s.journal != nil {
-			if res, ok := s.journal.cached(seq, i, shared[i]); ok {
-				results[i] = res
-				return nil
+	keys := make([]traceKey, len(jobs))
+	if s.journal != nil {
+		// Each distinct trace is checksummed once per fan-out.
+		memo := map[*trace.Memory]traceKey{}
+		for i, m := range shared {
+			if m == nil {
+				continue
 			}
+			k, ok := memo[m]
+			if !ok {
+				k = keyTrace(m)
+				memo[m] = k
+			}
+			keys[i] = k
 		}
+	}
+	errs := s.DoContext(len(jobs), func(ctx context.Context, i int) error {
 		if matErrs[i] != nil {
 			return matErrs[i]
 		}
-		res, err := s.runCell(ctx, jobs[i], shared[i], seq, i)
+		res, err := s.runCell(ctx, jobs[i], shared[i], keys[i])
 		if err != nil {
 			return err
 		}
 		results[i] = res
-		if s.journal != nil {
-			s.journal.recordCell(seq, i, res)
-		}
 		return nil
 	})
 	for i, err := range errs {
@@ -332,56 +333,53 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 	return results
 }
 
-// runCell simulates one RunAll cell: the block driver under the cell's
-// context, journaling a mid-cell snapshot every Journal.PartEvery records
-// for predictors that implement predictor.Snapshotter. A usable journaled
-// part (matching predictor, workload and cursor) restores the predictor
-// and skips the records already simulated.
+// runCell simulates one RunAll cell with the block driver under the
+// cell's context. With a journal attached, the cell is served from it if
+// journaled complete; otherwise a usable journaled part (its cursor
+// within the trace, its snapshot restoring) restores the predictor and
+// skips the records already simulated, a mid-cell snapshot is journaled
+// every Journal.PartEvery records for predictors that implement
+// predictor.Snapshotter, and the completed cell is journaled.
 //
 //bimode:deterministic
-func (s *Scheduler) runCell(ctx context.Context, job Job, src trace.Source, seq, idx int) (Result, error) {
+func (s *Scheduler) runCell(ctx context.Context, job Job, src *trace.Memory, tk traceKey) (Result, error) {
 	p := job.Make()
 	res := Result{
 		Predictor: p.Name(),
 		Workload:  src.Name(),
 		CostBytes: predictor.CostBytes(p),
 	}
+	j := s.journal
+	key := cellKey{Predictor: res.Predictor, traceKey: tk}
 	var start cursor
 	partEvery := 0
-	var snapper predictor.Snapshotter
-	if s.journal != nil && s.journal.PartEvery > 0 {
-		if sn, ok := p.(predictor.Snapshotter); ok {
-			partEvery = s.journal.PartEvery
-			snapper = sn
+	snapper, _ := p.(predictor.Snapshotter)
+	if j != nil {
+		if miss, ok := j.cell(key); ok {
+			res.Branches, res.Mispredicts = tk.Records, miss
+			return res, nil
 		}
-	}
-	if s.journal != nil {
-		sized, isSized := src.(trace.Sized)
-		if part, ok := s.journal.part(seq, idx); ok && snapper != nil && isSized &&
-			part.Predictor == res.Predictor && part.Workload == res.Workload &&
-			part.Cursor > 0 && part.Cursor <= sized.Len() {
-			if err := snapper.RestoreSnapshot(part.Snap); err == nil {
-				start = cursor{pos: part.Cursor, miss: part.Mispredicts}
-			} else {
-				p.Reset() // a bad snapshot must not leave partial state behind
+		if snapper != nil {
+			partEvery = j.PartEvery
+			if part, ok := j.part(key); ok && part.Cursor > 0 && part.Cursor <= tk.Records {
+				if err := snapper.RestoreSnapshot(part.Snap); err == nil {
+					start = cursor{pos: part.Cursor, miss: part.Mispredicts}
+				} else {
+					p.Reset() // a bad snapshot must not leave partial state behind
+				}
 			}
 		}
 	}
 	end, err := drive(ctx, p, src, start, partEvery, func(c cursor) {
-		s.journal.recordPart(partRecord{
-			Seq:         seq,
-			Idx:         idx,
-			Predictor:   res.Predictor,
-			Workload:    res.Workload,
-			Cursor:      c.pos,
-			Mispredicts: c.miss,
-			Snap:        snapper.Snapshot(nil),
-		})
+		j.recordPart(key, partRecord{Cursor: c.pos, Mispredicts: c.miss, Snap: snapper.Snapshot(nil)})
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	res.Branches, res.Mispredicts = end.pos, end.miss
+	if j != nil {
+		j.recordCell(key, res)
+	}
 	return res, nil
 }
 
@@ -415,8 +413,8 @@ func safeSourceName(src trace.Source) (name string) {
 // With an arena attached the materializations drain into recycled
 // buffers, so a scheduler running suite after suite stops allocating
 // trace storage at all.
-func (s *Scheduler) sharedSources(jobs []Job) ([]trace.Source, []error, []*trace.Memory) {
-	out := make([]trace.Source, len(jobs))
+func (s *Scheduler) sharedSources(jobs []Job) ([]*trace.Memory, []error, []*trace.Memory) {
+	out := make([]*trace.Memory, len(jobs))
 	jobErrs := make([]error, len(jobs))
 
 	// First pass, sequential: resolve already-materialized sources and
