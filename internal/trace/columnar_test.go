@@ -374,14 +374,19 @@ func TestImportText(t *testing.T) {
 		"1008 n", // bare decimal
 		"0x1000 taken",
 		"",
-		"dead 0", // bare hex (has hex letters)
+		"dead 0",                 // bare hex (has hex letters)
+		"0X1F00 1",               // uppercase 0X
+		"0x1f00\t0",              // tab separator
+		"0x2000,1,extra,fields",  // CSV fields past the second ignored
+		"000123 n",               // leading zeros, decimal
+		"18446744073709551615 1", // the largest decimal PC
 	}, "\n")
 	m, err := ImportText(strings.NewReader(in), "capture")
 	if err != nil {
 		t.Fatalf("ImportText: %v", err)
 	}
-	if m.Len() != 6 || m.Name() != "capture" {
-		t.Fatalf("imported %d records, want 6", m.Len())
+	if m.Len() != 11 || m.Name() != "capture" {
+		t.Fatalf("imported %d records, want 11", m.Len())
 	}
 	want := []Record{
 		{PC: 0x1000, Static: 0, Taken: true},
@@ -390,14 +395,19 @@ func TestImportText(t *testing.T) {
 		{PC: 1008, Static: 3, Taken: false},
 		{PC: 0x1000, Static: 0, Taken: true}, // site id reused
 		{PC: 0xdead, Static: 4, Taken: false},
+		{PC: 0x1f00, Static: 5, Taken: true},
+		{PC: 0x1f00, Static: 5, Taken: false},
+		{PC: 0x2000, Static: 6, Taken: true},
+		{PC: 123, Static: 7, Taken: false},
+		{PC: ^uint64(0), Static: 8, Taken: true},
 	}
 	for i, r := range m.Records() {
 		if r != want[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, r, want[i])
 		}
 	}
-	if m.StaticCount() != 5 {
-		t.Fatalf("static count %d, want 5", m.StaticCount())
+	if m.StaticCount() != 9 {
+		t.Fatalf("static count %d, want 9", m.StaticCount())
 	}
 
 	for _, bad := range []string{"0x1000", "zzz 1", "0x1000 maybe"} {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -88,35 +89,27 @@ func (s *TextScanner) Err() error { return s.err }
 // Scan advances to the next record, skipping blanks and comments. It
 // returns false at end of input or on the first malformed line; Err
 // distinguishes the two.
+//
+// Each line goes first through scanLine, one pass over the scanner's
+// bytes that allocates nothing. A line it does not accept — a field
+// holding a byte at or above 0x80, or anything malformed — goes to
+// parseLine, the string parser, which alone decides such lines and words
+// every error.
 func (s *TextScanner) Scan() bool {
 	if s.err != nil {
 		return false
 	}
 	for s.sc.Scan() {
 		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		pc, taken, kind := scanLine(s.sc.Bytes())
+		if kind == lineOther {
+			pc, taken, kind, s.err = s.parseLine(s.sc.Text())
+			if s.err != nil {
+				return false
+			}
+		}
+		if kind == lineSkip {
 			continue
-		}
-		var fields []string
-		if strings.Contains(line, ",") {
-			fields = strings.Split(line, ",")
-		} else {
-			fields = strings.Fields(line)
-		}
-		if len(fields) < 2 {
-			s.err = fmt.Errorf("trace: import line %d: need \"pc taken\", got %q", s.lineNo, line)
-			return false
-		}
-		pc, err := parsePC(strings.TrimSpace(fields[0]))
-		if err != nil {
-			s.err = fmt.Errorf("trace: import line %d: %v", s.lineNo, err)
-			return false
-		}
-		taken, err := parseTaken(strings.TrimSpace(fields[1]))
-		if err != nil {
-			s.err = fmt.Errorf("trace: import line %d: %v", s.lineNo, err)
-			return false
 		}
 		st, ok := s.sites[pc]
 		if !ok {
@@ -132,6 +125,165 @@ func (s *TextScanner) Scan() bool {
 		s.err = fmt.Errorf("trace: import line %d: %w", s.lineNo+1, err)
 	}
 	return false
+}
+
+// lineKind is what one capture line holds.
+type lineKind uint8
+
+const (
+	lineRecord lineKind = iota // a (pc, taken) record
+	lineSkip                   // a blank or '#' comment line
+	lineOther                  // undecided by scanLine: parseLine decides
+)
+
+// scanLine is the byte-level form of parseLine for ASCII fields. It
+// trims the line as strings.TrimSpace does, skips blank and '#' lines,
+// splits on the first ',' (later fields ignored) or else on ASCII
+// white-space runs, and parses the first two fields in place. It returns lineOther for every line it
+// does not accept, so it need not agree with parseLine on a rejection,
+// only on what it accepts: an accepted field holds only ASCII bytes,
+// where Unicode splitting and case folding reduce to the ASCII rules
+// used here.
+func scanLine(b []byte) (pc uint64, taken bool, kind lineKind) {
+	line := bytes.TrimSpace(b)
+	if len(line) == 0 || line[0] == '#' {
+		return 0, false, lineSkip
+	}
+	var f0, f1 []byte
+	if before, after, ok := bytes.Cut(line, []byte(",")); ok {
+		f1, _, _ = bytes.Cut(after, []byte(","))
+		f0, f1 = bytes.TrimSpace(before), bytes.TrimSpace(f1)
+	} else {
+		f0 = line[:spaceIndex(line)]
+		f1 = bytes.TrimSpace(line[len(f0):])
+		f1 = f1[:spaceIndex(f1)]
+	}
+	pc, ok := scanPC(f0)
+	if !ok {
+		return 0, false, lineOther
+	}
+	if taken, ok = scanTaken(f1); !ok {
+		return 0, false, lineOther
+	}
+	return pc, taken, lineRecord
+}
+
+// spaceIndex returns the index of the first ASCII white-space byte in b
+// (one strings.Fields splits on), or len(b).
+func spaceIndex(b []byte) int {
+	for i, c := range b {
+		switch c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			return i
+		}
+	}
+	return len(b)
+}
+
+// scanPC is parsePC's accepting half: 0x- or 0X-prefixed hex, else
+// decimal, else bare hex, each refused on overflow as strconv.ParseUint
+// refuses it.
+func scanPC(f []byte) (uint64, bool) {
+	if len(f) >= 2 && f[0] == '0' && f[1]|0x20 == 'x' {
+		return scanHex(f[2:])
+	}
+	if v, ok := scanDecimal(f); ok {
+		return v, true
+	}
+	return scanHex(f)
+}
+
+func scanDecimal(f []byte) (uint64, bool) {
+	if len(f) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range f {
+		d := uint64(c - '0')
+		if d > 9 || v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
+}
+
+func scanHex(f []byte) (uint64, bool) {
+	if len(f) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range f {
+		var d uint64
+		switch {
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c|0x20 && c|0x20 <= 'f':
+			d = uint64(c|0x20-'a') + 10
+		default:
+			return 0, false
+		}
+		if v>>60 != 0 {
+			return 0, false
+		}
+		v = v<<4 | d
+	}
+	return v, true
+}
+
+// scanTaken is parseTaken for ASCII case folding only.
+func scanTaken(f []byte) (taken, ok bool) {
+	var low [len("not-taken")]byte
+	if len(f) > len(low) {
+		return false, false
+	}
+	for i, c := range f {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		low[i] = c
+	}
+	return takenSpelling(string(low[:len(f)]))
+}
+
+// takenSpelling matches a lower-case direction flag against the
+// spellings real capture tools emit.
+func takenSpelling(s string) (taken, ok bool) {
+	switch s {
+	case "1", "t", "taken", "true", "y":
+		return true, true
+	case "0", "n", "not", "not-taken", "false", "nt":
+		return false, true
+	}
+	return false, false
+}
+
+// parseLine is the string parser for one line, the only one that runs on
+// non-ASCII input and the one that words every error: a blank or comment
+// line, a record, or an error carrying the line's one-based number.
+func (s *TextScanner) parseLine(text string) (pc uint64, taken bool, kind lineKind, err error) {
+	line := strings.TrimSpace(text)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return 0, false, lineSkip, nil
+	}
+	var fields []string
+	if strings.Contains(line, ",") {
+		fields = strings.Split(line, ",")
+	} else {
+		fields = strings.Fields(line)
+	}
+	if len(fields) < 2 {
+		return 0, false, 0, fmt.Errorf("trace: import line %d: need \"pc taken\", got %q", s.lineNo, line)
+	}
+	pc, err = parsePC(strings.TrimSpace(fields[0]))
+	if err != nil {
+		return 0, false, 0, fmt.Errorf("trace: import line %d: %v", s.lineNo, err)
+	}
+	taken, err = parseTaken(strings.TrimSpace(fields[1]))
+	if err != nil {
+		return 0, false, 0, fmt.Errorf("trace: import line %d: %v", s.lineNo, err)
+	}
+	return pc, taken, lineRecord, nil
 }
 
 // ImportText drains a TextScanner over r into a materialized trace; see
@@ -175,11 +327,8 @@ func parsePC(s string) (uint64, error) {
 
 // parseTaken accepts the direction spellings real capture tools emit.
 func parseTaken(s string) (bool, error) {
-	switch strings.ToLower(s) {
-	case "1", "t", "taken", "true", "y":
-		return true, nil
-	case "0", "n", "not", "not-taken", "false", "nt":
-		return false, nil
+	if taken, ok := takenSpelling(strings.ToLower(s)); ok {
+		return taken, nil
 	}
 	return false, fmt.Errorf("bad taken flag %q (want 1/0, t/n, taken/not)", s)
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -35,6 +37,24 @@ func TestImportTextMalformed(t *testing.T) {
 			in:       "0x1000 1\n0xzz 1\n",
 			wantLine: "line 2",
 			wantSub:  `bad pc "0xzz"`,
+		},
+		{
+			name:     "decimal pc one past the largest",
+			in:       "18446744073709551615 1\n18446744073709551616 1\n",
+			wantLine: "line 2",
+			wantSub:  `bad pc "18446744073709551616"`,
+		},
+		{
+			name:     "17 hex digits",
+			in:       "0x1234567890abcdef0 1\n",
+			wantLine: "line 1",
+			wantSub:  `bad pc "0x1234567890abcdef0"`,
+		},
+		{
+			name:     "0x alone",
+			in:       "0x 1\n",
+			wantLine: "line 1",
+			wantSub:  `bad pc "0x"`,
 		},
 		{
 			name:     "bad pc not hex or decimal",
@@ -205,5 +225,35 @@ func TestImportTextEmpty(t *testing.T) {
 	}
 	if m.StaticCount() != 1 {
 		t.Fatalf("empty capture static count %d, want 1", m.StaticCount())
+	}
+}
+
+// TestTextScannerAllocs: once every PC is in the site table, scanning an
+// ASCII capture allocates nothing per record — the scanner's setup is the
+// whole cost, so twice the lines cost exactly as many allocations.
+func TestTextScannerAllocs(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 8192; i++ {
+		fmt.Fprintf(&sb, "0x%x %d\n", 0x400000+4*(i%509), i%2)
+	}
+	body := []byte(sb.String())
+	sites := map[uint64]uint32{}
+	allocs := func(lines int) float64 {
+		in := body[:len(body)*lines/8192]
+		return testing.AllocsPerRun(20, func() {
+			sc := NewTextScanner(bytes.NewReader(in))
+			sc.SetSites(sites)
+			n := 0
+			for sc.Scan() {
+				n++
+			}
+			if sc.Err() != nil || n != lines {
+				t.Fatalf("scanned %d of %d lines: %v", n, lines, sc.Err())
+			}
+		})
+	}
+	allocs(8192) // fills the site table
+	if half, full := allocs(4096), allocs(8192); half != full {
+		t.Errorf("%v allocations for 4096 lines, %v for 8192: the scan allocates per record", half, full)
 	}
 }
