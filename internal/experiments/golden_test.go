@@ -67,3 +67,49 @@ func TestGoldenTable1(t *testing.T) {
 func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2.txt.golden", RenderTable2(Table2(goldenCfg)))
 }
+
+// TestGoldenBreakdowns pins the Section 4 bias breakdowns: both Figure 5
+// panels (history- and address-indexed gshare) and the Figure 6 bi-mode
+// panel.
+func TestGoldenBreakdowns(t *testing.T) {
+	hist, addr, err := Figure5("gcc", goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig5.txt.golden", RenderBreakdown(hist)+"\n"+RenderBreakdown(addr))
+	bm, err := Figure6("gcc", goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig6.txt.golden", RenderBreakdown(bm))
+}
+
+// TestGoldenTables34 pins the Table 3 normalized-count example (PCs
+// included) and the Table 4 interruption counts.
+func TestGoldenTables34(t *testing.T) {
+	ex, err := Table3("gcc", goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table3.txt.golden", RenderTable3(ex))
+	t4, err := Table4("gcc", goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table4.txt.golden", RenderTable4(t4))
+}
+
+// TestGoldenFigures78 pins the misprediction-by-class bars on gcc
+// (Figure 7) and go (Figure 8).
+func TestGoldenFigures78(t *testing.T) {
+	for _, c := range []struct{ workload, golden string }{
+		{"gcc", "fig7.txt.golden"},
+		{"go", "fig8.txt.golden"},
+	} {
+		pts, err := Figures78(c.workload, goldenCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, c.golden, RenderFigures78(c.workload, pts))
+	}
+}
