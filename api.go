@@ -181,13 +181,13 @@ func CreateJournal(path string) (*Journal, error) { return sim.CreateJournal(pat
 // version or with a damaged interior is an error.
 func ResumeJournal(path string) (*Journal, error) { return sim.ResumeJournal(path) }
 
-// Study is a two-pass bias-class analysis (paper Section 4).
+// Study is the bias-class analysis of paper Section 4.
 type Study = analysis.Study
 
-// RunStudy performs the bias analysis of a predictor (which must
-// implement Indexed) over a workload.
-func RunStudy(mk func() Predictor, src Source) (*Study, error) {
-	return analysis.RunStudy(mk, src)
+// RunStudy performs the bias analysis of a fresh predictor (which must
+// implement Indexed) in one simulation pass over a workload.
+func RunStudy(p Predictor, src Source) (*Study, error) {
+	return analysis.RunStudy(p, src)
 }
 
 // CostBytes reports a predictor's hardware cost in bytes of counter

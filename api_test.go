@@ -57,7 +57,7 @@ func TestFacadeParallelAndStudy(t *testing.T) {
 		t.Fatalf("parallel run wrong: %+v", results)
 	}
 
-	study, err := bimode.RunStudy(func() bimode.Predictor { return bimode.DefaultBiMode(8) }, src)
+	study, err := bimode.RunStudy(bimode.DefaultBiMode(8), src)
 	if err != nil {
 		t.Fatal(err)
 	}

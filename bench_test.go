@@ -248,12 +248,12 @@ func BenchmarkExtensionRivals(b *testing.B) {
 	}
 }
 
-// BenchmarkStudyOverhead measures the two-pass Section 4 analysis.
+// BenchmarkStudyOverhead measures the one-pass Section 4 analysis.
 func BenchmarkStudyOverhead(b *testing.B) {
 	src := benchSource("gcc")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := analysis.RunStudy(func() predictor.Predictor { return baselines.NewGshare(8, 8) }, src)
+		st, err := analysis.RunStudy(baselines.NewGshare(8, 8), src)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,9 +17,7 @@ import (
 	"os"
 
 	"bimode/internal/analysis"
-	"bimode/internal/predictor"
 	"bimode/internal/textplot"
-	"bimode/internal/trace"
 	"bimode/internal/workloads"
 	"bimode/internal/zoo"
 )
@@ -45,11 +43,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mat := trace.Materialize(src)
-	if _, err := zoo.New(*spec); err != nil {
+	p, err := zoo.New(*spec)
+	if err != nil {
 		return err
 	}
-	study, err := analysis.RunStudy(func() predictor.Predictor { return zoo.MustNew(*spec) }, mat)
+	study, err := analysis.RunStudy(p, src)
 	if err != nil {
 		return err
 	}
@@ -74,18 +72,7 @@ func run(args []string, out io.Writer) error {
 		study.Interruptions[analysis.CatNonDominant],
 		study.Interruptions[analysis.CatWB])
 
-	pcs := map[uint32]uint64{}
-	st := mat.Stream()
-	for {
-		r, ok := st.Next()
-		if !ok {
-			break
-		}
-		if _, seen := pcs[r.Static]; !seen {
-			pcs[r.Static] = r.PC &^ (1 << 63)
-		}
-	}
-	if ex, ok := analysis.FindExample(study, func(s uint32) uint64 { return pcs[s] }); ok {
+	if ex, ok := analysis.FindExample(study); ok {
 		fmt.Fprintf(out, "\nmost contended counter (cf. Table 3): counter %d, dominant %s %.1f%%, WB %.1f%%\n",
 			ex.Counter, ex.DominantClass, 100*ex.DominantShare, 100*ex.WBShare)
 		rows := ex.Rows

@@ -51,9 +51,7 @@ func main() {
 	}
 
 	fmt.Println("\nsubstream bias classes at the shared counter (Section 4 analysis):")
-	study, err := bimode.RunStudy(func() bimode.Predictor {
-		return must(bimode.NewPredictor("gshare:i=4,h=4"))
-	}, src)
+	study, err := bimode.RunStudy(must(bimode.NewPredictor("gshare:i=4,h=4")), src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,9 +63,7 @@ func main() {
 	fmt.Printf("  gshare area shares: dominant %.0f%%, non-dominant %.0f%%, WB %.0f%%\n",
 		100*d, 100*nd, 100*wb)
 
-	bmStudy, err := bimode.RunStudy(func() bimode.Predictor {
-		return must(bimode.NewPredictor("bimode:c=8,b=4,h=4"))
-	}, src)
+	bmStudy, err := bimode.RunStudy(must(bimode.NewPredictor("bimode:c=8,b=4,h=4")), src)
 	if err != nil {
 		log.Fatal(err)
 	}

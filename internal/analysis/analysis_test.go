@@ -7,7 +7,9 @@ import (
 	"bimode/internal/baselines"
 	"bimode/internal/core"
 	"bimode/internal/predictor"
+	"bimode/internal/sim"
 	"bimode/internal/trace"
+	"bimode/internal/zoo"
 )
 
 func TestClassify(t *testing.T) {
@@ -67,21 +69,19 @@ func aliasedSource(n int) trace.Source {
 	return trace.NewMemory("aliased", 3, recs)
 }
 
-// studyTable is the gshare configuration used by the crafted-stream
+// studyGshare is the gshare configuration used by the crafted-stream
 // studies: 4 counters, 2 history bits.
 func studyGshare() predictor.Predictor { return baselines.NewGshare(2, 2) }
 
 func TestRunStudyRequiresIndexed(t *testing.T) {
-	_, err := RunStudy(func() predictor.Predictor {
-		return baselines.NewStatic(baselines.AlwaysTaken)
-	}, aliasedSource(10))
+	_, err := RunStudy(baselines.NewStatic(baselines.AlwaysTaken), aliasedSource(10))
 	if err == nil {
 		t.Fatalf("non-Indexed predictor must be rejected")
 	}
 }
 
 func TestRunStudySubstreams(t *testing.T) {
-	st, err := RunStudy(studyGshare, aliasedSource(500))
+	st, err := RunStudy(studyGshare(), aliasedSource(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,33 +120,39 @@ func TestRunStudySubstreams(t *testing.T) {
 	}
 }
 
+// TestStudyMatchesPlainSimulation: the study's branch and misprediction
+// counts are the observer's, for every Indexed zoo spec over the crafted
+// stream and the suite, so the misprediction count has one definition.
 func TestStudyMatchesPlainSimulation(t *testing.T) {
-	// The study's pass-2 misprediction count must equal an ordinary run.
-	src := aliasedSource(300)
-	st, err := RunStudy(studyGshare, src)
-	if err != nil {
-		t.Fatal(err)
+	srcs := []trace.Source{aliasedSource(300)}
+	for _, mem := range suiteTraces(t) {
+		srcs = append(srcs, mem)
 	}
-	g := studyGshare()
-	miss := 0
-	stream := src.Stream()
-	for {
-		r, ok := stream.Next()
-		if !ok {
-			break
+	specs := 0
+	for _, spec := range zoo.Known() {
+		if _, ok := zoo.MustNew(spec).(predictor.Indexed); !ok {
+			continue
 		}
-		if g.Predict(r.PC) != r.Taken {
-			miss++
+		specs++
+		for _, src := range srcs {
+			st, err := RunStudy(zoo.MustNew(spec), src)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", spec, src.Name(), err)
+			}
+			rep := sim.Observe(zoo.MustNew(spec), src, sim.ObserveOptions{TopN: -1})
+			if st.Branches != rep.Branches || st.Mispredicts != rep.Mispredicts {
+				t.Errorf("%s on %s: study %d/%d branches/mispredicts, observer %d/%d",
+					spec, src.Name(), st.Branches, st.Mispredicts, rep.Branches, rep.Mispredicts)
+			}
 		}
-		g.Update(r.PC, r.Taken)
 	}
-	if st.Mispredicts != miss {
-		t.Fatalf("study mispredicts %d, plain run %d", st.Mispredicts, miss)
+	if specs == 0 {
+		t.Fatal("no Indexed specs in the zoo")
 	}
 }
 
 func TestAreaSharesSumToOne(t *testing.T) {
-	st, err := RunStudy(func() predictor.Predictor { return baselines.NewGshare(6, 6) }, aliasedSource(400))
+	st, err := RunStudy(baselines.NewGshare(6, 6), aliasedSource(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +163,7 @@ func TestAreaSharesSumToOne(t *testing.T) {
 }
 
 func TestSortedByWB(t *testing.T) {
-	st, err := RunStudy(func() predictor.Predictor { return baselines.NewGshare(6, 6) }, aliasedSource(400))
+	st, err := RunStudy(baselines.NewGshare(6, 6), aliasedSource(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestInterruptionsOnCraftedStream(t *testing.T) {
 	}
 	// Make static 0 dominant by count (3 vs 1).
 	src := trace.NewMemory("crafted", 2, recs)
-	st, err := RunStudy(func() predictor.Predictor { return baselines.NewSmith(0) }, src)
+	st, err := RunStudy(baselines.NewSmith(0), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +208,11 @@ func TestBiModeDeAliasingVisibleInStudy(t *testing.T) {
 	// larger dominant area than the history-indexed gshare on an
 	// aliasing-heavy stream.
 	src := aliasedSource(500)
-	gs, err := RunStudy(studyGshare, src)
+	gs, err := RunStudy(studyGshare(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm, err := RunStudy(func() predictor.Predictor {
-		return core.MustNew(core.Config{ChoiceBits: 8, BankBits: 2, HistoryBits: 2})
-	}, src)
+	bm, err := RunStudy(core.MustNew(core.Config{ChoiceBits: 8, BankBits: 2, HistoryBits: 2}), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +230,11 @@ func TestBiModeDeAliasingVisibleInStudy(t *testing.T) {
 
 func TestFindExample(t *testing.T) {
 	src := aliasedSource(300)
-	st, err := RunStudy(studyGshare, src)
+	st, err := RunStudy(studyGshare(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, ok := FindExample(st, func(s uint32) uint64 { return uint64(s) * 4 })
+	ex, ok := FindExample(st)
 	if !ok {
 		t.Fatalf("example must exist")
 	}
@@ -261,11 +265,17 @@ func TestFindExample(t *testing.T) {
 	if !hasST || !hasSNT {
 		t.Fatalf("example counter should mix opposite classes")
 	}
+	// Each row carries its static's PC: static s sits at PC 4s.
+	for _, r := range ex.Rows {
+		if r.PC != uint64(r.Static)*4 {
+			t.Fatalf("static %d named by PC %#x, want %#x", r.Static, r.PC, r.Static*4)
+		}
+	}
 }
 
 func TestFindExampleEmpty(t *testing.T) {
 	st := &Study{Substreams: map[uint64]*Substream{}}
-	if _, ok := FindExample(st, func(uint32) uint64 { return 0 }); ok {
+	if _, ok := FindExample(st); ok {
 		t.Fatalf("empty study must not produce an example")
 	}
 }

@@ -1,8 +1,9 @@
 // Package analysis implements the measurement machinery of the paper's
 // Section 4: substream bias classification, per-counter bias breakdowns
 // (Figures 5 and 6), bias-class change counting (Table 4), the worked
-// normalized-count example (Table 3), and the two-pass attribution of
-// mispredictions to bias classes (Figures 7 and 8).
+// normalized-count example (Table 3), and the attribution of
+// mispredictions to bias classes (Figures 7 and 8), all from one
+// simulation pass per predictor (RunStudy).
 //
 // The central object is the substream s(i,c): the sequence of outcomes
 // that static branch i sends to second-level counter c. Each substream is

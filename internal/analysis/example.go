@@ -36,9 +36,9 @@ type CounterExample struct {
 
 // FindExample selects the counter that best illustrates destructive
 // aliasing — the one with the largest non-dominant dynamic count — and
-// assembles its Table 3 rows. pcOf maps static ids to a representative
-// PC. Returns ok=false if the study saw no branches.
-func FindExample(s *Study, pcOf func(uint32) uint64) (CounterExample, bool) {
+// assembles its Table 3 rows, each branch named by the study's first PC
+// for it. Returns ok=false if the study saw no branches.
+func FindExample(s *Study) (CounterExample, bool) {
 	best := -1
 	bestND := -1
 	for i, cb := range s.Counters {
@@ -63,7 +63,7 @@ func FindExample(s *Study, pcOf func(uint32) uint64) (CounterExample, bool) {
 			continue
 		}
 		ex.Rows = append(ex.Rows, ExampleRow{
-			PC:         pcOf(sub.Static),
+			PC:         s.PCs[sub.Static],
 			Static:     sub.Static,
 			Count:      sub.Len,
 			Taken:      sub.Taken,

@@ -8,23 +8,22 @@ import (
 	"bimode/internal/trace"
 )
 
-// Study is the result of a two-pass bias analysis of one predictor over
-// one workload.
+// Study is the result of the bias analysis of one predictor over one
+// workload, made in one simulation pass.
 //
-// Pass 1 simulates the predictor and accumulates every substream s(i,c);
-// substreams are then classified over the whole run, as in the paper.
-// Pass 2 re-simulates a fresh predictor over the identical stream and,
-// now knowing each substream's class, attributes every misprediction to a
-// bias class (Figures 7-8) and counts bias-class interruptions at each
-// counter (Table 4).
+// The pass accumulates every substream s(i,c) and each branch's
+// prediction outcome. Substreams are classified over the whole run, as in
+// the paper; once each class is known, every misprediction is attributed
+// to a bias class (Figures 7-8) and bias-class interruptions are counted
+// at each counter (Table 4).
 type Study struct {
 	// Predictor and Workload identify the run.
 	Predictor string
 	Workload  string
 	// NumCounters is the predictor's second-level counter count.
 	NumCounters int
-	// Branches and Mispredicts summarize pass 2 (identical to pass 1 by
-	// determinism; asserted in tests).
+	// Branches and Mispredicts summarize the pass; they equal a plain
+	// simulation's counts (asserted in tests).
 	Branches    int
 	Mispredicts int
 
@@ -34,6 +33,9 @@ type Study struct {
 	// Counters aggregates per-counter class counts (only counters that
 	// were accessed appear).
 	Counters []CounterBias
+	// PCs maps each static branch to the PC of its first dynamic
+	// instance, with the backward-branch flag (bit 63) masked off.
+	PCs map[uint32]uint64
 
 	// MissByClass counts mispredictions of branches whose substream is in
 	// each class; index with Class values.
@@ -80,53 +82,105 @@ func key(static uint32, counter int) uint64 {
 	return uint64(static)<<32 | uint64(uint32(counter))
 }
 
-// RunStudy performs the two-pass analysis. mk must construct identical
-// fresh predictors implementing predictor.Indexed.
-func RunStudy(mk func() predictor.Predictor, src trace.Source) (*Study, error) {
-	p1 := mk()
-	ix1, ok := p1.(predictor.Indexed)
+// RunStudy performs the bias analysis of p, which must implement
+// predictor.Indexed, in one pass over src's blocks. A damaged block
+// source ends the study with its decode error.
+func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
+	ix, ok := p.(predictor.Indexed)
 	if !ok {
-		return nil, fmt.Errorf("analysis: predictor %s does not expose counter indices", p1.Name())
+		return nil, fmt.Errorf("analysis: predictor %s does not expose counter indices", p.Name())
 	}
 	st := &Study{
-		Predictor:   p1.Name(),
+		Predictor:   p.Name(),
 		Workload:    src.Name(),
-		NumCounters: ix1.NumCounters(),
-		Substreams:  map[uint64]*Substream{},
+		NumCounters: ix.NumCounters(),
+		PCs:         map[uint32]uint64{},
 	}
 
-	// Pass 1: accumulate substreams.
-	stream := src.Stream()
+	// Each substream accumulates in an acc, found through index and
+	// numbered in order of first appearance (subs[a.idx] == a). last holds
+	// the substream that last accessed each counter (-1 before the first
+	// access), and switches logs, in stream order, every access whose
+	// substream differs from the last one at its counter: the accesses it
+	// drops repeat their predecessor's substream, hence its class, so the
+	// log keeps every bias-class change.
+	type acc struct {
+		Substream
+		miss int // mispredictions within the substream
+		idx  int32
+	}
+	var (
+		subs     []*acc
+		switches []int32
+		index    = map[uint64]*acc{}
+		last     = make([]int32, st.NumCounters)
+	)
+	for c := range last {
+		last[c] = -1
+	}
+	bs := trace.Blocks(src)
 	for {
-		rec, ok := stream.Next()
-		if !ok {
+		blk, err := bs.NextBlock()
+		if err != nil {
+			return nil, fmt.Errorf("analysis: studying %s on %s: %w", st.Predictor, st.Workload, err)
+		}
+		if blk == nil {
 			break
 		}
-		cid := ix1.CounterID(rec.PC)
-		k := key(rec.Static, cid)
-		sub := st.Substreams[k]
-		if sub == nil {
-			sub = &Substream{Static: rec.Static, Counter: cid}
-			st.Substreams[k] = sub
+		for _, rec := range blk {
+			cid := ix.CounterID(rec.PC)
+			k := key(rec.Static, cid)
+			a := index[k]
+			if a == nil {
+				a = &acc{Substream: Substream{Static: rec.Static, Counter: cid}, idx: int32(len(subs))}
+				index[k] = a
+				subs = append(subs, a)
+				if _, seen := st.PCs[rec.Static]; !seen {
+					st.PCs[rec.Static] = rec.PC &^ (1 << 63)
+				}
+			}
+			a.Len++
+			if rec.Taken {
+				a.Taken++
+			}
+			if p.Predict(rec.PC) != rec.Taken {
+				a.miss++
+			}
+			p.Update(rec.PC, rec.Taken)
+			if last[cid] != a.idx {
+				last[cid] = a.idx
+				switches = append(switches, a.idx)
+			}
 		}
-		sub.Len++
-		if rec.Taken {
-			sub.Taken++
-		}
-		p1.Predict(rec.PC) // keep speculative state protocol honest
-		p1.Update(rec.PC, rec.Taken)
 	}
 
-	// Aggregate per-counter class counts and determine dominant classes.
-	counterAgg := map[int]*CounterBias{}
-	for _, sub := range st.Substreams {
-		cb := counterAgg[sub.Counter]
-		if cb == nil {
-			cb = &CounterBias{Counter: sub.Counter}
-			counterAgg[sub.Counter] = cb
+	// Number the touched counters in id order; last now maps each counter
+	// to its place in Counters (-1: never accessed).
+	touched := 0
+	for c, l := range last {
+		if l >= 0 {
+			last[c] = int32(touched)
+			touched++
 		}
+	}
+	st.Counters = make([]CounterBias, touched)
+	for c, pos := range last {
+		if pos >= 0 {
+			st.Counters[pos].Counter = c
+		}
+	}
+
+	// Classify every substream once, then aggregate per counter and
+	// attribute the misses.
+	classes := make([]Class, len(subs))
+	st.Substreams = make(map[uint64]*Substream, len(subs))
+	for i := range subs {
+		sub := &subs[i].Substream
+		st.Substreams[key(sub.Static, sub.Counter)] = sub
+		classes[i] = sub.Class()
+		cb := &st.Counters[last[sub.Counter]]
 		cb.Total += sub.Len
-		switch sub.Class() {
+		switch classes[i] {
 		case ST:
 			cb.STCount += sub.Len
 		case SNT:
@@ -134,47 +188,23 @@ func RunStudy(mk func() predictor.Predictor, src trace.Source) (*Study, error) {
 		default:
 			cb.WBCount += sub.Len
 		}
+		st.Branches += sub.Len
+		st.Mispredicts += subs[i].miss
+		st.MissByClass[classes[i]] += subs[i].miss
 	}
-	st.Counters = make([]CounterBias, 0, len(counterAgg))
-	for _, cb := range counterAgg {
-		st.Counters = append(st.Counters, *cb)
+
+	// Replay the switch log per counter: each class change cuts off the
+	// previous run.
+	prev := make([]int32, touched)
+	for pos := range prev {
+		prev[pos] = -1
 	}
-	sort.Slice(st.Counters, func(i, j int) bool { return st.Counters[i].Counter < st.Counters[j].Counter })
-
-	// Per-counter pass-2 state, indexed by the dense counter id.
-	dominantOf := make([]Class, st.NumCounters)
-	for c, cb := range counterAgg {
-		dominantOf[c] = cb.DominantClass()
-	}
-	lastClass := make([]Class, st.NumCounters)
-	hasLast := make([]bool, st.NumCounters)
-
-	// Pass 2: attribute mispredictions and count interruptions.
-	p2 := mk()
-	ix2 := p2.(predictor.Indexed) // same concrete type as p1
-	stream = src.Stream()
-	for {
-		rec, ok := stream.Next()
-		if !ok {
-			break
+	for _, i := range switches {
+		pos := last[subs[i].Counter]
+		if p := prev[pos]; p >= 0 && classes[p] != classes[i] {
+			st.Interruptions[categoryOf(classes[p], st.Counters[pos].DominantClass())]++
 		}
-		cid := ix2.CounterID(rec.PC)
-		sub := st.Substreams[key(rec.Static, cid)]
-		cls := sub.Class()
-
-		if hasLast[cid] && lastClass[cid] != cls {
-			// The previous run of lastClass accesses was interrupted.
-			st.Interruptions[categoryOf(lastClass[cid], dominantOf[cid])]++
-		}
-		lastClass[cid] = cls
-		hasLast[cid] = true
-
-		if p2.Predict(rec.PC) != rec.Taken {
-			st.Mispredicts++
-			st.MissByClass[cls]++
-		}
-		p2.Update(rec.PC, rec.Taken)
-		st.Branches++
+		prev[pos] = i
 	}
 	return st, nil
 }

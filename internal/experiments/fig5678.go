@@ -9,7 +9,6 @@ import (
 	"bimode/internal/core"
 	"bimode/internal/predictor"
 	"bimode/internal/textplot"
-	"bimode/internal/trace"
 )
 
 // BiasBreakdown is the data behind one panel of Figures 5 or 6: the
@@ -46,13 +45,10 @@ func Figure5(workload string, cfg Config) (history, address BiasBreakdown, err e
 	if err != nil {
 		return BiasBreakdown{}, BiasBreakdown{}, err
 	}
-	makes := []func() predictor.Predictor{
-		func() predictor.Predictor { return baselines.NewGshare(8, 8) },
-		func() predictor.Predictor { return baselines.NewGshare(8, 2) },
-	}
-	studies := make([]*analysis.Study, len(makes))
-	if err := firstErr(cfg.sched().Do(len(makes), func(i int) error {
-		st, err := analysis.RunStudy(makes[i], src)
+	ps := []predictor.Predictor{baselines.NewGshare(8, 8), baselines.NewGshare(8, 2)}
+	studies := make([]*analysis.Study, len(ps))
+	if err := firstErr(cfg.sched().Do(len(ps), func(i int) error {
+		st, err := analysis.RunStudy(ps[i], src)
 		studies[i] = st
 		return err
 	})); err != nil {
@@ -68,9 +64,7 @@ func Figure6(workload string, cfg Config) (BiasBreakdown, error) {
 	if err != nil {
 		return BiasBreakdown{}, err
 	}
-	st, err := analysis.RunStudy(func() predictor.Predictor {
-		return core.MustNew(core.DefaultConfig(7))
-	}, src)
+	st, err := analysis.RunStudy(core.MustNew(core.DefaultConfig(7)), src)
 	if err != nil {
 		return BiasBreakdown{}, err
 	}
@@ -113,32 +107,15 @@ func Table3(workload string, cfg Config) (analysis.CounterExample, error) {
 	if err != nil {
 		return analysis.CounterExample{}, err
 	}
-	st, err := analysis.RunStudy(func() predictor.Predictor { return baselines.NewGshare(8, 8) }, src)
+	st, err := analysis.RunStudy(baselines.NewGshare(8, 8), src)
 	if err != nil {
 		return analysis.CounterExample{}, err
 	}
-	pcOf := pcIndex(src)
-	ex, ok := analysis.FindExample(st, pcOf)
+	ex, ok := analysis.FindExample(st)
 	if !ok {
 		return analysis.CounterExample{}, fmt.Errorf("experiments: workload %s produced no branches", workload)
 	}
 	return ex, nil
-}
-
-// pcIndex builds a static-id -> representative-PC map from a trace.
-func pcIndex(src trace.Source) func(uint32) uint64 {
-	pcs := map[uint32]uint64{}
-	st := src.Stream()
-	for {
-		r, ok := st.Next()
-		if !ok {
-			break
-		}
-		if _, seen := pcs[r.Static]; !seen {
-			pcs[r.Static] = r.PC &^ (1 << 63)
-		}
-	}
-	return func(s uint32) uint64 { return pcs[s] }
 }
 
 // RenderTable3 formats the counter example like the paper's Table 3.
@@ -178,13 +155,10 @@ func Table4(workload string, cfg Config) (Table4Result, error) {
 	if err != nil {
 		return Table4Result{}, err
 	}
-	makes := []func() predictor.Predictor{
-		func() predictor.Predictor { return baselines.NewGshare(8, 8) },
-		func() predictor.Predictor { return core.MustNew(core.DefaultConfig(7)) },
-	}
-	studies := make([]*analysis.Study, len(makes))
-	if err := firstErr(cfg.sched().Do(len(makes), func(i int) error {
-		st, err := analysis.RunStudy(makes[i], src)
+	ps := []predictor.Predictor{baselines.NewGshare(8, 8), core.MustNew(core.DefaultConfig(7))}
+	studies := make([]*analysis.Study, len(ps))
+	if err := firstErr(cfg.sched().Do(len(ps), func(i int) error {
+		st, err := analysis.RunStudy(ps[i], src)
 		studies[i] = st
 		return err
 	})); err != nil {
@@ -243,20 +217,19 @@ func Figures78(workload string, cfg Config) ([]ClassBreakdownPoint, error) {
 	type bar struct {
 		label    string
 		counters int
-		mk       func() predictor.Predictor
+		p        predictor.Predictor
 	}
 	var bars []bar
 	for _, sz := range sizes {
-		sz := sz
 		bars = append(bars,
-			bar{fmt.Sprintf("gshare(%d)", sz.few), 1 << uint(sz.s), func() predictor.Predictor { return baselines.NewGshare(sz.s, sz.few) }},
-			bar{fmt.Sprintf("gshare(%d)", sz.s), 1 << uint(sz.s), func() predictor.Predictor { return baselines.NewGshare(sz.s, sz.s) }},
-			bar{fmt.Sprintf("bi-mode(%d)", sz.s-1), 1 << uint(sz.s), func() predictor.Predictor { return core.MustNew(core.DefaultConfig(sz.s - 1)) }},
+			bar{fmt.Sprintf("gshare(%d)", sz.few), 1 << uint(sz.s), baselines.NewGshare(sz.s, sz.few)},
+			bar{fmt.Sprintf("gshare(%d)", sz.s), 1 << uint(sz.s), baselines.NewGshare(sz.s, sz.s)},
+			bar{fmt.Sprintf("bi-mode(%d)", sz.s-1), 1 << uint(sz.s), core.MustNew(core.DefaultConfig(sz.s - 1))},
 		)
 	}
 	out := make([]ClassBreakdownPoint, len(bars))
 	if err := firstErr(cfg.sched().Do(len(bars), func(i int) error {
-		st, err := analysis.RunStudy(bars[i].mk, src)
+		st, err := analysis.RunStudy(bars[i].p, src)
 		if err != nil {
 			return err
 		}

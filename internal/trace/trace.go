@@ -55,9 +55,8 @@ type Sized interface {
 	Len() int
 }
 
-// Source produces identical fresh Streams on demand, allowing the
-// multi-pass analyses (Figures 7-8) and parallel sweeps to replay one
-// workload many times.
+// Source produces identical fresh Streams on demand, allowing parallel
+// sweeps to replay one workload many times.
 type Source interface {
 	// Name identifies the workload, e.g. "gcc".
 	Name() string
