@@ -299,7 +299,7 @@ func TestRuntimeDegradation(t *testing.T) {
 		}
 		return p, nil
 	}}
-	_, base := newTestServer(t, cfg)
+	srv, base := newTestServer(t, cfg)
 	mem := testTrace(t, 2000)
 
 	rep := createSession(t, base, "bimode:b=11", "smith:a=12")
@@ -321,14 +321,30 @@ func TestRuntimeDegradation(t *testing.T) {
 	if live == nil || live.Failed || live.Mispredicts == 0 {
 		t.Fatalf("surviving spec damaged: %+v", live)
 	}
+	// The wrapper panics in the 101st Update: the footnote names that
+	// record, and the frozen report covers exactly the 100 before it.
 	found := false
 	for _, fn := range res.Report.Footnotes {
-		if strings.Contains(fn, "smith:a=12") && strings.Contains(fn, "disabled") {
+		if strings.Contains(fn, "smith:a=12") && strings.Contains(fn, "disabled at record 100") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no disable footnote: %v", res.Report.Footnotes)
+		t.Errorf("no disable footnote at record 100: %v", res.Report.Footnotes)
+	}
+	srv.mu.Lock()
+	sess := srv.sessions[rep.ID]
+	srv.mu.Unlock()
+	sess.mu <- struct{}{}
+	var frozenBranches int
+	for _, sp := range sess.specs {
+		if sp.spec == "smith:a=12" && sp.frozen != nil {
+			frozenBranches = sp.frozen.Branches
+		}
+	}
+	<-sess.mu
+	if frozenBranches != 100 {
+		t.Errorf("frozen report covers %d branches, want 100", frozenBranches)
 	}
 
 	// The degraded session still ingests, and the failed spec's counts
