@@ -91,40 +91,82 @@ func (g *Gshare) Step(pc uint64, taken bool) bool {
 	return pred
 }
 
+// gshareStep is the one gshare per-record transition the batched kernels
+// share: it steps the counter at idx&mask and returns the mispredict bit.
+// The mask is the table length minus one; the guard that checks it lets
+// the prove pass drop the bounds check, and in a caller that computed the
+// mask from the length it proves away too. The step goes
+// through counter.SatNext, branch-free, because its condition is trace
+// data the host CPU cannot predict. The table is two-bit by construction
+// (NewGshare), so the prediction is the counter's high bit and the LUT
+// matches counter.Table.Update exactly.
+//
+//bimode:hotpath
+func gshareStep(tab []counter.State, mask, idx uint64, tk uint8) uint8 {
+	if mask >= uint64(len(tab)) {
+		return 0 // unreachable: the mask is the table length minus one
+	}
+	v := tab[idx&mask]
+	tab[idx&mask] = counter.SatNext(v, tk)
+	return v.TakenBit() ^ tk
+}
+
 // RunBatch implements predictor.BatchRunner: the whole-trace loop with
 // the counter array and history register in locals, branch-free per
-// record — the counter step goes through counter.SatNext because its
-// condition is trace data the host CPU cannot predict. The table is
-// two-bit by construction (NewGshare), so the prediction is the counter's
-// high bit and the LUT matches counter.Table.Update exactly.
+// record (gshareStep, inlined).
 //
 //bimode:hotpath
 func (g *Gshare) RunBatch(recs []trace.Record) int {
 	tab := g.table.Raw()
 	if len(tab) == 0 {
-		return 0 // unreachable; lets the compiler drop bounds checks
+		return 0 // unreachable; lets the compiler drop gshareStep's guard
 	}
 	idxMask := uint64(len(tab) - 1)
 	h := g.ghr.Value()
-	var hMask uint64
-	if n := g.ghr.Bits(); n > 0 {
-		hMask = 1<<uint(n) - 1
-	}
+	hMask := g.ghr.Mask()
 	miss := 0
 	for i := range recs {
 		r := &recs[i]
-		var tk uint8
-		if r.Taken {
-			tk = 1
-		}
-		idx := ((r.PC >> 2) ^ h) & idxMask
-		v := tab[idx]
-		miss += int(v.TakenBit() ^ tk)
-		tab[idx] = counter.SatNext(v, tk)
+		tk := counter.OutcomeBit(r.Taken)
+		miss += int(gshareStep(tab, idxMask, (r.PC>>2)^h, tk))
 		h = (h<<1 | uint64(tk)) & hMask
 	}
 	g.ghr.Set(h)
 	return miss
+}
+
+// ProbeBatch implements predictor.ProbeBatcher: RunBatch's loop, the same
+// gshareStep per record, that also writes each record's row — the
+// counter, the PHT its address bits select, and the mispredict bit.
+// Gshare has no steering structure, so no row carries a choice.
+//
+//bimode:hotpath
+func (g *Gshare) ProbeBatch(recs []trace.Record, rows []predictor.ProbeRow) {
+	if len(rows) < len(recs) {
+		panic(predictor.ErrShortRows)
+	}
+	tab := g.table.Raw()
+	if len(tab) == 0 {
+		return // unreachable; lets the compiler drop bounds checks
+	}
+	idxMask := uint64(len(tab) - 1)
+	phtShift := uint(g.histBits)
+	h := g.ghr.Value()
+	hMask := g.ghr.Mask()
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		idx := ((r.PC >> 2) ^ h) & idxMask
+		miss := gshareStep(tab, idxMask, idx, tk)
+		row := &rows[i]
+		row.CounterID = int32(idx)
+		row.Bank = int32(idx >> phtShift)
+		row.ChoiceTaken = false
+		row.HasChoice = false
+		row.Miss = miss == 1
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	g.ghr.Set(h)
 }
 
 // Reset implements predictor.Predictor.

@@ -159,10 +159,7 @@ func (t *TwoLevel) RunBatch(recs []trace.Record) int {
 	setMask := t.setMask
 	shift := uint(t.histBits)
 	h := t.ghr.Value()
-	var hMask uint64
-	if nb := t.ghr.Bits(); nb > 0 {
-		hMask = 1<<uint(nb) - 1
-	}
+	hMask := t.ghr.Mask()
 	miss := 0
 	for i := range recs {
 		r := &recs[i]

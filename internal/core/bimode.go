@@ -221,26 +221,38 @@ func (b *BiMode) Predict(pc uint64) bool {
 	return b.dirStateAt(int(cb), b.dirIndex(pc)).Taken2()
 }
 
-// stepAt applies the full bi-mode transition — selective bank training and
-// the partial choice update, per this configuration's LUT — at the given
-// plane indices and returns the mispredict bit. Shared by Update, Step and
-// UpdateCounters; RunBatch inlines the same expression with the planes in
-// locals.
+// fusedStep is the bi-mode per-record transition — selective bank
+// training and the partial choice update, per this configuration's LUT —
+// at plane indices ci&chMask and di&dirMask. It returns the LUT value,
+// whose bit fusedMissShift is the mispredict bit. The masks are the
+// planes' lengths minus one; the guard that checks it lets the prove
+// pass drop the bounds checks, and in a caller that computed the masks
+// from the lengths it proves away too. Update, Step and UpdateCounters
+// reach it through stepAt; ProbeBatch inlines it with the planes, masks
+// and LUT in locals. RunBatch keeps the same three lines written out:
+// inlined into its two-way unrolled loop, the helper made the register
+// allocator spill the LUT value to the stack on every record, about 10%
+// of RunBatch's time per record.
+//
+//bimode:hotpath
+func fusedStep(lut *[256]uint8, choice, dir []uint8, chMask, dirMask, ci, di uint64, tk uint8) uint8 {
+	if chMask >= uint64(len(choice)) || dirMask >= uint64(len(dir)) {
+		return 0 // unreachable: the masks are the planes' lengths minus one
+	}
+	c := ci & chMask
+	d := di & dirMask
+	v := lut[tk<<fusedOutcomeShift|choice[c]|dir[d]]
+	dir[d] = v & fusedPairMask
+	choice[c] = v & fusedChoiceMask
+	return v
+}
+
+// stepAt applies fusedStep to the predictor's own planes and returns the
+// mispredict bit.
 //
 //bimode:hotpath
 func (b *BiMode) stepAt(ci, di int, tk uint8) uint8 {
-	choice := b.choicePlane
-	dir := b.dirPlane
-	if len(choice) == 0 || len(dir) == 0 {
-		return 0 // unreachable: planes are non-empty by construction
-	}
-	c := uint(ci) & uint(len(choice)-1)
-	d := uint(di) & uint(len(dir)-1)
-	key := tk<<fusedOutcomeShift | choice[c] | dir[d]
-	v := b.lut[key]
-	dir[d] = v & fusedPairMask
-	choice[c] = v & fusedChoiceMask
-	return v >> fusedMissShift
+	return fusedStep(b.lut, b.choicePlane, b.dirPlane, b.chMask, b.dirMask, uint64(ci), uint64(di), tk) >> fusedMissShift
 }
 
 // Update implements predictor.Predictor, applying the paper's partial
@@ -283,10 +295,7 @@ func (b *BiMode) RunBatch(recs []trace.Record) int {
 	chMask := uint64(len(choice) - 1)
 	dirMask := uint64(len(dir) - 1)
 	h := b.ghr.Value()
-	var hMask uint64
-	if nb := b.ghr.Bits(); nb > 0 {
-		hMask = 1<<uint(nb) - 1
-	}
+	hMask := b.ghr.Mask()
 
 	// Two-way unroll with split mispredict accumulators: halves the loop
 	// overhead per record and keeps the two LUT probe chains independent
@@ -336,6 +345,46 @@ func (b *BiMode) RunBatch(recs []trace.Record) int {
 	}
 	b.ghr.Set(h)
 	return miss0 + miss1
+}
+
+// ProbeBatch implements predictor.ProbeBatcher: RunBatch's loop, with
+// the transition through fusedStep, that also writes each record's row —
+// the counter and bank the choice counter steers to, and the mispredict
+// bit — so the observer gets ProbeLookup, Predict and Update for the
+// price of one batched step.
+//
+//bimode:hotpath
+func (b *BiMode) ProbeBatch(recs []trace.Record, rows []predictor.ProbeRow) {
+	if len(rows) < len(recs) {
+		panic(predictor.ErrShortRows)
+	}
+	choice := b.choicePlane
+	dir := b.dirPlane
+	lut := b.lut
+	if len(choice) == 0 || len(dir) == 0 {
+		return // unreachable (planes are non-empty); lets the compiler drop bounds checks
+	}
+	chMask := uint64(len(choice) - 1)
+	dirMask := uint64(len(dir) - 1)
+	bankShift := uint(b.cfg.BankBits)
+	h := b.ghr.Value()
+	hMask := b.ghr.Mask()
+	for i := range recs {
+		r := &recs[i]
+		addr := r.PC >> 2
+		tk := counter.OutcomeBit(r.Taken)
+		di := (addr ^ h) & dirMask
+		bank := choice[addr&chMask] >> (fusedChoiceShift + 1)
+		v := fusedStep(lut, choice, dir, chMask, dirMask, addr, di, tk)
+		row := &rows[i]
+		row.CounterID = int32(uint64(bank)<<bankShift | di)
+		row.Bank = int32(bank)
+		row.ChoiceTaken = bank == BankTaken
+		row.HasChoice = true
+		row.Miss = v>>fusedMissShift == 1
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	b.ghr.Set(h)
 }
 
 // Reset implements predictor.Predictor, restoring the paper's

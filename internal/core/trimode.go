@@ -204,10 +204,7 @@ func (t *TriMode) RunBatch(recs []trace.Record) int {
 	chMask := uint64(len(choice) - 1)
 	dirMask := uint64(len(dir) - 1)
 	h := t.ghr.Value()
-	var hMask uint64
-	if nb := t.ghr.Bits(); nb > 0 {
-		hMask = 1<<uint(nb) - 1
-	}
+	hMask := t.ghr.Mask()
 
 	miss := 0
 	for i := range recs {

@@ -42,6 +42,12 @@ func (g *Global) Bits() int { return g.n }
 //bimode:hotpath
 func (g *Global) Value() uint64 { return g.bits }
 
+// Mask returns the register's value mask, for kernels that keep the
+// register in a local.
+//
+//bimode:hotpath
+func (g *Global) Mask() uint64 { return g.mask }
+
 // Push shifts a branch outcome into the register.
 //
 //bimode:hotpath

@@ -11,14 +11,18 @@ import (
 // implements a fast rung without the rung below it would dodge the
 // equivalence oracle, so the ladder shape is a compile-time invariant:
 //
-//	BatchRunner ⇒ Stepper   (a whole-trace loop must have a fused step)
-//	Stepper     ⇒ Predictor (a fused step must have the split protocol)
-//	Probe       ⇒ Predictor and Indexed (observability agrees with the
-//	                                     counter-attribution interface)
-//	Snapshotter ⇒ Predictor (checkpointable state belongs to a predictor;
-//	                         the round-trip property test drives the
-//	                         restored instance through the Predictor
-//	                         protocol)
+//	BatchRunner  ⇒ Stepper   (a whole-trace loop must have a fused step)
+//	Stepper      ⇒ Predictor (a fused step must have the split protocol)
+//	Probe        ⇒ Predictor and Indexed (observability agrees with the
+//	                                      counter-attribution interface)
+//	ProbeBatcher ⇒ Probe and BatchRunner (a probe kernel is RunBatch that
+//	                                      also writes ProbeLookup's rows;
+//	                                      the differential fuzz compares it
+//	                                      against both)
+//	Snapshotter  ⇒ Predictor (checkpointable state belongs to a predictor;
+//	                          the round-trip property test drives the
+//	                          restored instance through the Predictor
+//	                          protocol)
 //
 // The trace package has the same shape on the workload side, and the same
 // rule applies to its newest rung:
@@ -40,6 +44,7 @@ func runCapLadder(pass *Pass) {
 	probeI := pass.Prog.predictorInterface("Probe")
 	indexedI := pass.Prog.predictorInterface("Indexed")
 	snapshotterI := pass.Prog.predictorInterface("Snapshotter")
+	probeBatchI := pass.Prog.predictorInterface("ProbeBatcher")
 	blockedI := pass.Prog.traceInterface("Blocked")
 	sourceI := pass.Prog.traceInterface("Source")
 	if predictorI == nil || stepperI == nil || batchI == nil || probeI == nil || indexedI == nil {
@@ -78,6 +83,14 @@ func runCapLadder(pass *Pass) {
 			}
 			if !impl(indexedI) {
 				report("Probe", "Indexed", "ProbeLookup reports counter identities, so the type must define the CounterID space")
+			}
+		}
+		if probeBatchI != nil && impl(probeBatchI) {
+			if !impl(probeI) {
+				report("ProbeBatcher", "Probe", "the kernel's rows are checked against ProbeLookup, so the type must have it")
+			}
+			if !impl(batchI) {
+				report("ProbeBatcher", "BatchRunner", "the kernel is RunBatch that also writes rows; without RunBatch there is nothing to check its state against")
 			}
 		}
 		if snapshotterI != nil && impl(snapshotterI) && !impl(predictorI) {

@@ -41,3 +41,10 @@ type BlockedOnly struct{} // want `implements trace.Blocked but not trace.Source
 
 // BlockStream implements trace.Blocked.
 func (BlockedOnly) BlockStream() trace.BlockStream { return nil }
+
+// ProbeBatchOnly writes probe rows with neither the per-record probe nor
+// the batch loop to check them against.
+type ProbeBatchOnly struct{} // want `implements predictor.ProbeBatcher but not predictor.Probe` `implements predictor.ProbeBatcher but not predictor.BatchRunner`
+
+// ProbeBatch implements predictor.ProbeBatcher.
+func (ProbeBatchOnly) ProbeBatch(recs []trace.Record, rows []predictor.ProbeRow) {}

@@ -8,7 +8,7 @@ import (
 )
 
 // Full climbs the whole ladder: Predictor, Stepper, BatchRunner,
-// Indexed, Probe.
+// Indexed, Probe, ProbeBatcher.
 type Full struct{ bit bool }
 
 // Name implements predictor.Predictor.
@@ -40,6 +40,9 @@ func (*Full) NumCounters() int { return 1 }
 
 // ProbeLookup implements predictor.Probe.
 func (*Full) ProbeLookup(pc uint64) predictor.Lookup { return predictor.Lookup{} }
+
+// ProbeBatch implements predictor.ProbeBatcher.
+func (*Full) ProbeBatch(recs []trace.Record, rows []predictor.ProbeRow) {}
 
 // Snapshot implements predictor.Snapshotter.
 func (*Full) Snapshot(dst []byte) []byte { return dst }

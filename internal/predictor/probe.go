@@ -1,5 +1,11 @@
 package predictor
 
+import (
+	"errors"
+
+	"bimode/internal/trace"
+)
+
 // Lookup describes the internal decision path of one prediction: which
 // second-level counter the predictor is about to consult and, for schemes
 // with a steering structure (bi-mode's choice predictor, tri-mode's
@@ -50,3 +56,39 @@ func LookupOf(p Predictor) func(pc uint64) Lookup {
 	}
 	return nil
 }
+
+// ProbeRow is one record's observation: the Lookup ProbeLookup would
+// report for the record's PC before its update, in fixed-width fields,
+// and whether the prediction missed. A strip of rows is what the
+// observability tier accounts in one pass.
+type ProbeRow struct {
+	// CounterID is Lookup.CounterID (-1 when there is none).
+	CounterID int32
+	// Bank is Lookup.Bank.
+	Bank int32
+	// ChoiceTaken and HasChoice are Lookup.ChoiceTaken and
+	// Lookup.HasChoice.
+	ChoiceTaken bool
+	HasChoice   bool
+	// Miss reports whether Predict(pc) disagreed with the outcome.
+	Miss bool
+}
+
+// ProbeBatcher is the optional batched form of Probe, the rung where the
+// observability ladder meets the speed ladder: RunBatch that also writes,
+// for every record, the row ProbeLookup, Predict and Update would have
+// produced. ProbeBatch(recs, rows) must leave the predictor exactly as
+// RunBatch(recs) does, and rows[i] must equal the row of ProbeLookup
+// then Predict then Update on recs[i] in order (FuzzProbeBatchVsProbe
+// and the observer's differential test enforce this).
+type ProbeBatcher interface {
+	// ProbeBatch runs every record in order and fills rows[i] for
+	// recs[i]. It panics with ErrShortRows when rows is shorter than
+	// recs, before touching any state.
+	ProbeBatch(recs []trace.Record, rows []ProbeRow)
+}
+
+// ErrShortRows is the panic value of a ProbeBatch given fewer rows than
+// records. It is a variable, not a literal, so the kernels' guard
+// allocates nothing.
+var ErrShortRows = errors.New("predictor: ProbeBatch given fewer rows than records")

@@ -105,6 +105,7 @@ func ObserveContext(ctx context.Context, p predictor.Predictor, src trace.Source
 // dense: the arrays grow to the largest id a block carries.
 type Observer struct {
 	p           predictor.Predictor
+	batch       predictor.ProbeBatcher // the predictor's probe kernel, if it has one
 	lookup      func(pc uint64) predictor.Lookup
 	branches    int
 	mispredicts int
@@ -112,23 +113,36 @@ type Observer struct {
 	lastWriter  []int32 // per counter: static id of its last writer, -1 = none
 	choice      *ChoiceMetrics
 
-	// Per-static state: occurrence/taken/miss counts, first-seen PC, and
-	// the two-bit own-bias shadow counter the aliasing classification is
-	// judged against.
-	counts  []int
-	takens  []int
-	misses  []int
-	firstPC []uint64
+	// Per-static state: one row of counts each, and the two-bit own-bias
+	// shadow counter the aliasing classification is judged against.
+	statics []staticRow
 	shadow  []counter.State
 
-	state []byte // the predictor's snapshot, reused across Snapshot calls
+	state []byte               // the predictor's snapshot, reused across Snapshot calls
+	rows  []predictor.ProbeRow // one strip's rows, reused across Feed calls
 }
+
+// staticRow is one static branch's running counts: occurrences, taken
+// outcomes, mispredictions, and the PC it first appeared at (0 until
+// then). One row per static keeps everything a record updates in one
+// place.
+type staticRow struct {
+	count, taken, misses int
+	firstPC              uint64
+}
+
+// stripLen is how many records Feed fills and then accounts at a time:
+// one strip's rows take 12 KB, allocated on the first Feed and reused,
+// so the observer's memory does not grow with the block size.
+const stripLen = 1024
 
 // NewObserver returns an Observer for p with nothing fed yet. The
 // interference metrics need predictor.Indexed (with Probe or its Indexed
-// fallback for the lookup), the choice metrics predictor.Probe.
+// fallback for the lookup), the choice metrics predictor.Probe. A
+// predictor.ProbeBatcher fills the observer's rows with its own kernel.
 func NewObserver(p predictor.Predictor) *Observer {
 	o := &Observer{p: p, lookup: predictor.LookupOf(p)}
+	o.batch, _ = p.(predictor.ProbeBatcher)
 	if o.lookup != nil {
 		if ix, ok := p.(predictor.Indexed); ok {
 			o.inter = &InterferenceMetrics{Counters: ix.NumCounters()}
@@ -149,11 +163,8 @@ func (o *Observer) Branches() int { return o.branches }
 
 // grow extends the per-static arrays to cover n static ids.
 func (o *Observer) grow(n int) {
-	for len(o.counts) < n {
-		o.counts = append(o.counts, 0)
-		o.takens = append(o.takens, 0)
-		o.misses = append(o.misses, 0)
-		o.firstPC = append(o.firstPC, 0)
+	for len(o.statics) < n {
+		o.statics = append(o.statics, staticRow{})
 		o.shadow = append(o.shadow, counter.WeakTaken)
 	}
 }
@@ -161,93 +172,219 @@ func (o *Observer) grow(n int) {
 // Feed runs one block of records through the predictor, collecting the
 // metrics. A panic in the predictor propagates with the observer's
 // counts covering the records before the failing one.
+//
+// The block goes through in strips of stripLen records, each in two
+// passes: a fill that steps the predictor and writes one row per record
+// (the lookup before the update, and the miss), then account, the one
+// accounting loop, over the strip's rows.
 func (o *Observer) Feed(blk []trace.Record) {
-	need := len(o.counts)
-	for i := range blk {
-		if s := int(blk[i].Static); s >= need {
-			need = s + 1
-		}
+	if o.rows == nil {
+		o.rows = make([]predictor.ProbeRow, stripLen)
 	}
-	o.grow(need)
-	o.observeBlock(blk)
+	for len(blk) > 0 {
+		strip := blk[:min(len(blk), stripLen)]
+		rows := o.rows[:len(strip)]
+		if o.batch != nil {
+			o.batch.ProbeBatch(strip, rows)
+		} else {
+			o.fillEach(strip, rows)
+		}
+		o.account(strip, rows)
+		blk = blk[len(strip):]
+	}
 }
 
-// observeBlock is the instrumented per-record body, run over one block
-// whose static ids the per-static arrays already cover.
-func (o *Observer) observeBlock(blk []trace.Record) {
-	p, lookup, inter, lastWriter, choice := o.p, o.lookup, o.inter, o.lastWriter, o.choice
-	counts, takens, misses, firstPC, shadow := o.counts, o.takens, o.misses, o.firstPC, o.shadow
-	for _, rec := range blk {
-		s := int(rec.Static)
-		if counts[s] == 0 {
-			firstPC[s] = rec.PC &^ (1 << 63)
+// fillEach is the fill for predictors without a probe kernel: per record
+// the lookup, Predict and Update. When the predictor panics at record i,
+// it accounts the rows before it, so the counts cover exactly the
+// records before the failing one, and lets the panic go on.
+func (o *Observer) fillEach(recs []trace.Record, rows []predictor.ProbeRow) {
+	i := 0
+	defer func() {
+		if i < len(recs) {
+			o.account(recs[:i], rows[:i])
 		}
-
-		var look predictor.Lookup
+	}()
+	p, lookup := o.p, o.lookup
+	for ; i < len(recs); i++ {
+		rec := &recs[i]
+		look := predictor.Lookup{CounterID: -1, Bank: -1}
 		if lookup != nil {
 			look = lookup(rec.PC)
 		}
-
+		if o.inter != nil && look.CounterID >= len(o.lastWriter) {
+			panic(fmt.Sprintf("sim: %s looked up counter %d of %d", p.Name(), look.CounterID, len(o.lastWriter)))
+		}
 		pred := p.Predict(rec.PC)
-		miss := pred != rec.Taken
-		shadowMiss := shadow[s].Taken2() != rec.Taken
-
-		if inter != nil && look.CounterID >= 0 {
-			writer := lastWriter[look.CounterID]
-			switch {
-			case writer < 0:
-				inter.Cold++
-				if miss {
-					inter.ColdMispredicts++
-				}
-			case writer != int32(rec.Static):
-				inter.Aliased++
-				if miss {
-					inter.AliasedMispredicts++
-				}
-				switch {
-				case miss && !shadowMiss:
-					inter.Destructive++
-				case !miss && shadowMiss:
-					inter.Constructive++
-				default:
-					inter.Neutral++
-				}
-			}
-			lastWriter[look.CounterID] = int32(rec.Static)
-		}
-		if choice != nil && look.HasChoice {
-			choice.Branches++
-			if look.ChoiceTaken == rec.Taken {
-				choice.AgreeOutcome++
-			}
-			if pred == look.ChoiceTaken {
-				choice.PredictionAgrees++
-			}
-			if look.ChoiceTaken != rec.Taken && !miss {
-				choice.PartialHold++
-			}
-			if look.Bank >= 0 {
-				for len(choice.BankUse) <= look.Bank {
-					choice.BankUse = append(choice.BankUse, 0)
-				}
-				choice.BankUse[look.Bank]++
-			}
-		}
-
 		p.Update(rec.PC, rec.Taken)
-		shadow[s] = counter.SatNext(shadow[s], counter.OutcomeBit(rec.Taken))
-
-		counts[s]++
-		if rec.Taken {
-			takens[s]++
-		}
-		if miss {
-			misses[s]++
-			o.mispredicts++
-		}
-		o.branches++
+		// Field by field: a composite literal would be built on the stack
+		// and copied in wider words than it was written in, which stalls
+		// store forwarding on every record.
+		row := &rows[i]
+		row.CounterID = int32(look.CounterID)
+		row.Bank = int32(look.Bank)
+		row.ChoiceTaken = look.ChoiceTaken
+		row.HasChoice = look.HasChoice
+		row.Miss = pred != rec.Taken
 	}
+}
+
+// account folds one strip of filled rows into the metrics. It first
+// grows the per-static state to the strip's largest static id and the
+// bank-use list to every bank its choice rows select — the only
+// allocations accounting makes, kept out of the loop — then runs
+// accountRows.
+func (o *Observer) account(recs []trace.Record, rows []predictor.ProbeRow) {
+	need, banks := len(o.statics), 0
+	for i := range recs {
+		need = max(need, int(recs[i].Static)+1)
+		banks = max(banks, int(rows[i].Bank+1)*b2i(rows[i].HasChoice))
+	}
+	o.grow(need)
+	if m := o.choice; m != nil {
+		for len(m.BankUse) < banks {
+			m.BankUse = append(m.BankUse, 0)
+		}
+	}
+	o.accountRows(recs, rows)
+}
+
+// errStripShape is accountRows' panic value for rows that do not cover
+// the records, or a static id beyond the per-static arrays; Feed rules
+// both out.
+var errStripShape = errors.New("sim: observer strip does not match its rows or per-static arrays")
+
+// The event code accountRows files each record under: one bit per fact
+// the metrics are sums over. A strip's metrics are then sums of a
+// 64-bin histogram, so the loop keeps one counter array, not one
+// variable per metric.
+const (
+	evMiss      = 1 << iota // the prediction missed
+	evShadow                // the static's own-bias shadow counter missed
+	evCold                  // the counter had no writer yet
+	evAliased               // the counter's last writer was another static
+	evChoice                // the row carries a choice vote
+	evVoteWrong             // the vote disagreed with the outcome
+	evCodes     = 1 << iota
+)
+
+// accountRows is the observer's one accounting loop, over recs and their
+// filled rows in record order. Per record it updates the static's row
+// and shadow counter, classifies the counter access against the
+// counter's last writer, counts the choice row's bank, and files the
+// record in the event histogram; after the loop it folds the histogram
+// into the metrics. No branch in the loop depends on an outcome or a
+// prediction, data the host CPU's own predictor cannot learn: the
+// first-occurrence test is taken once per static, and the guards on the
+// counter id and the bank go one way for a whole predictor.
+//
+//bimode:hotpath
+func (o *Observer) accountRows(recs []trace.Record, rows []predictor.ProbeRow) {
+	statics, shadow := o.statics, o.shadow
+	n := len(statics)
+	if len(rows) < len(recs) || len(shadow) != n {
+		panic(errStripShape)
+	}
+	lastWriter := o.lastWriter
+	var bankUse []int
+	if o.choice != nil {
+		bankUse = o.choice.BankUse
+	}
+	var hist [evCodes]int32
+	for i := range recs {
+		rec := &recs[i]
+		row := &rows[i]
+		s := int(rec.Static)
+		if s >= n {
+			panic(errStripShape)
+		}
+		tk := counter.OutcomeBit(rec.Taken)
+		miss := b2i(row.Miss)
+		sh := shadow[s]
+		shadow[s] = counter.SatNext(sh, tk)
+		st := &statics[s]
+		if st.count == 0 {
+			st.firstPC = rec.PC &^ (1 << 63)
+		}
+		st.count++
+		st.taken += int(tk)
+		st.misses += miss
+
+		code := miss*evMiss | int(sh.TakenBit()^tk)*evShadow
+		if c := uint(row.CounterID); c < uint(len(lastWriter)) {
+			w := lastWriter[c]
+			cold := b2i(w < 0)
+			code |= cold*evCold | (b2i(w != int32(s))^cold)*evAliased
+			lastWriter[c] = int32(s)
+		}
+		has := b2i(row.HasChoice)
+		code |= has*evChoice | has&(b2i(row.ChoiceTaken)^int(tk))*evVoteWrong
+		hist[code&(evCodes-1)]++
+
+		use := has & b2i(row.Bank >= 0)
+		if b := uint(row.Bank) & -uint(use); b < uint(len(bankUse)) {
+			bankUse[b] += use
+		}
+	}
+
+	// The fold. An observer without interference or choice metrics folds
+	// into a local it then drops.
+	var noInter InterferenceMetrics
+	var noChoice ChoiceMetrics
+	inter, choice := o.inter, o.choice
+	if inter == nil {
+		inter = &noInter
+	}
+	if choice == nil {
+		choice = &noChoice
+	}
+	for code, k := range hist {
+		k := int(k)
+		missed := code&evMiss != 0
+		miss := k * (code & evMiss) // the bin's mispredictions
+		o.mispredicts += miss
+		switch {
+		case code&evCold != 0:
+			inter.Cold += k
+			inter.ColdMispredicts += miss
+		case code&evAliased != 0:
+			inter.Aliased += k
+			inter.AliasedMispredicts += miss
+			switch code & (evMiss | evShadow) {
+			case evMiss:
+				inter.Destructive += k
+			case evShadow:
+				inter.Constructive += k
+			default:
+				inter.Neutral += k
+			}
+		}
+		if code&evChoice != 0 {
+			wrong := code&evVoteWrong != 0
+			choice.Branches += k
+			if !wrong {
+				choice.AgreeOutcome += k
+			}
+			if wrong == missed { // the vote is the prediction
+				choice.PredictionAgrees += k
+			}
+			if wrong && !missed {
+				choice.PartialHold += k
+			}
+		}
+	}
+	o.branches += len(recs)
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// move, not a branch.
+//
+//bimode:hotpath
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Report summarizes everything fed so far, with the H2P ranking bounded
@@ -265,8 +402,8 @@ func (o *Observer) Report(topN int) *Report {
 	if o.branches > 0 {
 		rep.MispredictRate = float64(o.mispredicts) / float64(o.branches)
 	}
-	for _, c := range o.counts {
-		if c > 0 {
+	for _, st := range o.statics {
+		if st.count > 0 {
 			rep.StaticBranches++
 		}
 	}
@@ -280,7 +417,7 @@ func (o *Observer) Report(topN int) *Report {
 		rep.Choice = &m
 	}
 	if topN > 0 {
-		rep.TopBranches, rep.TopShare = rankBranches(o.counts, o.takens, o.misses, o.firstPC, o.mispredicts, topN)
+		rep.TopBranches, rep.TopShare = rankBranches(o.statics, o.mispredicts, topN)
 	}
 	return rep
 }
@@ -289,11 +426,11 @@ func (o *Observer) Report(topN int) *Report {
 // misprediction count (ties by static id for determinism). It selects
 // the top topN with a bounded heap and sorts only those, so a report
 // costs O(statics · log topN), not a sort of every static that missed.
-func rankBranches(counts, takens, misses []int, firstPC []uint64, totalMiss, topN int) ([]BranchMetrics, float64) {
-	h := &rankHeap{misses: misses}
-	for s, m := range misses {
+func rankBranches(statics []staticRow, totalMiss, topN int) ([]BranchMetrics, float64) {
+	h := &rankHeap{statics: statics}
+	for s := range statics {
 		switch {
-		case m == 0:
+		case statics[s].misses == 0:
 		case len(h.ids) < topN:
 			heap.Push(h, s)
 		case h.ranksAbove(s, h.ids[0]):
@@ -306,14 +443,15 @@ func rankBranches(counts, takens, misses []int, firstPC []uint64, totalMiss, top
 	out := make([]BranchMetrics, 0, len(order))
 	covered := 0
 	for _, s := range order {
-		covered += misses[s]
+		st := statics[s]
+		covered += st.misses
 		out = append(out, BranchMetrics{
 			Static:      uint32(s),
-			PC:          firstPC[s],
-			Count:       counts[s],
-			Taken:       takens[s],
-			Mispredicts: misses[s],
-			MissRate:    float64(misses[s]) / float64(counts[s]),
+			PC:          st.firstPC,
+			Count:       st.count,
+			Taken:       st.taken,
+			Mispredicts: st.misses,
+			MissRate:    float64(st.misses) / float64(st.count),
 		})
 	}
 	share := 0.0
@@ -326,15 +464,15 @@ func rankBranches(counts, takens, misses []int, firstPC []uint64, totalMiss, top
 // rankHeap holds the best static ids ranked so far, the lowest-ranked at
 // the root, so one comparison decides whether a new static enters.
 type rankHeap struct {
-	ids    []int
-	misses []int
+	ids     []int
+	statics []staticRow
 }
 
 // ranksAbove reports whether static a ranks above static b: more
 // mispredictions, or as many and a smaller id.
 func (h *rankHeap) ranksAbove(a, b int) bool {
-	if h.misses[a] != h.misses[b] {
-		return h.misses[a] > h.misses[b]
+	if ma, mb := h.statics[a].misses, h.statics[b].misses; ma != mb {
+		return ma > mb
 	}
 	return a < b
 }
@@ -394,9 +532,9 @@ func (o *Observer) Snapshot(dst []byte) []byte {
 			dst = binary.AppendUvarint(dst, uint64(u))
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(o.counts)))
-	for s := range o.counts {
-		for _, v := range [...]uint64{uint64(o.counts[s]), uint64(o.takens[s]), uint64(o.misses[s]), o.firstPC[s]} {
+	dst = binary.AppendUvarint(dst, uint64(len(o.statics)))
+	for _, st := range o.statics {
+		for _, v := range [...]uint64{uint64(st.count), uint64(st.taken), uint64(st.misses), st.firstPC} {
 			dst = binary.AppendUvarint(dst, v)
 		}
 	}
@@ -405,7 +543,7 @@ func (o *Observer) Snapshot(dst []byte) []byte {
 
 // Restore replaces the observer's whole state with one captured by
 // Snapshot from an observer over an identically configured predictor.
-// Data that does not describe a state the per-record body can reach —
+// Data that does not describe a state Feed can reach —
 // wrong predictor shape, counts that do not add up, trailing bytes — is
 // rejected; on error the observer's state is unspecified and it should
 // be discarded.
@@ -461,11 +599,12 @@ func (o *Observer) Restore(data []byte) (err error) {
 		}
 	}
 	n := int(next(uint64(r.Len())))
-	o.counts, o.takens, o.misses, o.firstPC, o.shadow = nil, nil, nil, nil, nil
+	o.statics, o.shadow = nil, nil
 	o.grow(n)
-	for s := 0; s < n; s++ {
-		o.counts[s], o.takens[s], o.misses[s] = int(next(math.MaxInt)), int(next(math.MaxInt)), int(next(math.MaxInt))
-		o.firstPC[s] = next(math.MaxInt64) // the backward bit is never stored
+	for s := range o.statics {
+		st := &o.statics[s]
+		st.count, st.taken, st.misses = int(next(math.MaxInt)), int(next(math.MaxInt)), int(next(math.MaxInt))
+		st.firstPC = next(math.MaxInt64) // the backward bit is never stored
 	}
 	if err != nil {
 		return err
@@ -476,25 +615,25 @@ func (o *Observer) Restore(data []byte) (err error) {
 	return o.validate()
 }
 
-// validate checks that a restored state is one the per-record body could
-// have produced: per-static rows within their occurrences and summing to
+// validate checks that a restored state is one Feed could have
+// produced: per-static rows within their occurrences and summing to
 // the totals, the aliasing and choice classes within their populations,
 // and every counter's writer a static seen so far.
 func (o *Observer) validate() error {
 	branches, misses := 0, 0
-	for s, c := range o.counts {
-		if o.takens[s] > c || o.misses[s] > c || c == 0 && (o.firstPC[s] != 0 || o.shadow[s] != counter.WeakTaken) {
+	for s, st := range o.statics {
+		if st.taken > st.count || st.misses > st.count || st.count == 0 && (st.firstPC != 0 || o.shadow[s] != counter.WeakTaken) {
 			return fmt.Errorf("static %d: impossible row", s)
 		}
-		branches += c
-		misses += o.misses[s]
+		branches += st.count
+		misses += st.misses
 	}
 	ok := branches == o.branches && misses == o.mispredicts
 	if m := o.inter; m != nil {
 		ok = ok && m.Destructive+m.Constructive+m.Neutral == m.Aliased && m.Aliased+m.Cold <= o.branches &&
 			m.AliasedMispredicts <= m.Aliased && m.ColdMispredicts <= m.Cold
 		for _, w := range o.lastWriter {
-			ok = ok && (w < 0 || int(w) < len(o.counts) && o.counts[w] > 0)
+			ok = ok && (w < 0 || int(w) < len(o.statics) && o.statics[w].count > 0)
 		}
 	}
 	if m := o.choice; m != nil {

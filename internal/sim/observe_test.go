@@ -263,3 +263,17 @@ func TestObserverRestoreRejects(t *testing.T) {
 		t.Error("an observer over a predictor without snapshots restored")
 	}
 }
+
+// TestObserverFeedAllocs: once the per-static arrays cover the trace's
+// statics and the strip rows exist, Feed allocates nothing, whether a
+// probe kernel or the generic fill writes the rows.
+func TestObserverFeedAllocs(t *testing.T) {
+	recs := observeWorkload(t, "gcc", 5000).Records()
+	for _, spec := range []string{"bimode:b=11", "gshare:i=12,h=12", "trimode:b=9", "agree:i=10,h=10,b=8", "gas:h=8,s=2", "taken"} {
+		o := sim.NewObserver(zoo.MustNew(spec))
+		o.Feed(recs) // grows the per-static arrays, the rows and the bank-use list
+		if n := testing.AllocsPerRun(10, func() { o.Feed(recs) }); n != 0 {
+			t.Errorf("%s: a steady-state Feed allocates %v times", spec, n)
+		}
+	}
+}

@@ -49,11 +49,15 @@ func TestRankBranchesMatchesFullSort(t *testing.T) {
 			firstPC[s] = uint64(0x1000 + 4*s)
 			total += misses[s]
 		}
+		statics := make([]staticRow, n)
+		for s := range statics {
+			statics[s] = staticRow{count: counts[s], taken: takens[s], misses: misses[s], firstPC: firstPC[s]}
+		}
 		for _, topN := range []int{1, 2, 5, 10, n, n + 7, math.MaxInt} {
 			if topN <= 0 {
 				continue
 			}
-			rows, share := rankBranches(counts, takens, misses, firstPC, total, topN)
+			rows, share := rankBranches(statics, total, topN)
 			got := []uint32{}
 			covered := 0
 			for _, r := range rows {
