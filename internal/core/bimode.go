@@ -441,7 +441,7 @@ func (b *BiMode) BankCounterState(bank int, pc uint64) counter.State {
 }
 
 // choiceStates appends the unpacked choice table to dst in index order;
-// the unpacked view behind the snapshot codec and the property tests.
+// the unpacked view behind the property tests.
 func (b *BiMode) choiceStates(dst []counter.State) []counter.State {
 	return unpackPlaneField(dst, b.choicePlane, fusedChoiceShift, 2)
 }

@@ -142,8 +142,8 @@ func fusedLUTFor(cfg Config) *[256]uint8 {
 
 // unpackPlaneField extracts the width-bit counter field at the given
 // shift from every byte of a packed plane, appending the states to dst.
-// Shared by the snapshot codec (which must emit the same wire bytes as
-// the unpacked tables it replaced) and the state-inspection test hooks.
+// Behind the state-inspection test hooks; the snapshot codec reads the
+// planes directly through counter.AppendField.
 func unpackPlaneField(dst []counter.State, plane []uint8, shift, width uint) []counter.State {
 	mask := uint8(1<<width - 1)
 	for _, b := range plane {

@@ -13,13 +13,13 @@ import (
 // shape checks inside counter/history reject the details.
 //
 // The wire format predates the packed plane layout and is kept
-// byte-identical to it: each logical table is unpacked into counter.State
-// scratch and encoded with counter.AppendStates exactly as the standalone
-// counter.Table it replaced would have, so snapshots taken before the
-// packing (the PR 5 journal corpus) restore into the packed planes and
-// vice versa. Restore goes through the same scratch in the other
-// direction, validating with counter.ReadStates before any plane byte is
-// touched.
+// byte-identical to it: each logical table's field is appended straight
+// from its plane by counter.AppendField, in the encoding
+// counter.AppendStates gives the standalone counter.Table it replaced, so
+// snapshots taken before the packing (the PR 5 journal corpus) restore
+// into the packed planes and vice versa. Restore unpacks into
+// counter.State scratch, validating with counter.ReadStates before any
+// plane byte is touched.
 const (
 	snapTagBiMode  = 0x01
 	snapTagTriMode = 0x02
@@ -28,10 +28,9 @@ const (
 // Snapshot implements predictor.Snapshotter.
 func (b *BiMode) Snapshot(dst []byte) []byte {
 	dst = append(dst, snapTagBiMode)
-	scratch := make([]counter.State, 0, len(b.choicePlane))
-	dst = counter.AppendStates(dst, 2, b.choiceStates(scratch))
-	dst = counter.AppendStates(dst, 2, b.bankStates(BankNotTaken, scratch[:0]))
-	dst = counter.AppendStates(dst, 2, b.bankStates(BankTaken, scratch[:0]))
+	dst = counter.AppendField(dst, 2, b.choicePlane, fusedChoiceShift)
+	dst = counter.AppendField(dst, 2, b.dirPlane, uint(BankNotTaken)*fusedBankTShift)
+	dst = counter.AppendField(dst, 2, b.dirPlane, uint(BankTaken)*fusedBankTShift)
 	return b.ghr.AppendSnapshot(dst)
 }
 
@@ -68,11 +67,9 @@ func (b *BiMode) RestoreSnapshot(data []byte) error {
 // Snapshot implements predictor.Snapshotter.
 func (t *TriMode) Snapshot(dst []byte) []byte {
 	dst = append(dst, snapTagTriMode)
-	scratch := make([]counter.State, 0, len(t.choicePlane))
-	dst = counter.AppendStates(dst, 3, t.choiceStates(scratch))
+	dst = counter.AppendField(dst, 3, t.choicePlane, 0)
 	for bank := 0; bank < 3; bank++ {
-		scratch = scratch[:0]
-		dst = counter.AppendStates(dst, 2, t.bankStates(bank, scratch))
+		dst = counter.AppendField(dst, 2, t.dirPlane, uint(bank)*2)
 	}
 	return t.ghr.AppendSnapshot(dst)
 }

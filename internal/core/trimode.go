@@ -266,18 +266,6 @@ func (t *TriMode) ProbeLookup(pc uint64) predictor.Lookup {
 	}
 }
 
-// choiceStates appends the unpacked confidence table to dst in index
-// order; behind the snapshot codec and tests.
-func (t *TriMode) choiceStates(dst []counter.State) []counter.State {
-	return unpackPlaneField(dst, t.choicePlane, 0, 3)
-}
-
-// bankStates appends the given bank's unpacked counters to dst in index
-// order.
-func (t *TriMode) bankStates(bank int, dst []counter.State) []counter.State {
-	return unpackPlaneField(dst, t.dirPlane, uint(bank)*2, 2)
-}
-
 // setChoiceStates overwrites the confidence table from an unpacked view.
 func (t *TriMode) setChoiceStates(states []counter.State) {
 	packPlaneField(t.choicePlane, states, 0, 3)

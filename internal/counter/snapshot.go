@@ -43,6 +43,21 @@ func AppendStates(dst []byte, bits int, entries []State) []byte {
 	return dst
 }
 
+// AppendField appends, in the AppendStates encoding, the bits-wide
+// counter field at bit offset shift of every byte of a packed plane: the
+// bytes AppendStates would write for the plane unpacked into States,
+// without the unpacked copy. Packed predictors snapshot their planes
+// through it.
+func AppendField(dst []byte, bits int, plane []uint8, shift uint) []byte {
+	dst = append(dst, byte(bits))
+	dst = binary.AppendUvarint(dst, uint64(len(plane)))
+	mask := uint8(1<<uint(bits) - 1)
+	for _, b := range plane {
+		dst = append(dst, b>>shift&mask)
+	}
+	return dst
+}
+
 // ReadStates consumes a counter-state sequence previously written by
 // AppendStates from the front of data, storing it into entries and
 // returning the remainder. The snapshot must match the given width and

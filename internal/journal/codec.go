@@ -137,6 +137,13 @@ func (d *Decoder) Blob() []byte {
 	return b
 }
 
+// Rest consumes and returns every byte left, aliasing the payload.
+func (d *Decoder) Rest() []byte {
+	rest := d.data
+	d.data = nil
+	return rest
+}
+
 // Err returns the first failure so far.
 func (d *Decoder) Err() error { return d.err }
 

@@ -85,13 +85,14 @@ func (e *VersionError) Error() string {
 
 // AppendRecord appends payload to dst as one framed record.
 func AppendRecord(dst, payload []byte) []byte {
-	return append(appendHeader(dst, payload), payload...)
+	return append(appendHeader(dst, len(payload), crc32.Checksum(payload, castagnoli)), payload...)
 }
 
-// appendHeader appends the frame header of payload to dst.
-func appendHeader(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+// appendHeader appends the frame header of an n-byte payload whose
+// CRC32-C is crc to dst.
+func appendHeader(dst []byte, n int, crc uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-8:], castagnoli))
 }
 
@@ -220,18 +221,29 @@ func (w *Writer) Size() int64 { return w.size }
 // process loses nothing Append acknowledged. After a failed append the
 // writer refuses further ones, leaving the partial record as a torn tail
 // for the next Open to cut.
-func (w *Writer) Append(payload []byte) error {
+func (w *Writer) Append(payload []byte) error { return w.AppendParts(payload, nil) }
+
+// AppendParts writes one record whose payload is head followed by body,
+// exactly as Append(append(head, body...)) would, without joining them:
+// a large body goes from the caller's buffer to the file with no copy.
+func (w *Writer) AppendParts(head, body []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("journal: %d-byte record over %d", len(payload), MaxRecord)
+	size := len(head) + len(body)
+	if size > MaxRecord {
+		return fmt.Errorf("journal: %d-byte record over %d", size, MaxRecord)
 	}
+	crc := crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, body)
 	var hdr [headerSize]byte
-	n, err := w.f.Write(appendHeader(hdr[:0], payload))
-	if err == nil {
+	var n int
+	var err error
+	for _, part := range [3][]byte{appendHeader(hdr[:0], size, crc), head, body} {
+		if len(part) == 0 || err != nil {
+			continue
+		}
 		var m int
-		m, err = w.f.Write(payload)
+		m, err = w.f.Write(part)
 		n += m
 	}
 	w.size += int64(n)

@@ -292,3 +292,45 @@ func FuzzJournalScan(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendPartsMatchesAppend: a record appended in two parts is the
+// record Append writes for the joined payload, byte for byte, and scans
+// back as one payload.
+func TestAppendPartsMatchesAppend(t *testing.T) {
+	dir := t.TempDir()
+	head, body := []byte("B\x05\x07"), bytes.Repeat([]byte("body bytes "), 1000)
+	joined := append(append([]byte(nil), head...), body...)
+	files := map[string]func(w *Writer) error{
+		"joined": func(w *Writer) error { return w.Append(joined) },
+		"parts":  func(w *Writer) error { return w.AppendParts(head, body) },
+		"head":   func(w *Writer) error { return w.AppendParts(joined, nil) },
+	}
+	var want []byte
+	for _, name := range []string{"joined", "parts", "head"} {
+		path := filepath.Join(dir, name)
+		w, err := Create(path, []byte("header"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := files[name](w); err != nil {
+			t.Fatal(err)
+		}
+		size := w.Size()
+		w.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) != size {
+			t.Fatalf("%s: Size %d, file %d bytes", name, size, len(data))
+		}
+		if want == nil {
+			want = data
+		} else if !bytes.Equal(data, want) {
+			t.Fatalf("%s: file differs from Append of the joined payload", name)
+		}
+	}
+	if got := loadAll(t, filepath.Join(dir, "parts")); len(got) != 2 || !bytes.Equal(got[1], joined) {
+		t.Fatalf("parts scan back as %d records", len(got))
+	}
+}

@@ -15,15 +15,26 @@ import (
 
 // The per-session journal: an append-only record file (internal/journal,
 // the framing sim.Journal shares), one per session, holding the
-// session's immutable header followed by one full state snapshot per
-// committed ingest request. Every record is in the file when its append
-// returns, a torn trailing record is dropped as the residue of a killed
-// writer, and damage anywhere else is refused rather than guessed at.
-// Where sim.Journal checkpoints a batch run's completed cells, this
-// journal checkpoints a live session: the last good snapshot record IS
-// the session's durable state, and a server (re)start or an LRU eviction
-// recovers a session by replaying nothing — it just reloads that
-// snapshot.
+// session's immutable header followed by one record per committed ingest
+// request. A commit logs either a full state snapshot or the request's
+// body verbatim; every record is in the file when its append returns, a
+// torn trailing record is dropped as the residue of a killed writer, and
+// damage anywhere else is refused rather than guessed at. Where
+// sim.Journal checkpoints a batch run's completed cells, this journal
+// checkpoints a live session: the session's durable state is the last
+// snapshot record plus the body records after it, and a server (re)start,
+// an LRU eviction or a rollback recovers the session by reloading that
+// snapshot and replaying those bodies through the ingest path
+// (session.applyBody) without the token bucket or the deadline.
+//
+// The commit rule (sessionJournal.wantsSnapshot): a body record is written
+// unless the body bytes logged since the last snapshot, this body
+// included, would exceed that snapshot's size, there is no snapshot yet,
+// a spec froze during the request (an injected or real panic need not
+// recur on replay), or compaction is due; in each of those cases the
+// commit is a full snapshot. So replay after any reload costs at most
+// one snapshot's worth of bodies, and a session whose bodies outweigh
+// its state snapshots on every commit, exactly as before.
 //
 // One writer per journal: a session's requests are serialized under the
 // session lock, so exactly one goroutine ever appends to a given file
@@ -32,26 +43,34 @@ import (
 // writer each).
 //
 // Growth is bounded by compaction: once the file exceeds the configured
-// threshold, it is rewritten as header + latest snapshot into a temp
-// file and atomically renamed into place, so a long-lived session's
-// journal stays proportional to its state, not its request count.
+// threshold, the next commit rewrites it as header + a fresh snapshot into
+// a temp file and atomically renames it into place, so a long-lived
+// session's journal stays proportional to its state, not its request
+// count.
 
 // journalVersion guards the record schema. Version 2 replaced the
 // hand-kept per-spec counters of version 1 with sim.Observer snapshots;
 // version 3 replaced version 2's JSON lines (base64 snapshots inside a
-// JSON envelope) with binary records. A journal of an older version is
-// refused (and quarantined), never converted.
-const journalVersion = 3
+// JSON envelope) with binary records; version 4 added body records. A
+// version-3 journal is a version-4 journal with no body records and loads
+// as one; anything older is refused (and quarantined), never converted.
+const (
+	journalVersion = 4
+	journalOldest  = 3 // the oldest header version this build loads
+)
 
 // The records, in the internal/journal codec. The header (tagHeader):
 // the version as a uvarint, id, name, specs, footnotes. A snapshot
 // (tagSnap): cursor; the site table as a count and one uvarint PC per
 // dense static id; the runtime footnotes; and per spec its string, then
 // specLive and the sim.Observer snapshot bytes as a blob, or specFrozen
-// and the frozen report as a JSON blob.
+// and the frozen report as a JSON blob. A body (tagBody): the cursor
+// before the request and the records it applied, as uvarints, then the
+// request body verbatim to the end of the record.
 const (
 	tagHeader  = 'H'
 	tagSnap    = 'S'
+	tagBody    = 'B'
 	specLive   = 'O'
 	specFrozen = 'F'
 )
@@ -86,13 +105,28 @@ type specSnap struct {
 	Frozen   *sim.Report
 }
 
+// bodyRecord is one logged request body: the cursor the session stood at
+// before it, the records it applied, and the body bytes (aliasing the
+// loaded file), plus where it sits in the file for a damage report.
+type bodyRecord struct {
+	at      int64
+	index   int
+	cursor  int
+	records int
+	body    []byte
+}
+
 // sessionJournal is a session's journal: its path and header always, and
-// the open writer while the session is resident.
+// the open writer while the session is resident. snapSize is the payload
+// size of the file's last snapshot record (0 while there is none) and
+// logged the body bytes logged after it: the commit rule's two inputs.
 type sessionJournal struct {
 	path      string
 	hdr       sessionHeader
 	w         *journal.Writer // nil while spilled
 	compactAt int64
+	snapSize  int
+	logged    int
 }
 
 // journalPath maps a session id to its file.
@@ -118,35 +152,43 @@ func readSessionHeader(path string) (sessionHeader, error) {
 	return l.hdr, l.err(err)
 }
 
-// openSessionJournal loads a journal — header plus the last good
-// snapshot, nil if none was ever committed — and reopens it for
-// appending. A torn final record is dropped; any other damage is an
-// error and the session is unrecoverable by contract (the caller
-// quarantines the file rather than serving guessed state).
-func openSessionJournal(path string, compactAt int64) (*sessionJournal, *sessionSnap, error) {
+// openSessionJournal loads a journal — header, the last good snapshot
+// (nil if none was ever committed) and the body records after it, in
+// order — and reopens it for appending. A torn final record is dropped;
+// any other damage is an error and the session is unrecoverable by
+// contract (the caller quarantines the file rather than serving guessed
+// state). The bodies are checked only for framing here; replaying them
+// (Server.restore) is what proves them.
+func openSessionJournal(path string, compactAt int64) (*sessionJournal, *sessionSnap, []bodyRecord, error) {
 	var l journalLoader
 	w, err := journal.Open(path, l.record)
 	if err != nil {
-		return nil, nil, l.err(err)
+		return nil, nil, nil, l.err(err)
 	}
 	var snap *sessionSnap
 	if l.snap != nil {
 		if snap, err = decodeSnap(l.snap); err != nil {
 			w.Close()
-			return nil, nil, l.err(&journal.DamageError{Offset: l.snapAt, Index: l.n - 1, Err: err})
+			return nil, nil, nil, l.err(&journal.DamageError{Offset: l.snapAt, Index: l.snapIndex, Err: err})
 		}
 	}
-	return &sessionJournal{path: path, hdr: l.hdr, w: w, compactAt: compactAt}, snap, nil
+	j := &sessionJournal{path: path, hdr: l.hdr, w: w, compactAt: compactAt, snapSize: len(l.snap)}
+	for _, b := range l.bodies {
+		j.logged += len(b.body)
+	}
+	return j, snap, l.bodies, nil
 }
 
-// journalLoader collects a journal's header and the payload of its last
-// snapshot; only that one is ever decoded, the checksums vouch for the
-// rest.
+// journalLoader collects a journal's header, the payload of its last
+// snapshot and the body records after that snapshot; only that snapshot
+// is ever decoded, the checksums vouch for the rest.
 type journalLoader struct {
-	n      int // records seen
-	hdr    sessionHeader
-	snap   []byte
-	snapAt int64 // offset of the last snapshot's record
+	n         int // records seen
+	hdr       sessionHeader
+	snap      []byte
+	snapAt    int64 // offset of the last snapshot's record
+	snapIndex int
+	bodies    []bodyRecord
 }
 
 func (l *journalLoader) record(at int64, payload []byte) error {
@@ -156,10 +198,22 @@ func (l *journalLoader) record(at int64, payload []byte) error {
 		l.hdr, err = decodeHeader(payload)
 		return err
 	}
-	if len(payload) == 0 || payload[0] != tagSnap {
-		return errors.New("record is not a snapshot")
+	switch {
+	case len(payload) > 0 && payload[0] == tagSnap:
+		l.snap, l.snapAt, l.snapIndex = payload, at, l.n-1
+		l.bodies = l.bodies[:0]
+	case len(payload) > 0 && payload[0] == tagBody:
+		d := journal.NewDecoder(payload)
+		d.Byte()
+		b := bodyRecord{at: at, index: l.n - 1, cursor: d.Int(), records: d.Int()}
+		b.body = d.Rest()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("body record: %w", err)
+		}
+		l.bodies = append(l.bodies, b)
+	default:
+		return errors.New("record is neither a snapshot nor a body")
 	}
-	l.snap, l.snapAt = payload, at
 	return nil
 }
 
@@ -186,7 +240,7 @@ func decodeHeader(payload []byte) (sessionHeader, error) {
 	if d.Byte() != tagHeader {
 		return sessionHeader{}, errors.New("session journal does not start with a header")
 	}
-	if v := d.Uvarint(math.MaxInt); d.Err() == nil && v != journalVersion {
+	if v := d.Uvarint(math.MaxInt); d.Err() == nil && (v < journalOldest || v > journalVersion) {
 		return sessionHeader{}, &journal.VersionError{Got: int(v), Want: journalVersion}
 	}
 	hdr := sessionHeader{ID: d.String(), Name: d.String(), Specs: d.Strings(), Footnotes: d.Strings()}
@@ -251,15 +305,49 @@ func decodeSnap(payload []byte) (*sessionSnap, error) {
 	return snap, nil
 }
 
-// append journals one encoded snapshot; when append returns, the record
-// is in the file, so a kill loses nothing the client was told is
-// committed. Once the file outgrows compactAt, it is compacted to header
-// + this snapshot.
-func (j *sessionJournal) append(snap []byte) error {
-	if j.compactAt > 0 && j.w.Size() > j.compactAt {
-		return j.w.Compact(appendHeader(nil, j.hdr), snap)
+// appendBodyHead appends a body record's head — the tag, the cursor
+// before the request and the records it applied — to dst.
+func appendBodyHead(dst []byte, cursor, records int) []byte {
+	dst = binary.AppendUvarint(append(dst, tagBody), uint64(cursor))
+	return binary.AppendUvarint(dst, uint64(records))
+}
+
+// wantsSnapshot applies the commit rule to a request that sent body and
+// froze a spec or not: true when the commit must be a full snapshot.
+func (j *sessionJournal) wantsSnapshot(body []byte, froze bool) bool {
+	return froze || j.snapSize == 0 || j.logged+len(body) > j.snapSize || j.compactDue()
+}
+
+// compactDue reports whether the file has outgrown compactAt.
+func (j *sessionJournal) compactDue() bool {
+	return j.compactAt > 0 && j.w.Size() > j.compactAt
+}
+
+// appendSnap journals one encoded snapshot, compacting the file to
+// header + this snapshot once it has outgrown compactAt. When it returns
+// the record is in the file, so a kill loses nothing the client was told
+// is committed.
+func (j *sessionJournal) appendSnap(snap []byte) error {
+	var err error
+	if j.compactDue() {
+		err = j.w.Compact(appendHeader(nil, j.hdr), snap)
+	} else {
+		err = j.w.Append(snap)
 	}
-	return j.w.Append(snap)
+	if err == nil {
+		j.snapSize, j.logged = len(snap), 0
+	}
+	return err
+}
+
+// appendBody journals a request body as one body record, written from
+// the caller's buffer without a copy.
+func (j *sessionJournal) appendBody(head, body []byte) error {
+	err := j.w.AppendParts(head, body)
+	if err == nil {
+		j.logged += len(body)
+	}
+	return err
 }
 
 // close releases the file handle; the journal stays on disk.

@@ -4,16 +4,23 @@ package serve
 // and every spilled session's return feeds. The writer is one
 // deterministic session — a bi-mode spec and a smith spec that panics
 // partway, so snapshots carry both a live observer and a frozen report —
-// fed three text bodies. For any file, the loader may only refuse it
-// with a typed error (*journal.DamageError or *journal.VersionError) or
-// load a header and snapshot that a server restores and then reports
-// exactly as the writer reported at that cursor. The seed corpus in
-// testdata/fuzz/FuzzLoadSessionJournal holds the writer's journal whole,
-// truncated at a record boundary and mid-record, with a flipped payload
-// byte, and a version-2 JSON-lines journal.
+// fed seven 100-record text bodies. Most of those bodies weigh less than
+// the session's snapshot, so the writer's journal interleaves snapshots
+// with body records (S B S B B S B). For any file, the loader may only
+// refuse it with a typed error (*journal.DamageError or
+// *journal.VersionError), a restore may only refuse it with a
+// *journal.DamageError (a body record that does not replay), and
+// otherwise the server restores a session that reports exactly as the
+// writer reported at that cursor. The seed corpus in
+// testdata/fuzz/FuzzLoadSessionJournal holds a version-3 journal of the
+// earlier all-snapshot writer whole, truncated at a record boundary and
+// mid-record, and with a flipped payload byte; a version-2 JSON-lines
+// journal; and this writer's journal whole, torn inside a body record,
+// and with a flipped body byte.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -32,6 +39,11 @@ import (
 
 // fuzzSpecs are the fuzz writer's specs; the second fails mid-run.
 var fuzzSpecs = []string{"bimode:b=8", "smith:a=8"}
+
+// fuzzBody is the records in each of the fuzz writer's text bodies: few
+// enough that most bodies weigh less than the session's snapshot, so the
+// writer's journal holds body records (runs of them) between snapshots.
+const fuzzBody = 100
 
 // fuzzBuild is the fuzz writer's (and restorer's) predictor seam.
 func fuzzBuild(spec string) (predictor.Predictor, error) {
@@ -77,8 +89,8 @@ func writeFuzzJournal(tb testing.TB, dir string) (string, map[int]Report) {
 	}
 	reports := map[int]Report{}
 	path := "/v1/sessions/" + rep.ID
-	recs := trace.Materialize(synth.MustWorkload(synth.Profiles()[0].WithDynamic(600))).Records()
-	for i := 0; ; i += 200 {
+	recs := trace.Materialize(synth.MustWorkload(synth.Profiles()[0].WithDynamic(700))).Records()
+	for i := 0; ; i += fuzzBody {
 		var r Report
 		if err := json.Unmarshal(serveLocal(tb, h, "GET", path, nil, http.StatusOK), &r); err != nil {
 			tb.Fatal(err)
@@ -87,7 +99,7 @@ func writeFuzzJournal(tb testing.TB, dir string) (string, map[int]Report) {
 		if i == len(recs) {
 			break
 		}
-		serveLocal(tb, h, "POST", path+"/branches", []byte(textBody(recs[i:i+200])), http.StatusOK)
+		serveLocal(tb, h, "POST", path+"/branches", []byte(textBody(recs[i:i+fuzzBody])), http.StatusOK)
 	}
 	return journalPath(dir, rep.ID), reports
 }
@@ -100,13 +112,9 @@ func FuzzLoadSessionJournal(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, snap, err := openSessionJournal(path, 0)
+		j, _, _, err := openSessionJournal(path, 0)
 		if err != nil {
-			var de *journal.DamageError
-			var ve *journal.VersionError
-			if !errors.As(err, &de) && !errors.As(err, &ve) {
-				t.Fatalf("untyped load error: %v", err)
-			}
+			requireTyped(t, "load", err)
 			return
 		}
 		j.close()
@@ -115,16 +123,10 @@ func FuzzLoadSessionJournal(f *testing.F) {
 			len(hdr.ID) != 16 || filepath.Base(hdr.ID) != hdr.ID {
 			t.Fatalf("loaded a header the writer never wrote: %+v", hdr)
 		}
-		cursor := 0
-		if snap != nil {
-			cursor = snap.Cursor
-		}
-		wantRep, ok := history[cursor]
-		if !ok {
-			t.Fatalf("loaded cursor %d, which the writer never committed", cursor)
-		}
 
-		// Restore it as a server start does, and read the report.
+		// Restore it as a server start does: the snapshot, then the body
+		// records replayed. Only a body record can still be refused here,
+		// and only as damage.
 		if err := os.Rename(path, journalPath(dir, hdr.ID)); err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +135,17 @@ func FuzzLoadSessionJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		sess := s.sessions[hdr.ID]
+		if err := s.restore(context.Background(), sess); err != nil {
+			requireTyped(t, "restore", err)
+			return
+		}
+		cursor := sess.cursor
+		sess.journal.close()
+		wantRep, ok := history[cursor]
+		if !ok {
+			t.Fatalf("restored cursor %d, which the writer never committed", cursor)
+		}
 		var got Report
 		if err := json.Unmarshal(serveLocal(t, s.Handler(), "GET", "/v1/sessions/"+hdr.ID, nil, http.StatusOK), &got); err != nil {
 			t.Fatal(err)
@@ -141,4 +154,15 @@ func FuzzLoadSessionJournal(f *testing.F) {
 			t.Fatalf("restored report at cursor %d differs from the writer's:\n got %+v\nwant %+v", cursor, got, wantRep)
 		}
 	})
+}
+
+// requireTyped fails the test unless err is a *journal.DamageError or a
+// *journal.VersionError.
+func requireTyped(t *testing.T, op string, err error) {
+	t.Helper()
+	var de *journal.DamageError
+	var ve *journal.VersionError
+	if !errors.As(err, &de) && !errors.As(err, &ve) {
+		t.Fatalf("untyped %s error: %v", op, err)
+	}
 }

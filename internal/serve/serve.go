@@ -8,11 +8,14 @@
 // The design center is crash-safety under hostile conditions — the
 // robustness contract the chaos suite (chaos_test.go) enforces:
 //
-//   - Durability. Every successful ingest journals a full session
+//   - Durability. Every successful ingest is journaled before it is
+//     acknowledged: as its request body verbatim, or as a full session
 //     snapshot (predictor state included, via predictor.Snapshotter)
-//     before it is acknowledged. A crash, kill, or eviction loses only
-//     requests that were never acknowledged; the client resumes from the
-//     reported cursor and reports come back byte-identical.
+//     once the bodies logged since the last one outweigh it. A crash,
+//     kill, or eviction loses only requests that were never
+//     acknowledged; a reload replays the logged bodies onto the last
+//     snapshot, the client resumes from the reported cursor, and reports
+//     come back byte-identical.
 //   - Bounded memory. Sessions past Config.MaxResident are spilled to
 //     their journals LRU-first; the total session count is capped.
 //   - Admission control. Concurrency (Config.MaxInFlight), body size
@@ -149,6 +152,9 @@ type counters struct {
 	overload        atomic.Int64
 	panics          atomic.Int64
 	buildRetries    atomic.Int64
+	snapshotCommits atomic.Int64
+	bodyCommits     atomic.Int64
+	replayed        atomic.Int64
 }
 
 // Server is the prediction service. Create with New, expose via Handler,
@@ -452,15 +458,7 @@ func (s *Server) makeResident(ctx context.Context, sess *session) error {
 		return nil
 	}
 	path := sess.journal.path
-	journal, snap, err := openSessionJournal(path, s.cfg.CompactBytes)
-	if err == nil {
-		sess.journal = journal
-		err = s.restoreState(ctx, sess, snap)
-		if err != nil {
-			journal.close()
-		}
-	}
-	if err != nil {
+	if err := s.restore(ctx, sess); err != nil {
 		quarantine(path)
 		s.mu.Lock()
 		delete(s.sessions, sess.id)
@@ -478,8 +476,8 @@ func (s *Server) makeResident(ctx context.Context, sess *session) error {
 // dropResident spills a session: journal closed, every byte of in-memory
 // state discarded. Caller holds the session lock. This is the one
 // transition shared by LRU eviction, rollback-on-error, and the chaos
-// suite's Kill — state reloads from the last committed snapshot either
-// way, which is what makes all three safe.
+// suite's Kill — state reloads from the journal (the last snapshot and
+// the bodies after it) either way, which is what makes all three safe.
 func (s *Server) dropResident(sess *session) {
 	if !sess.resident {
 		return
@@ -633,6 +631,9 @@ func (s *Server) varz() varzPayload {
 			"overload_rejects": s.ctr.overload.Load(),
 			"panics_recovered": s.ctr.panics.Load(),
 			"build_retries":    s.ctr.buildRetries.Load(),
+			"snapshot_commits": s.ctr.snapshotCommits.Load(),
+			"body_commits":     s.ctr.bodyCommits.Load(),
+			"replayed_records": s.ctr.replayed.Load(),
 		},
 		Process: map[string]json.RawMessage{},
 	}

@@ -8,8 +8,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sync"
 	"time"
 
+	"bimode/internal/journal"
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
 	"bimode/internal/trace"
@@ -22,13 +24,15 @@ import (
 //
 // Sessions live in two states. Resident: predictors in memory, journal
 // open, requests apply directly. Spilled: nothing in memory but the
-// header (id, name, admitted specs); the journal on disk holds the last
-// committed snapshot. The transition is free in both directions because
-// every successful ingest journals a full snapshot before it is
-// acknowledged — eviction just drops memory, and residency is restored
-// by reloading the snapshot. A crash (or Server.Kill, its test double)
-// is the same transition taken involuntarily: whatever was in memory is
-// gone, and the journal's last snapshot — the last acknowledged request
+// header (id, name, admitted specs); the journal on disk holds the
+// committed state as its last snapshot plus the request bodies logged
+// after it. Eviction is free because every successful ingest is
+// journaled, as a body record or a full snapshot, before it is
+// acknowledged — eviction just drops memory — and residency is restored
+// by reloading the snapshot and replaying those bodies through the same
+// applyBody the requests went through. A crash (or Server.Kill, its test
+// double) is the same transition taken involuntarily: whatever was in
+// memory is gone, and the journal — up to the last acknowledged request
 // — is exactly what comes back.
 //
 // Lock order: session.mu strictly before Server.mu. A session request
@@ -51,7 +55,8 @@ type session struct {
 
 	// Derived state, rebuilt on demand and dropped with the rest: the
 	// remap from binary bodies' static ids to session ids (see mapSites)
-	// and the buffer each commit encodes its snapshot record into.
+	// and the buffer each commit encodes its snapshot record, or its body
+	// record's head, into.
 	remap []uint32
 	enc   []byte
 
@@ -317,116 +322,228 @@ func (sess *session) report(topN int) Report {
 	return rep
 }
 
-// ingest streams one request body into the session: sniff the format,
-// decode, apply in bounded chunks (checking the deadline and the ingest
-// token bucket at every chunk boundary), and commit by journaling a
-// snapshot. Nothing is acknowledged before the journal append returns; on
-// ANY error the session's in-memory state is dropped and the journal's
-// last snapshot stands, so a failed request rolls back exactly to the
-// previous commit and the client retries from the reported cursor.
+// ingest applies one request body to the session and commits it. The
+// body is read whole into a pooled buffer (bounded by MaxBodyBytes, the
+// guard's limit), applied through applyBody with the deadline and the
+// ingest token bucket checked at every chunk, and committed by journaling
+// either the body itself or a full snapshot (sessionJournal.wantsSnapshot).
+// Nothing is acknowledged before the journal append returns; on ANY
+// error the session's in-memory state is dropped and the journal stands,
+// so a failed request rolls back exactly to the previous commit and the
+// client retries from the reported cursor.
 func (s *Server) ingest(ctx context.Context, sess *session, body io.Reader) (int, error) {
-	accepted, err := s.ingestApply(ctx, sess, body)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	start, notes := sess.cursor, len(sess.footnotes)
+	var accepted int
+	_, err := buf.ReadFrom(body)
+	if err != nil {
+		err = bodyError(err)
+	} else if accepted, err = sess.applyBody(buf.Bytes(), func(n int) error { return s.admit(ctx, n) }); err == nil {
+		err = s.commit(sess, buf.Bytes(), start, accepted, len(sess.footnotes) != notes)
+	}
 	if err != nil {
 		s.ctr.rollbacks.Add(1)
 		s.dropResident(sess)
 		return 0, err
 	}
-	if sess.enc, err = sess.appendSnap(sess.enc[:0]); err == nil {
-		err = sess.journal.append(sess.enc)
-	}
-	if err != nil {
-		s.ctr.rollbacks.Add(1)
-		s.dropResident(sess)
-		return 0, fmt.Errorf("serve: committing session %s: %w", sess.id, err)
-	}
 	s.ctr.ingested.Add(int64(accepted))
 	return accepted, nil
+}
+
+// bodyPool holds the buffers request bodies are read into. One buffer
+// serves a request from its first byte to its commit, which logs it
+// verbatim when the commit is a body record.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// commit journals an applied request: a body record for the records
+// accepted from cursor start on, or a full snapshot when the commit rule
+// asks for one.
+func (s *Server) commit(sess *session, body []byte, start, accepted int, froze bool) error {
+	var err error
+	snap := sess.journal.wantsSnapshot(body, froze)
+	if snap {
+		if sess.enc, err = sess.appendSnap(sess.enc[:0]); err == nil {
+			err = sess.journal.appendSnap(sess.enc)
+		}
+	} else {
+		sess.enc = appendBodyHead(sess.enc[:0], start, accepted)
+		err = sess.journal.appendBody(sess.enc, body)
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("serve: committing session %s: %w", sess.id, err)
+	case snap:
+		s.ctr.snapshotCommits.Add(1)
+	default:
+		s.ctr.bodyCommits.Add(1)
+	}
+	return nil
 }
 
 // ingestChunk is the unit of admission: deadline and rate are checked
 // per chunk, so a huge body cannot blow past either between checks.
 const ingestChunk = 4096
 
-func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader) (int, error) {
-	head := make([]byte, 4)
-	n, err := io.ReadFull(body, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, bodyError(err)
+// applyBody decodes one request body and applies its records to the
+// session in pieces of at most ingestChunk records, calling admit (when
+// non-nil) before each piece: live ingest gates every piece, journal
+// replay passes nil. It returns the records applied. Formats are sniffed
+// from the first bytes: a columnar ("BMC1") body is checked whole by
+// OpenColumnar — every block CRC, so a damaged body applies nothing —
+// and then decoded block by block into one reused buffer; a row ("BMT1")
+// body is read by trace.Read; anything else is the text capture format,
+// parsed a record at a time through the session's own site table. A
+// decode failure is a 400; records already applied when it surfaces are
+// the caller's to roll back.
+func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error) {
+	start := sess.cursor
+	apply := func(recs []trace.Record) error {
+		if len(recs) == 0 {
+			return nil
+		}
+		if admit != nil {
+			if err := admit(len(recs)); err != nil {
+				return err
+			}
+		}
+		sess.applyChunk(recs)
+		return nil
 	}
-	head = head[:n]
-	if string(head) == "BMT1" || trace.IsColumnar(head) {
-		// The body is read once, into a buffer that starts with the head.
-		data := bytes.NewBuffer(head)
-		if _, err := data.ReadFrom(body); err != nil {
-			return 0, bodyError(err)
-		}
-		mem, err := trace.Decode(data.Bytes())
-		if err != nil {
-			return 0, httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
-		}
-		// Decode materializes fresh records the session owns, so their
-		// static ids are remapped in place. The remap may grow to the
-		// session's sites plus the body's records: never more memory than
-		// the decoded body itself takes.
-		limit := len(sess.pcs) + mem.Len()
-		for recs := mem.Records(); len(recs) > 0; {
+	// applyBinary maps a binary block's client site ids into the
+	// session's and applies it. The remap may grow to the session's sites
+	// plus the body's records: never more than the body's own size.
+	applyBinary := func(recs []trace.Record, limit int) error {
+		for len(recs) > 0 {
 			k := min(len(recs), ingestChunk)
 			sess.mapSites(recs[:k], limit)
-			if err := s.admitChunk(ctx, sess, recs[:k]); err != nil {
-				return 0, err
+			if err := apply(recs[:k]); err != nil {
+				return err
 			}
 			recs = recs[k:]
 		}
-		return mem.Len(), nil
+		return nil
 	}
-
-	// Anything else is the text capture format, parsed record-at-a-time —
-	// a body never has to materialize. The body's transport errors are
-	// tracked out-of-band: when the limiter cuts the body mid-line, the
-	// scanner sees the partial line first and reports a parse error, but
-	// the truncation — not the parse — is the real failure.
-	tracked := &errTrackReader{r: body}
-	sc := trace.NewTextScanner(io.MultiReader(bytes.NewReader(head), tracked))
-	sc.SetSites(sess.sites)
-	start := sess.cursor
-	chunk := make([]trace.Record, 0, ingestChunk)
-	for sc.Scan() {
-		chunk = append(chunk, sc.Record())
-		if len(chunk) == ingestChunk {
-			sess.notePCs(chunk)
-			if err := s.admitChunk(ctx, sess, chunk); err != nil {
+	switch {
+	case trace.IsColumnar(body):
+		c, err := trace.OpenColumnar(body)
+		if err != nil {
+			return 0, badBody(err)
+		}
+		limit := len(sess.pcs) + c.Len()
+		for bs := c.BlockStream(); ; {
+			recs, err := bs.NextBlock()
+			if err != nil {
+				return 0, badBody(err)
+			}
+			if recs == nil {
+				break
+			}
+			if err := applyBinary(recs, limit); err != nil {
 				return 0, err
 			}
-			chunk = chunk[:0]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		if tracked.err != nil {
-			return 0, bodyError(tracked.err)
+	case bytes.HasPrefix(body, []byte("BMT1")):
+		mem, err := trace.Read(bytes.NewReader(body))
+		if err != nil {
+			return 0, badBody(err)
 		}
-		return 0, httpErrorf(http.StatusBadRequest, "%v", err)
-	}
-	sess.notePCs(chunk)
-	if err := s.admitChunk(ctx, sess, chunk); err != nil {
-		return 0, err
+		if err := applyBinary(mem.Records(), len(sess.pcs)+mem.Len()); err != nil {
+			return 0, err
+		}
+	default:
+		sc := trace.NewTextScanner(bytes.NewReader(body))
+		sc.SetSites(sess.sites)
+		chunk := make([]trace.Record, 0, ingestChunk)
+		for sc.Scan() {
+			chunk = append(chunk, sc.Record())
+			if len(chunk) == ingestChunk {
+				sess.notePCs(chunk)
+				if err := apply(chunk); err != nil {
+					return 0, err
+				}
+				chunk = chunk[:0]
+			}
+		}
+		if err := sc.Err(); err != nil {
+			return 0, httpErrorf(http.StatusBadRequest, "%v", err)
+		}
+		sess.notePCs(chunk)
+		if err := apply(chunk); err != nil {
+			return 0, err
+		}
 	}
 	return sess.cursor - start, nil
 }
 
-// admitChunk applies the per-chunk gates — the request deadline and the
-// shared ingest token bucket — and then the chunk itself.
-func (s *Server) admitChunk(ctx context.Context, sess *session, recs []trace.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
+// badBody is the 400 of a binary body that does not decode.
+func badBody(err error) error {
+	return httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
+}
+
+// admit applies the per-chunk gates of live ingest: the request deadline
+// and the shared ingest token bucket.
+func (s *Server) admit(ctx context.Context, n int) error {
 	if err := ctx.Err(); err != nil {
 		return ctxError(err)
 	}
-	if wait, ok := s.bucket.take(len(recs)); !ok {
+	if wait, ok := s.bucket.take(n); !ok {
 		s.ctr.overload.Add(1)
 		return overloadError("ingest rate", wait)
 	}
-	sess.applyChunk(recs)
+	return nil
+}
+
+// restore makes a spilled session resident from its journal: the last
+// snapshot (restoreState), then every body record after it (replay).
+func (s *Server) restore(ctx context.Context, sess *session) error {
+	j, snap, bodies, err := openSessionJournal(sess.journal.path, s.cfg.CompactBytes)
+	if err != nil {
+		return err
+	}
+	sess.journal = j
+	if err = s.restoreState(ctx, sess, snap); err == nil {
+		err = s.replay(sess, bodies)
+	}
+	if err != nil {
+		j.close()
+	}
+	return err
+}
+
+// replay applies a journal's body records, in order, through applyBody
+// with no gates. A body record that does not replay to exactly what its
+// writer committed — it fails to decode, starts or ends off its recorded
+// cursors, or freezes a spec — is a *journal.DamageError, and the caller
+// quarantines the file. Replay takes no context on purpose: the commit
+// rule bounds it to about one snapshot's worth of bodies, and it runs to
+// the end, so that a deadline can never pass for damage.
+func (s *Server) replay(sess *session, bodies []bodyRecord) error {
+	for _, b := range bodies {
+		if err := sess.replayBody(b); err != nil {
+			return &journal.DamageError{Offset: b.at, Index: b.index, Err: err}
+		}
+		s.ctr.replayed.Add(int64(b.records))
+	}
+	return nil
+}
+
+// replayBody applies one logged body as its commit did.
+func (sess *session) replayBody(b bodyRecord) error {
+	if sess.cursor != b.cursor {
+		return fmt.Errorf("body record starts at cursor %d, session is at %d", b.cursor, sess.cursor)
+	}
+	notes := len(sess.footnotes)
+	n, err := sess.applyBody(b.body, nil)
+	switch {
+	case err != nil:
+		return fmt.Errorf("replaying body record: %w", err)
+	case len(sess.footnotes) != notes:
+		return fmt.Errorf("replaying body record froze a spec: %s", sess.footnotes[notes])
+	case n != b.records:
+		return fmt.Errorf("body record replays %d records, its commit applied %d", n, b.records)
+	}
 	return nil
 }
 
@@ -448,20 +565,4 @@ func bodyError(err error) error {
 		return httpErrorf(http.StatusRequestEntityTooLarge, "request body over %d bytes", mbe.Limit)
 	}
 	return httpErrorf(http.StatusBadRequest, "reading request body: %v", err)
-}
-
-// errTrackReader remembers the first transport error a body read hits,
-// so the ingest can tell a truncated body from a malformed one even when
-// the truncation point parses as garbage first.
-type errTrackReader struct {
-	r   io.Reader
-	err error
-}
-
-func (t *errTrackReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if err != nil && err != io.EOF && t.err == nil {
-		t.err = err
-	}
-	return n, err
 }

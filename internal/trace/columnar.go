@@ -398,7 +398,9 @@ func (it *columnarBlocks) NextBlock() ([]Record, error) {
 	b := it.next
 	it.next++
 	if it.scratch == nil {
-		it.scratch = make([]Record, it.c.blockSize)
+		// No block holds more than the whole trace, whatever block size
+		// the header declares.
+		it.scratch = make([]Record, min(it.c.blockSize, it.c.count))
 	}
 	recs, err := decodeColumnarBlock(it.c.data, it.c.blocks[b], int64(b), it.c.statics, it.scratch)
 	if err != nil {

@@ -451,3 +451,22 @@ func TestColumnarMaterializeBlockPath(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnarScratchBoundedByCount: a file may declare any block size up
+// to maxColumnarBlock, but the block iterator's buffer holds no more
+// records than the file does, so a few-record body cannot make its
+// decoder allocate a megarecord buffer.
+func TestColumnarScratchBoundedByCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteColumnarBlocks(&buf, synthetic("tiny", 3), maxColumnarBlock); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenColumnar(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := c.BlockStream().NextBlock()
+	if err != nil || len(blk) != 3 || cap(blk) != 3 {
+		t.Fatalf("block of %d records in a buffer of %d (err %v), want 3 in 3", len(blk), cap(blk), err)
+	}
+}

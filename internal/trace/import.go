@@ -18,8 +18,12 @@ import (
 
 // Decode sniffs the magic of an encoded trace and materializes it: row
 // varint files ("BMT1") through Read, columnar files ("BMC1") through
-// OpenColumnar. Tools that only ever iterate batches should prefer
-// OpenColumnar directly and keep the zero-copy handle.
+// OpenColumnar and then every block into one fresh, zeroed []Record of
+// the whole trace. It is for callers that want the records as a slice
+// (cmd/tracecat, cmd/tracegen, the api.DecodeTrace facade, the
+// benchmark). Anything that only iterates batches should take
+// OpenColumnar's zero-copy handle and its BlockStream instead, as the
+// prediction service does for its request bodies.
 func Decode(data []byte) (*Memory, error) {
 	if len(data) >= len(columnarMagic) && string(data[:len(columnarMagic)]) == columnarMagic {
 		c, err := OpenColumnar(data)
