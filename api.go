@@ -204,18 +204,10 @@ func NewTriMode(cfg BiModeConfig) (*TriMode, error) { return core.NewTriMode(cfg
 
 // RunDelayed simulates with a resolution lag: each branch's outcome is
 // applied only after `lag` further predictions, modeling non-speculative
-// predictor update in a pipeline.
+// predictor update in a pipeline. Its error contract is Run's: a decode
+// error from a damaged block source panics with the typed error, which
+// RunAll's per-job recovery turns into the cell's Result.Err.
 func RunDelayed(p Predictor, src Source, lag int) Result { return sim.RunDelayed(p, src, lag) }
-
-// RunSpeculative simulates realistic speculative history management with
-// checkpoint/repair and refetch; the predictor must implement
-// SpeculativeHistory (gshare and bi-mode do).
-func RunSpeculative(p Predictor, src Source, lag int) Result {
-	return sim.RunSpeculative(p, src, lag)
-}
-
-// SpeculativeHistory is the capability RunSpeculative requires.
-type SpeculativeHistory = predictor.SpeculativeHistory
 
 // PipelineModel converts misprediction rates into CPI estimates.
 type PipelineModel = sim.PipelineModel

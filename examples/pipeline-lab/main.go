@@ -52,14 +52,7 @@ func main() {
 		fmt.Printf("  lag %-3d  gshare %5.2f%%   smith %5.2f%%\n",
 			lag, 100*g.MispredictRate(), 100*s.MispredictRate())
 	}
-	fmt.Println("\nspeculative history with checkpoint/repair recovers nearly all of it:")
-	for _, lag := range []int{0, 16, 64} {
-		g := bimode.RunSpeculative(must(bimode.NewPredictor("gshare:i=12,h=12")), workload, lag)
-		b := bimode.RunSpeculative(bimode.DefaultBiMode(11), workload, lag)
-		fmt.Printf("  lag %-3d  gshare %5.2f%%   bi-mode %5.2f%%\n",
-			lag, 100*g.MispredictRate(), 100*b.MispredictRate())
-	}
-	fmt.Println("\nhistory predictors need speculative history management; PC-indexed")
+	fmt.Println("\na history register that lags the fetch stream hurts gshare; PC-indexed")
 	fmt.Println("tables barely notice the lag.")
 }
 

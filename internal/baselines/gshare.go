@@ -192,22 +192,6 @@ func (g *Gshare) ProbeLookup(pc uint64) predictor.Lookup {
 	return predictor.Lookup{CounterID: i, Bank: i >> uint(g.histBits)}
 }
 
-// HistoryValue implements predictor.SpeculativeHistory.
-func (g *Gshare) HistoryValue() uint64 { return g.ghr.Value() }
-
-// SetHistory implements predictor.SpeculativeHistory.
-func (g *Gshare) SetHistory(v uint64) { g.ghr.Set(v) }
-
-// PushHistory implements predictor.SpeculativeHistory.
-func (g *Gshare) PushHistory(taken bool) { g.ghr.Push(taken) }
-
-// UpdateCounters implements predictor.SpeculativeHistory: train the
-// counter the supplied history snapshot indexes, leaving the register
-// untouched.
-func (g *Gshare) UpdateCounters(pc uint64, history uint64, taken bool) {
-	g.table.Update(int(((pc>>2)^history)&g.idxMask), taken)
-}
-
 // Gselect is McFarling's gselect predictor: the index concatenates global
 // history bits with branch-address bits instead of XOR-ing them. It is
 // included for the two-level design-space studies in the analysis tooling.

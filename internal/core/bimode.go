@@ -227,12 +227,12 @@ func (b *BiMode) Predict(pc uint64) bool {
 // whose bit fusedMissShift is the mispredict bit. The masks are the
 // planes' lengths minus one; the guard that checks it lets the prove
 // pass drop the bounds checks, and in a caller that computed the masks
-// from the lengths it proves away too. Update, Step and UpdateCounters
-// reach it through stepAt; ProbeBatch inlines it with the planes, masks
-// and LUT in locals. RunBatch keeps the same three lines written out:
-// inlined into its two-way unrolled loop, the helper made the register
-// allocator spill the LUT value to the stack on every record, about 10%
-// of RunBatch's time per record.
+// from the lengths it proves away too. Update and Step reach it through
+// stepAt; ProbeBatch inlines it with the planes, masks and LUT in locals.
+// RunBatch keeps the same three lines written out: inlined into its
+// two-way unrolled loop, the helper made the register allocator spill the
+// LUT value to the stack on every record, about 10% of RunBatch's time
+// per record.
 //
 //bimode:hotpath
 func fusedStep(lut *[256]uint8, choice, dir []uint8, chMask, dirMask, ci, di uint64, tk uint8) uint8 {
@@ -463,23 +463,4 @@ func (b *BiMode) setChoiceStates(states []counter.State) {
 // length.
 func (b *BiMode) setBankStates(bank int, states []counter.State) {
 	packPlaneField(b.dirPlane, states, uint(bank)*fusedBankTShift, 2)
-}
-
-// HistoryValue implements predictor.SpeculativeHistory.
-func (b *BiMode) HistoryValue() uint64 { return b.ghr.Value() }
-
-// SetHistory implements predictor.SpeculativeHistory.
-func (b *BiMode) SetHistory(v uint64) { b.ghr.Set(v) }
-
-// PushHistory implements predictor.SpeculativeHistory.
-func (b *BiMode) PushHistory(taken bool) { b.ghr.Push(taken) }
-
-// UpdateCounters implements predictor.SpeculativeHistory: the full
-// bi-mode update policy (selective bank training, partial choice update)
-// indexed with the supplied history snapshot, leaving the register
-// untouched.
-func (b *BiMode) UpdateCounters(pc uint64, history uint64, taken bool) {
-	ci := b.choiceIndex(pc)
-	di := int(((pc >> 2) ^ history) & b.dirMask)
-	b.stepAt(ci, di, counter.OutcomeBit(taken))
 }

@@ -236,7 +236,7 @@ func TestResetRestoresInitialState(t *testing.T) {
 		t.Fatalf("trained predictor should predict not-taken")
 	}
 	b.Reset()
-	if !b.Predict(pc) || b.HistoryValue() != 0 {
+	if !b.Predict(pc) || b.ghr.Value() != 0 {
 		t.Fatalf("reset must restore initialization and clear history")
 	}
 }

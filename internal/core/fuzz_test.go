@@ -59,8 +59,8 @@ func FuzzRunBatchVsGeneric(f *testing.F) {
 			t.Fatalf("%s over %d records: RunBatch missed %d, generic %d",
 				fused.Name(), len(recs), gotMiss, wantMiss)
 		}
-		if fused.HistoryValue() != ref.HistoryValue() {
-			t.Fatalf("history diverged: %#x vs %#x", fused.HistoryValue(), ref.HistoryValue())
+		if fused.ghr.Value() != ref.ghr.Value() {
+			t.Fatalf("history diverged: %#x vs %#x", fused.ghr.Value(), ref.ghr.Value())
 		}
 		if !bytes.Equal(fused.Snapshot(nil), ref.Snapshot(nil)) {
 			t.Fatalf("%s: final table state diverged from the generic loop", fused.Name())

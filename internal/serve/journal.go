@@ -87,12 +87,15 @@ type sessionHeader struct {
 // sessionSnap is one committed state snapshot, decoded: everything
 // needed to rebuild the session exactly — the site table (dense static
 // id -> PC, so the slice index is the id), the cursor, runtime footnotes
-// accrued since creation, and per-spec state.
+// accrued since creation, and per-spec state — plus where its record
+// sits in the file, for a damage report.
 type sessionSnap struct {
 	Cursor    int
 	PCs       []uint64
 	Footnotes []string
 	Specs     []specSnap
+	at        int64
+	index     int
 }
 
 // specSnap is one predictor's slice of a snapshot: a live spec's
@@ -171,6 +174,7 @@ func openSessionJournal(path string, compactAt int64) (*sessionJournal, *session
 			w.Close()
 			return nil, nil, nil, l.err(&journal.DamageError{Offset: l.snapAt, Index: l.snapIndex, Err: err})
 		}
+		snap.at, snap.index = l.snapAt, l.snapIndex
 	}
 	j := &sessionJournal{path: path, hdr: l.hdr, w: w, compactAt: compactAt, snapSize: len(l.snap)}
 	for _, b := range l.bodies {
@@ -373,4 +377,12 @@ func (j *sessionJournal) remove() error {
 // reused while the evidence survives for inspection.
 func quarantine(path string) {
 	os.Rename(path, path+".damaged")
+}
+
+// damaged reports whether a restore failed because of the journal's
+// bytes: a *journal.DamageError or a *journal.VersionError.
+func damaged(err error) bool {
+	var de *journal.DamageError
+	var ve *journal.VersionError
+	return errors.As(err, &de) || errors.As(err, &ve)
 }

@@ -15,11 +15,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bimode/internal/journal"
 	"bimode/internal/predictor"
+	"bimode/internal/sim"
 	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
@@ -404,5 +406,96 @@ func TestJournalBodyDamage(t *testing.T) {
 				t.Fatalf("journal not quarantined: %v", err)
 			}
 		})
+	}
+}
+
+// TestJournalRestoreBuildFailureKeepsJournal: a spilled session whose
+// predictors will not build at restore time, past every retry, answers
+// 503 with a Retry-After and stays registered with its journal
+// untouched; once the builder heals, the session restores to the report
+// it had before the spill.
+func TestJournalRestoreBuildFailureKeepsJournal(t *testing.T) {
+	var broken atomic.Bool
+	dir := t.TempDir()
+	s, base := newTestServer(t, Config{
+		Dir:          dir,
+		MaxRetries:   2,
+		RetryBackoff: time.Millisecond,
+		Build: func(spec string) (predictor.Predictor, error) {
+			if broken.Load() {
+				return nil, sim.Transient(errors.New("injected construction failure"))
+			}
+			return zoo.New(spec)
+		},
+	})
+	recs := testTrace(t, 3000).Records()
+	id := createSession(t, base, "bimode:b=11", "gshare:i=12,h=12").ID
+	ingestText(t, base, id, textBody(recs[:2000]))
+	ingestText(t, base, id, textBody(recs[2000:]))
+	before, _ := rawReport(t, base, id)
+	path := journalPath(dir, id)
+	if tags := journalTags(t, path); tags != "HSB" {
+		t.Fatalf("journal records %q, want HSB", tags)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.KillSession(id) {
+		t.Fatal("KillSession found no session")
+	}
+
+	broken.Store(true)
+	for i := 0; i < 2; i++ {
+		resp := doJSON(t, "GET", base+"/v1/sessions/"+id, nil, nil)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("restore with a failing builder: status %d, want 503", resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("503 without Retry-After")
+		}
+	}
+	if damaged, _ := filepath.Glob(filepath.Join(dir, "*.damaged")); len(damaged) != 0 {
+		t.Fatalf("a sound journal was quarantined: %v", damaged)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, file) {
+		t.Fatalf("the failed restore changed the journal (%v)", err)
+	}
+
+	broken.Store(false)
+	if after, _ := rawReport(t, base, id); !bytes.Equal(after, before) {
+		t.Fatalf("report after the builder healed differs:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestJournalRestoreMismatchIsDamage: a snapshot that the freshly built
+// predictor refuses (here, a builder that now makes a smaller bi-mode
+// for the same spec) is the journal's fault: a *journal.DamageError at
+// the snapshot's record, 410 and quarantine.
+func TestJournalRestoreMismatchIsDamage(t *testing.T) {
+	dir := t.TempDir()
+	s1, base := newTestServer(t, Config{Dir: dir})
+	id := createSession(t, base, "bimode:b=11").ID
+	ingestText(t, base, id, textBody(testTrace(t, 500).Records()))
+	s1.Kill()
+
+	s2, err := New(Config{Dir: dir, Build: func(string) (predictor.Predictor, error) {
+		return zoo.New("bimode:b=10")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var de *journal.DamageError
+	if err := s2.restore(context.Background(), s2.sessions[id]); !errors.As(err, &de) || de.Index != 1 {
+		t.Fatalf("restore: %v, want a *journal.DamageError at record 1", err)
+	}
+	rr := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/sessions/"+id, nil))
+	if rr.Code != http.StatusGone {
+		t.Fatalf("status %d, want 410", rr.Code)
+	}
+	if _, err := os.Stat(journalPath(dir, id) + ".damaged"); err != nil {
+		t.Fatalf("journal not quarantined: %v", err)
 	}
 }

@@ -451,14 +451,25 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request,
 }
 
 // makeResident loads a spilled session from its journal. Caller holds
-// the session lock. A journal that cannot be trusted is quarantined and
-// the session unregistered: 410 Gone, never guessed-at state.
+// the session lock. A journal that cannot be trusted — a typed damage or
+// version error — is quarantined and the session unregistered: 410 Gone,
+// never guessed-at state. Any other failure is not the file's fault (a
+// predictor that will not build, a deadline that cut its retries short):
+// the session stays registered and spilled, its journal untouched, and
+// the client is told to retry.
 func (s *Server) makeResident(ctx context.Context, sess *session) error {
 	if sess.resident {
 		return nil
 	}
 	path := sess.journal.path
 	if err := s.restore(ctx, sess); err != nil {
+		if !damaged(err) {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return ctxError(ctxErr)
+			}
+			return &httpError{code: http.StatusServiceUnavailable,
+				msg: fmt.Sprintf("session %s not restored: %v", sess.id, err), retryAfter: time.Second}
+		}
 		quarantine(path)
 		s.mu.Lock()
 		delete(s.sessions, sess.id)

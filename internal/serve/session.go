@@ -227,10 +227,12 @@ func (sess *session) feed(sp *specState, recs []trace.Record) {
 
 // restoreState rebuilds the session's in-memory state from a journal
 // snapshot (nil = a session that never committed: fresh predictors, zero
-// counts). Predictor construction retries transients like creation did;
-// any mismatch between the snapshot and freshly built predictors means
-// the journal does not describe this server's world, and the session is
-// unrecoverable rather than approximately recovered.
+// counts). Predictor construction retries transients like creation did,
+// and a predictor that will not build is returned as is: the journal is
+// not at fault. Any mismatch between the snapshot and freshly built
+// predictors means the journal does not describe this server's world;
+// that is a *journal.DamageError at the snapshot's record, and the
+// session is unrecoverable rather than approximately recovered.
 func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionSnap) error {
 	admitted := sess.specsAdmitted()
 	if snap == nil {
@@ -239,13 +241,16 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 			snap.Specs[i].Spec = spec
 		}
 	}
+	damage := func(format string, args ...any) error {
+		return &journal.DamageError{Offset: snap.at, Index: snap.index, Err: fmt.Errorf(format, args...)}
+	}
 	if len(snap.Specs) != len(admitted) {
-		return fmt.Errorf("snapshot has %d specs, session admitted %d", len(snap.Specs), len(admitted))
+		return damage("snapshot has %d specs, session admitted %d", len(snap.Specs), len(admitted))
 	}
 	specs := make([]*specState, 0, len(admitted))
 	for i, ss := range snap.Specs {
 		if ss.Spec != admitted[i] {
-			return fmt.Errorf("snapshot spec %d is %q, session admitted %q", i, ss.Spec, admitted[i])
+			return damage("snapshot spec %d is %q, session admitted %q", i, ss.Spec, admitted[i])
 		}
 		if ss.Frozen != nil {
 			// A disabled spec never runs again: its frozen report is all
@@ -258,15 +263,17 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 		if err == nil {
 			sp, err = newSpecState(ss.Spec, p)
 		}
-		if err == nil && ss.Observer != nil {
-			err = sp.obs.Restore(ss.Observer)
-		}
 		if err != nil {
 			return fmt.Errorf("restoring %q: %w", ss.Spec, err)
 		}
+		if ss.Observer != nil {
+			if err := sp.obs.Restore(ss.Observer); err != nil {
+				return damage("restoring %q: %w", ss.Spec, err)
+			}
+		}
 		// A live spec has seen every committed record.
 		if sp.obs.Branches() != snap.Cursor {
-			return fmt.Errorf("spec %q has seen %d records, cursor is %d", ss.Spec, sp.obs.Branches(), snap.Cursor)
+			return damage("spec %q has seen %d records, cursor is %d", ss.Spec, sp.obs.Branches(), snap.Cursor)
 		}
 		specs = append(specs, sp)
 	}
@@ -275,7 +282,7 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 		sites[pc] = uint32(st)
 	}
 	if len(sites) != len(snap.PCs) {
-		return errors.New("snapshot site table repeats a PC")
+		return damage("snapshot site table repeats a PC")
 	}
 	sess.pcs, sess.sites = append([]uint64(nil), snap.PCs...), sites
 	sess.cursor = snap.Cursor

@@ -6,6 +6,8 @@ package sim_test
 // 64Ki multiple, for every source shape and every engine tier, must give
 // exactly what the capability-free RunGeneric loop gives. The suite-trace
 // oracles never reach a block boundary; this test exists to cross them.
+// RunDelayed, which runs through the same driver behind a lag adapter,
+// is held to its stream-loop oracle here too.
 
 import (
 	"context"
@@ -106,10 +108,15 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 						}
 					}
 				}
+				const lag = 3
+				delayed := runDelayedLoop(zoo.MustNew(spec), mem, lag)
 				var firstRep *sim.Report
 				for _, s := range sources {
 					if got := sim.Run(zoo.MustNew(spec), s.src); got != ref {
 						t.Errorf("%s: Run %+v != generic %+v", s.name, got, ref)
+					}
+					if got := sim.RunDelayed(zoo.MustNew(spec), s.src, lag); got != delayed {
+						t.Errorf("%s: RunDelayed %+v != its loop %+v", s.name, got, delayed)
 					}
 					job := sim.Job{Make: func() predictor.Predictor { return zoo.MustNew(spec) }, Source: s.src}
 					if got := sched.RunAll([]sim.Job{job})[0]; got != ref {

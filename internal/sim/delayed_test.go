@@ -5,7 +5,6 @@ import (
 
 	"bimode/internal/baselines"
 	"bimode/internal/core"
-	"bimode/internal/predictor"
 	"bimode/internal/trace"
 )
 
@@ -51,17 +50,4 @@ func TestRunDelayedPanicsOnNegativeLag(t *testing.T) {
 		}
 	}()
 	RunDelayed(baselines.NewSmith(4), fixedSource(10), -1)
-}
-
-func TestDelaySweep(t *testing.T) {
-	src := trace.Materialize(fixedSource(2000))
-	results := DelaySweep(func() predictor.Predictor { return baselines.NewGshare(6, 6) }, src, []int{0, 2, 4})
-	if len(results) != 3 {
-		t.Fatalf("want 3 results")
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Mispredicts < results[i-1].Mispredicts {
-			t.Logf("note: lag %d beat lag %d (possible but unusual)", i, i-1)
-		}
-	}
 }
