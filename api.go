@@ -39,8 +39,9 @@ type BatchRunner = predictor.BatchRunner
 // Snapshotter is the optional checkpoint capability: a predictor that can
 // serialize its complete mutable state and restore it into an identically
 // configured instance (after RestoreSnapshot(Snapshot(nil)) the two are
-// step-for-step indistinguishable). The checkpoint/resume machinery uses
-// it to persist in-flight simulation cells.
+// step-for-step indistinguishable). The prediction service's session
+// journal uses it to persist live sessions; the suite Journal does not,
+// since it records completed cells only.
 type Snapshotter = predictor.Snapshotter
 
 // BiMode is the paper's predictor.
@@ -168,7 +169,9 @@ func Retryable(err error) bool { return sim.Retryable(err) }
 // Journal is a suite-level checkpoint file: a scheduler carrying one (see
 // Scheduler.WithJournal) records completed cells as it goes and, on a
 // resumed run, serves them from cache — so a killed sweep re-runs only
-// the work it lost, with output identical to an uninterrupted run.
+// the cells that were in flight, with output identical to an
+// uninterrupted run. It holds completed cells only, never predictor
+// snapshots.
 type Journal = sim.Journal
 
 // CreateJournal starts a fresh checkpoint at path. Cells are keyed by

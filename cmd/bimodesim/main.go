@@ -53,7 +53,6 @@ func run(args []string) error {
 		retries      = fs.Int("retries", 0, "retry budget per job for transient failures")
 		checkpoint   = fs.String("checkpoint", "", "journal completed cells to this file; rerun with -resume to continue a killed run")
 		resume       = fs.Bool("resume", false, "resume from the -checkpoint file instead of truncating it")
-		partEvery    = fs.Int("part-every", 1<<20, "records between mid-cell snapshots when checkpointing (0 = completed cells only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -165,7 +164,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		j.PartEvery = *partEvery
 		defer j.Close()
 		sched = sched.WithJournal(j)
 	}

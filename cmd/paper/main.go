@@ -52,7 +52,6 @@ func run(args []string) error {
 		retries    = fs.Int("retries", 0, "retry budget per job for transient failures")
 		checkpoint = fs.String("checkpoint", "", "journal completed simulation cells to this file; rerun with -resume to continue a killed run")
 		resume     = fs.Bool("resume", false, "resume from the -checkpoint file instead of truncating it")
-		partEvery  = fs.Int("part-every", 1<<20, "records between mid-cell snapshots when checkpointing (0 = completed cells only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -83,7 +82,6 @@ func run(args []string) error {
 		} else if j, err = sim.CreateJournal(*checkpoint); err != nil {
 			return err
 		}
-		j.PartEvery = *partEvery
 		defer j.Close()
 		cfg.Sched = sched.WithJournal(j)
 	}

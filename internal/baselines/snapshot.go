@@ -2,9 +2,9 @@ package baselines
 
 import "fmt"
 
-// predictor.Snapshotter implementations for the baselines the suite
-// checkpoint machinery persists mid-cell: gshare (which also backs the
-// gshare.best sweeps) and the Smith predictor. Each snapshot is a
+// predictor.Snapshotter implementations for the baselines the
+// prediction service persists in its session journal: gshare (which also
+// backs the gshare.best sweeps) and the Smith predictor. Each snapshot is a
 // one-byte type tag followed by the table and register snapshots; the
 // shape validation lives in the counter/history encodings.
 const (

@@ -69,8 +69,9 @@ type BatchRunner interface {
 // Snapshotter is the optional checkpoint capability: a predictor that can
 // serialize its complete mutable state (counter tables and history
 // registers) and later restore it into an identically configured
-// instance. The suite checkpoint/resume machinery in internal/sim uses it
-// to persist in-flight cells, so the contract is strict: after
+// instance. The prediction service's session journal (internal/serve) is
+// its one user: it persists each live session's predictor state, so the
+// contract is strict: after
 // RestoreSnapshot(Snapshot(nil)) the predictor must be Step-for-Step
 // indistinguishable from the instance that was snapshotted, for any
 // subsequent stream (the property test in internal/sim enforces this for

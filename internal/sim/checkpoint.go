@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,11 +13,11 @@ import (
 )
 
 // Journal is the suite-level checkpoint: an append-only record file
-// (internal/journal) holding every completed RunAll cell and, optionally,
-// mid-cell predictor snapshots for cells still in flight. A scheduler
-// carrying a Journal (see WithJournal) writes cells as they complete and
-// serves any cell the journal already holds instead of re-simulating it,
-// so a suite killed partway re-runs only the work it lost, and the
+// (internal/journal) holding a header and every completed RunAll cell,
+// nothing else. A scheduler carrying a Journal (see WithJournal) writes
+// cells as they complete and serves any cell the journal already holds
+// instead of re-simulating it, so a suite killed partway re-runs only
+// the cells that were in flight, each from its first record, and the
 // resumed output is Result-for-Result identical to an uninterrupted run
 // (TestKillResumeEquivalence pins this for every zoo spec over the whole
 // suite).
@@ -33,11 +32,6 @@ import (
 // process loses at most the record in flight; ResumeJournal cuts that
 // torn tail off before appending.
 type Journal struct {
-	// PartEvery, when positive, is the record interval at which the
-	// scheduler writes mid-cell snapshots for predictors implementing
-	// predictor.Snapshotter. Zero journals completed cells only.
-	PartEvery int
-
 	// OnCell, when non-nil, is called after each newly completed cell is
 	// journaled (not for cells served from the journal). Callers use it
 	// for progress output; tests use it to cancel a run at a chosen cell.
@@ -48,7 +42,6 @@ type Journal struct {
 	w     *journal.Writer
 	buf   []byte          // the record being encoded, reused under mu
 	cells map[cellKey]int // completed cells: their mispredicts
-	parts map[cellKey]partRecord
 }
 
 // cellKey is a RunAll cell's identity. Predictor is the predictor's Name,
@@ -69,34 +62,25 @@ type traceKey struct {
 	Sum      uint64
 }
 
-// partRecord is a mid-cell snapshot: the predictor's serialized state
-// after Cursor records, plus the mispredictions counted so far.
-type partRecord struct {
-	Cursor      int
-	Mispredicts int
-	Snap        []byte
-}
-
 // The checkpoint's records. The first is the header: tagHeader and the
-// version as a uvarint. Each later one is a cell (tagCell, the key,
-// mispredicts) or a part (tagPart, the key, cursor, mispredicts, the
-// Snapshotter bytes as a blob), in the internal/journal codec. A key is
-// the predictor and workload strings, the record count and the checksum
-// as eight little-endian bytes.
+// version as a uvarint. Each later one is a cell: tagCell, the key and
+// the mispredicts, in the internal/journal codec. A key is the predictor
+// and workload strings, the record count and the checksum as eight
+// little-endian bytes.
 const (
 	tagHeader = 'H'
 	tagCell   = 'C'
-	tagPart   = 'P'
 )
 
 // journalVersion guards the record schema and what a cell means. Version
-// 3 keys cells by identity; checkpoints of earlier versions (1: JSON
-// lines, 2: cells keyed by fan-out position) are refused, never
-// converted — rerun without -resume. The version is also bumped whenever
-// a predictor's or the engine's behaviour changes, so a rebuilt binary
+// 4 holds a header and cells only; checkpoints of earlier versions (1:
+// JSON lines, 2: cells keyed by fan-out position, 3: cells keyed by
+// identity plus mid-cell snapshot parts) are refused, never converted —
+// rerun without -resume. The version is also bumped whenever a
+// predictor's or the engine's behaviour changes, so a rebuilt binary
 // never serves a cell the old one computed; TestJournalVersionPinsBehaviour
 // fails until it is.
-const journalVersion = 3
+const journalVersion = 4
 
 // CreateJournal starts a fresh checkpoint file at path, truncating any
 // existing one.
@@ -105,16 +89,15 @@ func CreateJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{w: w, cells: map[cellKey]int{}, parts: map[cellKey]partRecord{}}, nil
+	return &Journal{w: w, cells: map[cellKey]int{}}, nil
 }
 
 // ResumeJournal loads an existing checkpoint file and reopens it for
 // appending, so the resumed run both serves the cached cells and keeps
 // journaling new ones. A torn trailing record (a killed writer) is
-// dropped; another version or a damaged interior is an error. Later
-// records win, so a cell completed after a resume shadows stale parts.
+// dropped; another version or a damaged interior is an error.
 func ResumeJournal(path string) (*Journal, error) {
-	j := &Journal{cells: map[cellKey]int{}, parts: map[cellKey]partRecord{}}
+	j := &Journal{cells: map[cellKey]int{}}
 	header := true
 	w, err := journal.Open(path, func(_ int64, payload []byte) error {
 		d := journal.NewDecoder(payload)
@@ -129,12 +112,7 @@ func ResumeJournal(path string) (*Journal, error) {
 				return &journal.VersionError{Got: int(v), Want: journalVersion}
 			}
 		case tagCell:
-			k := readKey(d)
-			j.cells[k] = d.Int()
-			delete(j.parts, k) // the completed cell supersedes its parts
-		case tagPart:
-			k := readKey(d)
-			j.parts[k] = partRecord{Cursor: d.Int(), Mispredicts: d.Int(), Snap: bytes.Clone(d.Blob())}
+			j.cells[readKey(d)] = d.Int()
 		default:
 			return fmt.Errorf("unknown record tag %q", tag)
 		}
@@ -177,21 +155,12 @@ func (j *Journal) cell(k cellKey) (int, bool) {
 	return miss, ok
 }
 
-// part returns the latest mid-cell snapshot of cell k, if any.
-func (j *Journal) part(k cellKey) (partRecord, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	p, ok := j.parts[k]
-	return p, ok
-}
-
 // recordCell journals one completed cell and fires OnCell.
 //
 //bimode:deterministic
 func (j *Journal) recordCell(k cellKey, res Result) {
 	j.mu.Lock()
 	j.cells[k] = res.Mispredicts
-	delete(j.parts, k)
 	j.append(binary.AppendUvarint(appendKey(append(j.buf[:0], tagCell), k), uint64(res.Mispredicts)))
 	j.mu.Unlock()
 	if j.OnCell != nil {
@@ -199,20 +168,7 @@ func (j *Journal) recordCell(k cellKey, res Result) {
 	}
 }
 
-// recordPart journals a mid-cell snapshot of cell k.
-//
-//bimode:deterministic
-func (j *Journal) recordPart(k cellKey, rec partRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.parts[k] = rec
-	b := appendKey(append(j.buf[:0], tagPart), k)
-	b = binary.AppendUvarint(b, uint64(rec.Cursor))
-	b = binary.AppendUvarint(b, uint64(rec.Mispredicts))
-	j.append(journal.AppendBlob(b, func(dst []byte) []byte { return append(dst, rec.Snap...) }))
-}
-
-// appendKey encodes the key cell and part records open with.
+// appendKey encodes the key a cell record opens with.
 func appendKey(dst []byte, k cellKey) []byte {
 	dst = journal.AppendString(journal.AppendString(dst, k.Predictor), k.Workload)
 	dst = binary.AppendUvarint(dst, uint64(k.Records))

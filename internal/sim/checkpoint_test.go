@@ -102,99 +102,6 @@ func TestKillResumeEquivalence(t *testing.T) {
 	}
 }
 
-// countingSnap wraps a Snapshotter predictor with only the base
-// Predict/Update protocol (hiding the inner fast-path capabilities) so a
-// test can count exactly how many records a resumed cell simulates, and
-// trigger a deterministic mid-cell cancel at a chosen record.
-type countingSnap struct {
-	inner    predictor.Predictor
-	predicts *atomic.Int64
-	cancelAt int64
-	cancel   context.CancelFunc
-}
-
-func (c *countingSnap) Name() string { return c.inner.Name() }
-func (c *countingSnap) Predict(pc uint64) bool {
-	if n := c.predicts.Add(1); c.cancel != nil && n == c.cancelAt {
-		c.cancel()
-	}
-	return c.inner.Predict(pc)
-}
-func (c *countingSnap) Update(pc uint64, taken bool) { c.inner.Update(pc, taken) }
-func (c *countingSnap) Reset()                       { c.inner.Reset() }
-func (c *countingSnap) CostBits() int                { return c.inner.CostBits() }
-func (c *countingSnap) Snapshot(dst []byte) []byte {
-	return c.inner.(predictor.Snapshotter).Snapshot(dst)
-}
-func (c *countingSnap) RestoreSnapshot(data []byte) error {
-	return c.inner.(predictor.Snapshotter).RestoreSnapshot(data)
-}
-
-// TestMidCellPartResume proves the fine-grained leg of checkpointing: a
-// cell killed mid-trace resumes from its last journaled part snapshot
-// instead of record zero, and still finishes with exactly the
-// uninterrupted cell's counts.
-func TestMidCellPartResume(t *testing.T) {
-	mem := suiteTraces()[0]
-	const spec = "bimode:b=11"
-	const partEvery = 4096
-	want := sim.Run(zoo.MustNew(spec), mem)
-
-	path := filepath.Join(t.TempDir(), "cell.ckpt")
-	j1, err := sim.CreateJournal(path)
-	if err != nil {
-		t.Fatalf("CreateJournal: %v", err)
-	}
-	j1.PartEvery = partEvery
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var firstRun atomic.Int64
-	jobs := []sim.Job{{
-		Make: func() predictor.Predictor {
-			return &countingSnap{
-				inner:    zoo.MustNew(spec),
-				predicts: &firstRun,
-				cancelAt: int64(2*partEvery + 1000),
-				cancel:   cancel,
-			}
-		},
-		Source: mem,
-	}}
-	partial := sim.NewScheduler(0).WithContext(ctx).WithJournal(j1).RunAll(jobs)
-	if err := j1.Close(); err != nil {
-		t.Fatalf("closing journal: %v", err)
-	}
-	if !errors.Is(partial[0].Err, context.Canceled) {
-		t.Fatalf("first run was not killed mid-cell: %+v", partial[0])
-	}
-
-	j2, err := sim.ResumeJournal(path)
-	if err != nil {
-		t.Fatalf("ResumeJournal: %v", err)
-	}
-	defer j2.Close()
-	j2.PartEvery = partEvery
-	var resumed atomic.Int64
-	jobs[0].Make = func() predictor.Predictor {
-		return &countingSnap{inner: zoo.MustNew(spec), predicts: &resumed}
-	}
-	got := sim.NewScheduler(0).WithJournal(j2).RunAll(jobs)
-	if got[0].Err != nil {
-		t.Fatalf("resumed cell failed: %v", got[0].Err)
-	}
-	if got[0] != want {
-		t.Fatalf("resumed cell %+v != uninterrupted %+v", got[0], want)
-	}
-	// The kill landed past the second part boundary, so the resume must
-	// have restored a snapshot and skipped at least 2*partEvery records.
-	if resumed.Load() >= int64(mem.Len())-2*partEvery {
-		t.Errorf("resume simulated %d of %d records; the part snapshot was not used", resumed.Load(), mem.Len())
-	}
-	if resumed.Load() == 0 {
-		t.Errorf("resume simulated nothing; the cell cannot have been journaled as complete")
-	}
-}
-
 // journalThenResume journals one job, then resumes the checkpoint and
 // runs another: the second run's Result and the first's.
 func journalThenResume(t *testing.T, first, second sim.Job) (got, journaled sim.Result) {
@@ -300,7 +207,7 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 // TestJournalRejectsDamage: a torn header or a torn interior record is
 // corruption, not kill residue, and an empty file is not a checkpoint.
 func TestJournalRejectsDamage(t *testing.T) {
-	header := jnl.AppendRecord(nil, []byte{'H', 3})
+	header := jnl.AppendRecord(nil, []byte{'H', 4})
 	// A cell: predictor "x", workload "y", one record, checksum, no
 	// mispredicts.
 	cell := jnl.AppendRecord(nil, []byte("C\x01x\x01y\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -342,16 +249,26 @@ func TestJournalRejectsDamage(t *testing.T) {
 }
 
 // TestJournalRefusesV1Checkpoint: checkpoints of earlier builds — the
-// JSON lines of version 1, the position-keyed cells of version 2 — are
-// refused with a version error that says to start afresh, never
-// converted.
+// JSON lines of version 1, the position-keyed cells of version 2, the
+// cells and mid-cell snapshot parts of version 3 — are refused with a
+// version error that says to start afresh, never converted.
 func TestJournalRefusesV1Checkpoint(t *testing.T) {
 	v1 := "{\"v\":1,\"key\":\"legacy\"}\n{\"cell\":{\"seq\":0,\"idx\":0,\"predictor\":\"x\",\"workload\":\"y\",\"cost_bytes\":1,\"branches\":1,\"mispredicts\":0}}\n"
 	// Version 2: a header with the plan key, then a cell keyed by
 	// (seq, idx).
 	v2 := append(jnl.AppendRecord(nil, jnl.AppendString([]byte{'H', 2}, "legacy")),
 		jnl.AppendRecord(nil, []byte("C\x00\x01\x01x\x01y\x00\x00\x00\x00\x00\x00\xf0?\x01\x00"))...)
-	for name, data := range map[string][]byte{"v1": []byte(v1), "v2": v2} {
+	// Version 3: a header, a cell keyed by identity, and a part of
+	// another cell: the key, cursor 4096, 100 mispredicts and a snapshot
+	// blob.
+	key := func(pred string) []byte {
+		return append(jnl.AppendString(jnl.AppendString(nil, pred), "y"), 0x80, 0x40, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	part := append(append([]byte{'P'}, key("z")...), 0x80, 0x20, 100)
+	part = jnl.AppendBlob(part, func(dst []byte) []byte { return append(dst, "snapshot"...) })
+	v3body := jnl.AppendRecord(jnl.AppendRecord(nil, append(append([]byte{'C'}, key("x")...), 7)), part)
+	v3 := append(jnl.AppendRecord(nil, []byte{'H', 3}), v3body...)
+	for name, data := range map[string][]byte{"v1": []byte(v1), "v2": v2, "v3": v3} {
 		path := filepath.Join(t.TempDir(), name+".ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatalf("writing fixture: %v", err)
@@ -361,6 +278,20 @@ func TestJournalRefusesV1Checkpoint(t *testing.T) {
 		if !errors.As(err, &ve) || !strings.Contains(err.Error(), "without -resume") {
 			t.Fatalf("ResumeJournal over a %s checkpoint: err %v, want a version error saying to rerun without -resume", name, err)
 		}
+	}
+	// The version 3 records under a current header: the part is not a
+	// record this version knows, so the file is damaged at the part's
+	// record (index 2), not skipped past.
+	path := filepath.Join(t.TempDir(), "v4-part.ckpt")
+	data := append(jnl.AppendRecord(nil, []byte{'H', byte(sim.JournalVersion)}), v3body...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("writing fixture: %v", err)
+	}
+	_, err := sim.ResumeJournal(path)
+	var de *jnl.DamageError
+	var ve *jnl.VersionError
+	if !errors.As(err, &de) || de.Index != 2 || errors.As(err, &ve) {
+		t.Fatalf("ResumeJournal over a part record under a version %d header: err %v, want damage at record 2", sim.JournalVersion, err)
 	}
 }
 
@@ -581,9 +512,11 @@ func TestCellIdentityInjective(t *testing.T) {
 // behaviourDigests pins, per journalVersion, the digest of every zoo
 // example's Result over one short suite trace. A journaled cell is only
 // as good as the build that computed it, so a change to any predictor's
-// behaviour must come with a new version.
+// behaviour must come with a new version. Version 4 changed only the
+// record schema (no more mid-cell parts), so its digest is version 3's.
 var behaviourDigests = map[int]string{
 	3: "ed2aa236f9525b29ff6fd0a5b0580f004d96775a56a30275ca0d3dcfa5522fc5",
+	4: "ed2aa236f9525b29ff6fd0a5b0580f004d96775a56a30275ca0d3dcfa5522fc5",
 }
 
 // TestJournalVersionPinsBehaviour: the zoo's behaviour digest must be the

@@ -107,7 +107,7 @@ func columnarJobs(t *testing.T, blockSize int) []sim.Job {
 // sources equals both the sequential scheduler over the same sources and
 // the sequential scheduler over the original Memories. This is the
 // "scheduler works unchanged over columnar sources" clause — shared
-// handles are deduped and materialized through the arena exactly once.
+// handles are deduped and materialized exactly once per fan-out.
 func TestColumnarSchedulerOracle(t *testing.T) {
 	ref := sim.NewScheduler(0).RunAll(oracleJobs(t))
 	jobs := columnarJobs(t, trace.DefaultColumnarBlock)

@@ -48,11 +48,6 @@ type Scheduler struct {
 	ctx     context.Context
 	policy  Policy
 	journal *Journal
-	// arena recycles the record buffers of traces RunAll materializes
-	// internally (pool schedulers only; nil on the sequential reference
-	// path, which stays allocation-plain). The pointer is shared by every
-	// With* copy, so a scheduler reconfigured mid-flight keeps one pool.
-	arena *matArena
 }
 
 // Policy bounds how hard the scheduler works to complete one job. The
@@ -79,17 +74,13 @@ func NewScheduler(workers int) *Scheduler {
 	if workers < 0 {
 		workers = 0
 	}
-	s := &Scheduler{workers: workers}
-	if workers > 0 {
-		s.arena = &matArena{}
-	}
-	return s
+	return &Scheduler{workers: workers}
 }
 
 // DefaultScheduler returns the scheduler package-level entry points use:
 // one worker per GOMAXPROCS.
 func DefaultScheduler() *Scheduler {
-	return &Scheduler{workers: runtime.GOMAXPROCS(0), arena: &matArena{}}
+	return NewScheduler(runtime.GOMAXPROCS(0))
 }
 
 // WithContext returns a copy of s whose fan-outs stop cooperatively when
@@ -289,14 +280,7 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 //bimode:deterministic
 func (s *Scheduler) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	shared, matErrs, owned := s.sharedSources(jobs)
-	if s.arena != nil {
-		// The internally materialized traces are dead once the results
-		// are computed — jobs keep their original Sources and Results
-		// hold only counts — so their record buffers go back to the
-		// arena for the next RunAll.
-		defer s.arena.recycle(owned)
-	}
+	shared, matErrs := s.sharedSources(jobs)
 	keys := make([]traceKey, len(jobs))
 	if s.journal != nil {
 		// Each distinct trace is checksummed once per fan-out.
@@ -334,12 +318,8 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 }
 
 // runCell simulates one RunAll cell with the block driver under the
-// cell's context. With a journal attached, the cell is served from it if
-// journaled complete; otherwise a usable journaled part (its cursor
-// within the trace, its snapshot restoring) restores the predictor and
-// skips the records already simulated, a mid-cell snapshot is journaled
-// every Journal.PartEvery records for predictors that implement
-// predictor.Snapshotter, and the completed cell is journaled.
+// cell's context. With a journal attached, a cell the journal holds is
+// served from it, and a cell that runs to completion is journaled.
 //
 //bimode:deterministic
 func (s *Scheduler) runCell(ctx context.Context, job Job, src *trace.Memory, tk traceKey) (Result, error) {
@@ -351,41 +331,21 @@ func (s *Scheduler) runCell(ctx context.Context, job Job, src *trace.Memory, tk 
 	}
 	j := s.journal
 	key := cellKey{Predictor: res.Predictor, traceKey: tk}
-	var start cursor
-	partEvery := 0
-	snapper, _ := p.(predictor.Snapshotter)
 	if j != nil {
 		if miss, ok := j.cell(key); ok {
 			res.Branches, res.Mispredicts = tk.Records, miss
 			return res, nil
 		}
-		if snapper != nil {
-			partEvery = j.PartEvery
-			if part, ok := j.part(key); ok && part.Cursor > 0 && part.Cursor <= tk.Records {
-				if err := snapper.RestoreSnapshot(part.Snap); err == nil {
-					start = cursor{pos: part.Cursor, miss: part.Mispredicts}
-				} else {
-					p.Reset() // a bad snapshot must not leave partial state behind
-				}
-			}
-		}
 	}
-	end, err := drive(ctx, p, src, start, partEvery, func(c cursor) {
-		j.recordPart(key, partRecord{Cursor: c.pos, Mispredicts: c.miss, Snap: snapper.Snapshot(nil)})
-	})
+	var err error
+	res.Branches, res.Mispredicts, err = drive(ctx, p, src)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Branches, res.Mispredicts = end.pos, end.miss
 	if j != nil {
 		j.recordCell(key, res)
 	}
 	return res, nil
-}
-
-// sameArray reports whether two record slices share a backing array.
-func sameArray(a, b []trace.Record) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][0] == &b[:cap(b)][0]
 }
 
 // safeSourceName names a source for an error-carrying Result without
@@ -406,14 +366,7 @@ func safeSourceName(src trace.Source) (name string) {
 // cannot be used as memo keys and are materialized individually. A source
 // whose materialization panics or fails gets a nil slot and a per-job
 // error for every job that shares it.
-//
-// The third return value lists the Memory traces this call created (as
-// opposed to *trace.Memory sources passed through): the ones whose
-// buffers the caller may recycle once the results no longer need them.
-// With an arena attached the materializations drain into recycled
-// buffers, so a scheduler running suite after suite stops allocating
-// trace storage at all.
-func (s *Scheduler) sharedSources(jobs []Job) ([]*trace.Memory, []error, []*trace.Memory) {
+func (s *Scheduler) sharedSources(jobs []Job) ([]*trace.Memory, []error) {
 	out := make([]*trace.Memory, len(jobs))
 	jobErrs := make([]error, len(jobs))
 
@@ -450,29 +403,12 @@ func (s *Scheduler) sharedSources(jobs []Job) ([]*trace.Memory, []error, []*trac
 		slots = append(slots, sl)
 	}
 
-	// Second pass: materialize the distinct sources through the pool,
-	// draining into arena buffers when the scheduler has one.
+	// Second pass: materialize the distinct sources through the pool.
 	mems := make([]*trace.Memory, len(slots))
 	matErrs := s.DoContext(len(slots), func(ctx context.Context, k int) error {
-		var buf []trace.Record
-		if s.arena != nil {
-			buf = s.arena.get()
-		}
-		m, err := trace.MaterializeIntoContext(ctx, slots[k].src, buf)
-		if err != nil {
-			if s.arena != nil {
-				s.arena.put(buf)
-			}
-			return err
-		}
-		if s.arena != nil && !sameArray(m.Records(), buf) {
-			// The source outgrew the arena buffer (or there was none):
-			// the drain allocated its own array, so the unused buffer
-			// goes straight back.
-			s.arena.put(buf)
-		}
+		m, err := trace.MaterializeContext(ctx, slots[k].src)
 		mems[k] = m
-		return nil
+		return err
 	})
 	for k, sl := range slots {
 		for _, i := range sl.idxs {
@@ -480,7 +416,7 @@ func (s *Scheduler) sharedSources(jobs []Job) ([]*trace.Memory, []error, []*trac
 			jobErrs[i] = matErrs[k]
 		}
 	}
-	return out, jobErrs, mems
+	return out, jobErrs
 }
 
 // SweepGshare simulates every gshare history length 0..indexBits at a

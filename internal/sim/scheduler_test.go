@@ -102,16 +102,16 @@ func mixedSourceJobs() []sim.Job {
 	return jobs
 }
 
-// TestRunAllArenaRace runs overlapping suites through one pooled
-// scheduler so the materialization arena's get/put/recycle and the
-// sharded expvar counters are exercised concurrently; any unsynchronized
-// buffer reuse is a -race hit and any cross-suite aliasing shows up as a
-// wrong count against the sequential reference.
-func TestRunAllArenaRace(t *testing.T) {
+// TestRunAllOverlappingSuitesRace runs overlapping suites through one
+// pooled scheduler so its per-suite materialization and the sharded
+// expvar counters are exercised concurrently; any unsynchronized state
+// shared between fan-outs is a -race hit and any cross-suite aliasing
+// shows up as a wrong count against the sequential reference.
+func TestRunAllOverlappingSuitesRace(t *testing.T) {
 	profile := synth.Profiles()[0].WithDynamic(30000)
 	mkJobs := func() []sim.Job {
 		// Fresh generator sources each call: every RunAll materializes
-		// through the arena instead of sharing a *trace.Memory.
+		// its own trace instead of sharing a *trace.Memory.
 		src := synth.MustWorkload(profile)
 		return []sim.Job{
 			{Make: func() predictor.Predictor { return zoo.MustNew("bimode:b=12") }, Source: src},

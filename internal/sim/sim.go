@@ -68,62 +68,36 @@ func Run(p predictor.Predictor, src trace.Source) Result {
 		Workload:  src.Name(),
 		CostBytes: predictor.CostBytes(p),
 	}
-	c, err := drive(context.Background(), p, src, cursor{}, 0, nil)
+	var err error
+	res.Branches, res.Mispredicts, err = drive(context.Background(), p, src)
 	if err != nil {
 		panic(err)
 	}
-	res.Branches, res.Mispredicts = c.pos, c.miss
 	return res
 }
-
-// cursor is a position in a simulation: records consumed and the
-// mispredicts among them.
-type cursor struct{ pos, miss int }
 
 // drive is the engine's one block driver. It pulls blocks from
 // trace.Blocks(src), checks ctx at every block boundary and runs each
 // block through runRecords; the predictor state carries across blocks,
 // so the result is bit-identical to one call over the concatenated
-// records. Starting from a nonzero cursor (a restored snapshot) skips
-// that many leading records. With partEvery > 0, blocks are cut at every
-// partEvery-th cursor after the start, and onPart sees each such cursor
-// that has records after it, followed by another context check.
-func drive(ctx context.Context, p predictor.Predictor, src trace.Source, c cursor, partEvery int, onPart func(cursor)) (cursor, error) {
+// records. It returns the records simulated and the mispredicts among
+// them.
+func drive(ctx context.Context, p predictor.Predictor, src trace.Source) (int, int, error) {
 	bs := trace.Blocks(src)
-	skip := c.pos
-	nextPart := -1
-	if partEvery > 0 {
-		nextPart = c.pos + partEvery
-	}
+	n, miss := 0, 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return c, err
+			return n, miss, err
 		}
 		recs, err := bs.NextBlock()
 		if err != nil {
-			return c, err
+			return n, miss, err
 		}
 		if recs == nil {
-			return c, nil
+			return n, miss, nil
 		}
-		k := min(skip, len(recs))
-		recs, skip = recs[k:], skip-k
-		for len(recs) > 0 {
-			if c.pos == nextPart {
-				onPart(c)
-				nextPart += partEvery
-				if err := ctx.Err(); err != nil {
-					return c, err
-				}
-			}
-			n := len(recs)
-			if nextPart >= 0 {
-				n = min(n, nextPart-c.pos)
-			}
-			c.miss += runRecords(p, recs[:n])
-			c.pos += n
-			recs = recs[n:]
-		}
+		miss += runRecords(p, recs)
+		n += len(recs)
 	}
 }
 

@@ -4,8 +4,8 @@ package sim_test
 // predictor.Snapshotter, serializing mid-run and restoring into a fresh
 // instance must be undetectable — the restored predictor predicts
 // Step-for-Step identically to the uninterrupted one from the cut point
-// on. This is the correctness backbone of mid-cell checkpoint resume
-// (Scheduler.runCell restores a journaled part and continues).
+// on. This is the correctness backbone of the service's session journal
+// (a spilled or restarted session restores its snapshot and continues).
 
 import (
 	"bytes"

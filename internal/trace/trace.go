@@ -137,18 +137,6 @@ func Materialize(src Source) *Memory {
 // deadline-bounded suite is not stuck behind an expensive (or stalled)
 // generator.
 func MaterializeContext(ctx context.Context, src Source) (*Memory, error) {
-	return MaterializeIntoContext(ctx, src, nil)
-}
-
-// MaterializeIntoContext is MaterializeContext draining into a caller-
-// provided buffer: buf's capacity is reused (its contents are discarded)
-// and grown only if the source outgrows it. This is the arena entry point
-// for callers that materialize traces repeatedly — the sim scheduler
-// recycles the record slices of traces it materialized internally — and
-// it is exactly MaterializeContext when buf is nil. The returned Memory
-// aliases buf's array when it sufficed; the caller must not reuse buf
-// while the Memory is live.
-func MaterializeIntoContext(ctx context.Context, src Source, buf []Record) (*Memory, error) {
 	if m, ok := src.(*Memory); ok {
 		return m, nil
 	}
@@ -158,10 +146,7 @@ func MaterializeIntoContext(ctx context.Context, src Source, buf []Record) (*Mem
 			capacity = n
 		}
 	}
-	recs := buf[:0]
-	if cap(recs) < capacity {
-		recs = make([]Record, 0, capacity)
-	}
+	recs := make([]Record, 0, capacity)
 	// One bulk append per block, with the cooperative cancellation check
 	// at block granularity.
 	bs := Blocks(src)
