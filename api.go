@@ -153,19 +153,6 @@ type Scheduler = sim.Scheduler
 // yields the sequential reference scheduler.
 func NewScheduler(workers int) *Scheduler { return sim.NewScheduler(workers) }
 
-// Policy bounds how hard a scheduler works to complete one job: a per-job
-// deadline plus a bounded retry-with-backoff budget for retryable
-// failures. Attach it with Scheduler.WithPolicy; the zero value opts out.
-type Policy = sim.Policy
-
-// Transient wraps err as retryable: a scheduler with a Policy re-attempts
-// jobs whose error chain contains a transient failure.
-func Transient(err error) error { return sim.Transient(err) }
-
-// Retryable reports whether err's chain opts into the retry policy; the
-// outermost classification wins.
-func Retryable(err error) bool { return sim.Retryable(err) }
-
 // Journal is a suite-level checkpoint file: a scheduler carrying one (see
 // Scheduler.WithJournal) records completed cells as it goes and, on a
 // resumed run, serves them from cache — so a killed sweep re-runs only

@@ -2,7 +2,6 @@ package bimode_test
 
 import (
 	"bytes"
-	"errors"
 	"path/filepath"
 	"testing"
 
@@ -85,15 +84,9 @@ func mustPredictor(t *testing.T, spec string) bimode.Predictor {
 }
 
 // TestFacadeFaultTolerance exercises the fault-tolerant runtime through
-// the public facade: error classification, the Snapshotter capability,
-// and a checkpoint round trip that serves a resumed run from cache.
+// the public facade: the Snapshotter capability and a checkpoint round
+// trip that serves a resumed run from cache.
 func TestFacadeFaultTolerance(t *testing.T) {
-	if !bimode.Retryable(bimode.Transient(errors.New("blip"))) {
-		t.Error("Transient error not Retryable")
-	}
-	if bimode.Retryable(errors.New("plain")) {
-		t.Error("plain error must not be Retryable")
-	}
 	var _ bimode.Snapshotter = bimode.DefaultBiMode(8)
 
 	src, err := bimode.Workload("xlisp", bimode.WorkloadOptions{Dynamic: 5000})
@@ -119,7 +112,7 @@ func TestFacadeFaultTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := bimode.NewScheduler(0).WithPolicy(bimode.Policy{MaxRetries: 1}).WithJournal(j)
+	sched := bimode.NewScheduler(0).WithJournal(j)
 	first := sched.RunAll(jobs)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"time"
 
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
@@ -34,13 +33,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// An interrupt cancels the fan-out cooperatively: completed cells are
+	// still printed (and journaled), the rest come back tagged.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "bimodesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bimodesim", flag.ContinueOnError)
 	var (
 		workloadList = fs.String("w", "gcc", "comma-separated workload names, or @file for a saved trace")
@@ -49,8 +53,6 @@ func run(args []string) error {
 		seed         = fs.Uint64("seed", 0, "override workload seed (0 = profile default)")
 		parallel     = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the job grid (0 = sequential reference path)")
 		list         = fs.Bool("list", false, "list available workloads and predictor specs, then exit")
-		jobTimeout   = fs.Duration("job-timeout", 0, "per-job deadline (0 = none); timed-out jobs are retried per -retries")
-		retries      = fs.Int("retries", 0, "retry budget per job for transient failures")
 		checkpoint   = fs.String("checkpoint", "", "journal completed cells to this file; rerun with -resume to continue a killed run")
 		resume       = fs.Bool("resume", false, "resume from the -checkpoint file instead of truncating it")
 	)
@@ -147,18 +149,7 @@ func run(args []string) error {
 		}
 	}
 
-	// An interrupt cancels the fan-out cooperatively: completed cells are
-	// still printed (and journaled), the rest come back tagged.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	sched := sim.NewScheduler(*parallel).WithContext(ctx)
-	if *jobTimeout > 0 || *retries > 0 {
-		sched = sched.WithPolicy(sim.Policy{
-			JobTimeout: *jobTimeout,
-			MaxRetries: *retries,
-			Backoff:    100 * time.Millisecond,
-		})
-	}
 	if *checkpoint != "" {
 		j, err := openJournal(*checkpoint, *resume)
 		if err != nil {

@@ -1,19 +1,20 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestRunList(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	if err := run(context.Background(), []string{"-list"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBasic(t *testing.T) {
-	err := run([]string{"-w", "xlisp", "-p", "bimode:b=8;smith:a=9", "-n", "20000"})
+	err := run(context.Background(), []string{"-w", "xlisp", "-p", "bimode:b=8;smith:a=9", "-n", "20000"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunErrors(t *testing.T) {
 		{"-badflag"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
 	}
@@ -39,7 +40,7 @@ func TestRunFromTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.trace")
 	// Generate a trace with tracegen's machinery by writing one directly.
-	if err := run([]string{"-w", "compress", "-n", "5000", "-p", "smith:a=6"}); err != nil {
+	if err := run(context.Background(), []string{"-w", "compress", "-n", "5000", "-p", "smith:a=6"}); err != nil {
 		t.Fatal(err)
 	}
 	// Write a real trace file via the trace package by shelling through
@@ -48,7 +49,7 @@ func TestRunFromTraceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("BMT1 garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-w", "@" + path, "-p", "smith:a=6"}); err == nil {
+	if err := run(context.Background(), []string{"-w", "@" + path, "-p", "smith:a=6"}); err == nil {
 		t.Fatalf("malformed trace must fail")
 	}
 }
@@ -60,17 +61,17 @@ func TestRunWithJSONProfile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(profile), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-w", path, "-p", "bimode:b=8"}); err != nil {
+	if err := run(context.Background(), []string{"-w", path, "-p", "bimode:b=8"}); err != nil {
 		t.Fatal(err)
 	}
 	// Malformed profile must fail cleanly.
 	if err := os.WriteFile(path, []byte(`{"statics": 0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-w", path, "-p", "bimode:b=8"}); err == nil {
+	if err := run(context.Background(), []string{"-w", path, "-p", "bimode:b=8"}); err == nil {
 		t.Fatalf("invalid profile must fail")
 	}
-	if err := run([]string{"-w", filepath.Join(dir, "missing.json")}); err == nil {
+	if err := run(context.Background(), []string{"-w", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Fatalf("missing profile file must fail")
 	}
 }
@@ -79,12 +80,12 @@ func TestRunCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
 	args := []string{"-w", "xlisp,compress", "-p", "bimode:b=8;smith:a=9", "-n", "20000", "-checkpoint", ckpt}
-	if err := run(args); err != nil {
+	if err := run(context.Background(), args); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
 	// A resume of a completed run serves every cell from cache and
 	// succeeds without re-simulating.
-	if err := run(append(args[:len(args):len(args)], "-resume")); err != nil {
+	if err := run(context.Background(), append(args[:len(args):len(args)], "-resume")); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	// A resume under a different plan (another predictor set) serves the
@@ -107,7 +108,7 @@ func stdout(t *testing.T, args []string) string {
 	defer f.Close()
 	saved := os.Stdout
 	os.Stdout = f
-	err = run(args)
+	err = run(context.Background(), args)
 	os.Stdout = saved
 	if err != nil {
 		t.Fatalf("run(%v): %v", args, err)

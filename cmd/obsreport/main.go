@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"time"
 
 	"bimode/internal/experiments"
 	_ "bimode/internal/faults" // registers sim_faults_injected for the counters block
@@ -41,7 +40,10 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsreport:", err)
 		os.Exit(1)
 	}
@@ -54,18 +56,16 @@ type Bundle struct {
 	Errors  []string     `json:"errors,omitempty"`
 }
 
-func run(args []string, out io.Writer) (err error) {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("obsreport", flag.ContinueOnError)
 	var (
-		wl         = fs.String("w", "gcc", "workloads: comma list, or all-spec / all-ibs")
-		specsArg   = fs.String("p", "bimode:b=10,gshare:i=11;h=11", "comma-separated predictor specs (use ';' for spec-internal separators)")
-		dynamic    = fs.Int("n", 0, "dynamic branches per workload (0 = calibrated default)")
-		topN       = fs.Int("top", 10, "H2P ranking length per report")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the report grid (0 = sequential reference path)")
-		outFile    = fs.String("o", "", "write the report bundle as JSON to this file")
-		httpAddr   = fs.String("http", "", "serve expvar/pprof debug endpoints on this address while running (e.g. localhost:6060)")
-		jobTimeout = fs.Duration("job-timeout", 0, "per-report deadline (0 = none); timed-out reports are retried per -retries")
-		retries    = fs.Int("retries", 0, "retry budget per report for transient failures")
+		wl       = fs.String("w", "gcc", "workloads: comma list, or all-spec / all-ibs")
+		specsArg = fs.String("p", "bimode:b=10,gshare:i=11;h=11", "comma-separated predictor specs (use ';' for spec-internal separators)")
+		dynamic  = fs.Int("n", 0, "dynamic branches per workload (0 = calibrated default)")
+		topN     = fs.Int("top", 10, "H2P ranking length per report")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the report grid (0 = sequential reference path)")
+		outFile  = fs.String("o", "", "write the report bundle as JSON to this file")
+		httpAddr = fs.String("http", "", "serve expvar/pprof debug endpoints on this address while running (e.g. localhost:6060)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,16 +87,7 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "debug endpoints at http://%s/debug/vars and /debug/pprof/\n\n", ln.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	sched := sim.NewScheduler(*parallel).WithContext(ctx)
-	if *jobTimeout > 0 || *retries > 0 {
-		sched = sched.WithPolicy(sim.Policy{
-			JobTimeout: *jobTimeout,
-			MaxRetries: *retries,
-			Backoff:    100 * time.Millisecond,
-		})
-	}
 	cfg := experiments.Config{Dynamic: *dynamic, Sched: sched}
 	var sources []trace.Source
 	switch *wl {
@@ -131,7 +122,7 @@ func run(args []string, out io.Writer) (err error) {
 
 	// Collect the (spec, workload) grid through the scheduler into indexed
 	// slots, then render in grid order — output is identical at any -parallel.
-	// A failed cell (timeout, cancellation, panic) degrades to an annotated
+	// A failed cell (cancellation, panic) degrades to an annotated
 	// gap; the completed reports still render and the bundle records the
 	// failures instead of the whole invocation aborting.
 	grid := make([]sim.Report, len(specs)*len(sources))
@@ -184,7 +175,7 @@ func renderCounters(out io.Writer) {
 	fmt.Fprintf(out, "runtime counters:")
 	for _, name := range []string{
 		"sim_sched_jobs_inflight", "sim_sched_jobs_completed",
-		"sim_sched_retries", "sim_sched_cancelled", "sim_faults_injected",
+		"sim_sched_cancelled", "sim_faults_injected",
 	} {
 		val := "0"
 		if v := expvar.Get(name); v != nil {

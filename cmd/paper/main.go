@@ -34,13 +34,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	var (
 		out        = fs.String("out", "results", "output directory")
@@ -48,8 +51,6 @@ func run(args []string) error {
 		dynamic    = fs.Int("n", 0, "override dynamic branches per workload (0 = calibrated defaults)")
 		quick      = fs.Bool("quick", false, "fast smoke run (600k branches per workload)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for simulation grids (0 = sequential reference path)")
-		jobTimeout = fs.Duration("job-timeout", 0, "per-job deadline (0 = none); timed-out jobs are retried per -retries")
-		retries    = fs.Int("retries", 0, "retry budget per job for transient failures")
 		checkpoint = fs.String("checkpoint", "", "journal completed simulation cells to this file; rerun with -resume to continue a killed run")
 		resume     = fs.Bool("resume", false, "resume from the -checkpoint file instead of truncating it")
 	)
@@ -57,16 +58,7 @@ func run(args []string) error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	sched := sim.NewScheduler(*parallel).WithContext(ctx)
-	if *jobTimeout > 0 || *retries > 0 {
-		sched = sched.WithPolicy(sim.Policy{
-			JobTimeout: *jobTimeout,
-			MaxRetries: *retries,
-			Backoff:    100 * time.Millisecond,
-		})
-	}
 	cfg := experiments.Config{Dynamic: *dynamic, Sched: sched}
 	if *quick && *dynamic == 0 {
 		cfg.Dynamic = 600000

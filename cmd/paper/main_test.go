@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,7 @@ import (
 
 func TestPaperSubset(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{"-out", dir, "-only", "table1,table2,table3,table4,fig5,fig6,fig7,fig8", "-n", "30000"})
+	err := run(context.Background(), []string{"-out", dir, "-only", "table1,table2,table3,table4,fig5,fig6,fig7,fig8", "-n", "30000"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestPaperFig2Small(t *testing.T) {
 		t.Skip("sweep")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"-out", dir, "-only", "fig2", "-n", "15000"}); err != nil {
+	if err := run(context.Background(), []string{"-out", dir, "-only", "fig2", "-n", "15000"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "figure2.csv"))
@@ -39,22 +40,23 @@ func TestPaperFig2Small(t *testing.T) {
 }
 
 func TestPaperErrors(t *testing.T) {
-	if err := run([]string{"-badflag"}); err == nil {
+	if err := run(context.Background(), []string{"-badflag"}); err == nil {
 		t.Fatalf("bad flag must fail")
 	}
-	if err := run([]string{"-out", "/dev/null/impossible"}); err == nil {
+	if err := run(context.Background(), []string{"-out", "/dev/null/impossible"}); err == nil {
 		t.Fatalf("bad output dir must fail")
 	}
 }
 
-// TestPaperDegradedRun pins graceful degradation: with a per-job deadline
-// no simulation can meet (1ns has always elapsed by the first
-// cooperative check, regardless of engine speed), the affected artifacts
-// become annotated footnotes, the artifacts that need no simulation are
-// still produced, and the exit status is non-zero.
+// TestPaperDegradedRun pins graceful degradation: under an
+// already-canceled context no simulation can complete, so the affected
+// artifacts become annotated footnotes, the artifacts that need no
+// simulation are still produced, and the exit status is non-zero.
 func TestPaperDegradedRun(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{"-out", dir, "-only", "table1,fig2", "-n", "400000", "-job-timeout", "1ns"})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := run(ctx, []string{"-out", dir, "-only", "table1,fig2", "-n", "400000"})
 	if err == nil {
 		t.Fatal("degraded run must exit non-zero")
 	}
@@ -75,10 +77,10 @@ func TestPaperCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(dir, "paper.ckpt")
 	out := func(name string) string { return filepath.Join(dir, name) }
 	args := []string{"-only", "programs", "-n", "25000", "-checkpoint", ckpt}
-	if err := run(append([]string{"-out", out("first")}, args...)); err != nil {
+	if err := run(context.Background(), append([]string{"-out", out("first")}, args...)); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
-	if err := run(append([]string{"-out", out("resumed")}, append(args, "-resume")...)); err != nil {
+	if err := run(context.Background(), append([]string{"-out", out("resumed")}, append(args, "-resume")...)); err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
 	if got, want := artifacts(t, out("resumed")), artifacts(t, out("first")); got != want {
@@ -87,10 +89,10 @@ func TestPaperCheckpointResume(t *testing.T) {
 	// A different plan serves the cells it shares with the checkpoint and
 	// runs the rest: exactly what a fresh run of that plan emits.
 	other := []string{"-only", "programs,ctxswitch", "-n", "25000"}
-	if err := run(append([]string{"-out", out("other")}, append(other, "-checkpoint", ckpt, "-resume")...)); err != nil {
+	if err := run(context.Background(), append([]string{"-out", out("other")}, append(other, "-checkpoint", ckpt, "-resume")...)); err != nil {
 		t.Fatalf("resume under a different plan: %v", err)
 	}
-	if err := run(append([]string{"-out", out("fresh")}, other...)); err != nil {
+	if err := run(context.Background(), append([]string{"-out", out("fresh")}, other...)); err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
 	if got, want := artifacts(t, out("other")), artifacts(t, out("fresh")); got != want {

@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"time"
 
 	"bimode/internal/baselines"
 	"bimode/internal/core"
@@ -123,8 +122,6 @@ func run(args []string, out io.Writer) (err error) {
 		maxBits    = fs.Int("max", 17, "log2 of the largest")
 		dynamic    = fs.Int("n", 0, "dynamic branches per workload (0 = calibrated default)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the sweep grid (0 = sequential reference path)")
-		jobTimeout = fs.Duration("job-timeout", 0, "per-job deadline (0 = none); timed-out jobs are retried per -retries")
-		retries    = fs.Int("retries", 0, "retry budget per job for transient failures")
 		checkpoint = fs.String("checkpoint", "", "journal completed cells to this file; rerun with -resume to continue a killed run")
 		resume     = fs.Bool("resume", false, "resume from the -checkpoint file instead of truncating it")
 	)
@@ -146,13 +143,6 @@ func run(args []string, out io.Writer) (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	sched := sim.NewScheduler(*parallel).WithContext(ctx)
-	if *jobTimeout > 0 || *retries > 0 {
-		sched = sched.WithPolicy(sim.Policy{
-			JobTimeout: *jobTimeout,
-			MaxRetries: *retries,
-			Backoff:    100 * time.Millisecond,
-		})
-	}
 	if *checkpoint != "" {
 		var j *sim.Journal
 		if *resume {

@@ -8,8 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"strconv"
 	"sync"
 
 	"bimode/internal/sim"
@@ -57,17 +55,16 @@ func (c Config) sched() *sim.Scheduler {
 // by the two parameters that determine the trace contents. cmd/paper,
 // cmd/sweep and the benchmarks all sweep the same suites repeatedly;
 // without the memo each call regenerated identical multi-million-branch
-// traces from scratch. The memo is sharded by key hash so concurrent
-// generators materializing different suites never serialize on one lock,
-// and each entry materializes under its own mutex so concurrent requests
-// for the same key share a single materialization (the shard mutex guards
-// only map access, never trace generation). The entry deliberately does
-// NOT use sync.Once: Once treats a panicked f as done, so a generation
-// that fails (canceled context, per-job deadline, injected fault) would
-// poison the entry forever and every later caller would silently see an
-// empty suite — zero jobs, zero-branch artifacts, exit 0. A failed
+// traces from scratch. A run holds about two keys, so one mutex guards
+// the map; each entry materializes under its own mutex, so concurrent
+// requests for the same key share a single materialization and the map
+// lock is never held across trace generation. The entry deliberately
+// does NOT use sync.Once: Once treats a panicked f as done, so a
+// generation that fails (canceled context, injected fault) would poison
+// the entry forever and every later caller would silently see an empty
+// suite — zero jobs, zero-branch artifacts, exit 0. A failed
 // materialization leaves done=false so the next caller retries cold.
-var suiteMemo [8]struct {
+var suiteMemo struct {
 	sync.Mutex
 	m map[suiteKey]*suiteEntry
 }
@@ -85,19 +82,15 @@ type suiteEntry struct {
 
 // memoEntry returns the (unique, process-wide) entry for a key.
 func memoEntry(key suiteKey) *suiteEntry {
-	h := fnv.New32a()
-	h.Write([]byte(key.suite))
-	h.Write([]byte(strconv.Itoa(key.dynamic)))
-	shard := &suiteMemo[h.Sum32()%uint32(len(suiteMemo))]
-	shard.Lock()
-	defer shard.Unlock()
-	if shard.m == nil {
-		shard.m = map[suiteKey]*suiteEntry{}
+	suiteMemo.Lock()
+	defer suiteMemo.Unlock()
+	if suiteMemo.m == nil {
+		suiteMemo.m = map[suiteKey]*suiteEntry{}
 	}
-	e, ok := shard.m[key]
+	e, ok := suiteMemo.m[key]
 	if !ok {
 		e = &suiteEntry{}
-		shard.m[key] = e
+		suiteMemo.m[key] = e
 	}
 	return e
 }

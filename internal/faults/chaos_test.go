@@ -88,8 +88,7 @@ type faultClass int
 
 const (
 	faultNone faultClass = iota
-	faultFlakyRecoverable
-	faultFlakyPersistent
+	faultMakePanic
 	faultPanic
 	faultStall
 	faultTruncate
@@ -98,8 +97,15 @@ const (
 )
 
 func (c faultClass) String() string {
-	return [...]string{"none", "flaky", "flaky-persistent", "panic", "stall", "truncate", "corrupt"}[c]
+	return [...]string{"none", "make-panic", "panic", "stall", "truncate", "corrupt"}[c]
 }
+
+// errMakeFault is what a faultMakePanic cell's constructor panics with.
+var errMakeFault = errors.New("chaos: injected construction failure")
+
+// panickingMake is a constructor that always fails: the scheduler must
+// confine it to its own cell, with the panic's error chain intact.
+func panickingMake() predictor.Predictor { panic(errMakeFault) }
 
 // inject applies class to a copy of the baseline job, returning the
 // faulty job plus the truncation length when the class shortens the
@@ -108,10 +114,8 @@ func (c faultClass) String() string {
 func inject(class faultClass, job sim.Job, mem *trace.Memory, rng *rand.Rand) (sim.Job, int) {
 	cut := -1
 	switch class {
-	case faultFlakyRecoverable:
-		job.Make = faults.FlakyMake(job.Make, 1+rng.Intn(2)) // <= MaxRetries
-	case faultFlakyPersistent:
-		job.Make = faults.FlakyMake(job.Make, 1<<30)
+	case faultMakePanic:
+		job.Make = panickingMake
 	case faultPanic:
 		job.Source = faults.PanicAfter(mem, rng.Intn(mem.Len()), "chaos")
 	case faultStall:
@@ -127,8 +131,8 @@ func inject(class faultClass, job sim.Job, mem *trace.Memory, rng *rand.Rand) (s
 
 // TestChaosSchedules is the main chaos matrix: for every seed, build a
 // schedule assigning each cell a fault class, run the grid through the
-// pooled scheduler with a retry policy, and assert the per-class
-// outcome contract against the fault-free reference.
+// pooled scheduler, and assert the per-class outcome contract against
+// the fault-free reference.
 func TestChaosSchedules(t *testing.T) {
 	traces := chaosTraces(t)
 	base := chaosJobs(traces)
@@ -150,35 +154,21 @@ func TestChaosSchedules(t *testing.T) {
 				classes[i] = faultClass(rng.Intn(int(numFaultClasses)))
 				jobs[i], cuts[i] = inject(classes[i], base[i], memOf[i], rng)
 			}
-			s := sim.NewScheduler(4).WithPolicy(sim.Policy{
-				JobTimeout: time.Minute, // bounds a wedged cell; healthy cells never get near it
-				MaxRetries: 2,
-				Backoff:    time.Millisecond,
-			})
-			results := s.RunAll(jobs)
+			results := sim.NewScheduler(4).RunAll(jobs)
 			if len(results) != len(jobs) {
 				t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
 			}
 			for i, res := range results {
 				ref := reference[i]
 				switch classes[i] {
-				case faultNone, faultFlakyRecoverable:
+				case faultNone, faultStall:
+					// Stalls change timing only, never records.
 					if res != ref {
 						t.Errorf("cell %d (%v): %+v != reference %+v", i, classes[i], res, ref)
 					}
-				case faultStall:
-					if res.Err != nil {
-						if !errors.Is(res.Err, context.DeadlineExceeded) {
-							t.Errorf("cell %d (stall): err %v, want nil or deadline", i, res.Err)
-						}
-					} else if res != ref {
-						t.Errorf("cell %d (stall): %+v != reference %+v (stalls must not change records)", i, res, ref)
-					}
-				case faultFlakyPersistent:
-					if res.Err == nil {
-						t.Errorf("cell %d (flaky-persistent): reported success", i)
-					} else if !sim.Retryable(res.Err) {
-						t.Errorf("cell %d (flaky-persistent): error lost its transient class: %v", i, res.Err)
+				case faultMakePanic:
+					if !errors.Is(res.Err, errMakeFault) {
+						t.Errorf("cell %d (make-panic): err %v, want the injected construction failure", i, res.Err)
 					}
 				case faultPanic:
 					if res.Err == nil {
@@ -212,22 +202,27 @@ func TestChaosSchedules(t *testing.T) {
 // TestChaosResumableCheckpoint is the second half of the fault contract:
 // a faulty run that is additionally killed partway must leave a
 // checkpoint from which a fault-free rerun completes with exactly the
-// reference results — transient chaos never poisons the journal.
+// reference results — a failed cell is never journaled, so chaos never
+// poisons the journal.
 func TestChaosResumableCheckpoint(t *testing.T) {
 	traces := chaosTraces(t)
 	base := chaosJobs(traces)
 	reference := sim.NewScheduler(0).RunAll(base)
-	rng := rand.New(rand.NewSource(7))
 
-	// Chaos leg: recoverable flakes on some cells, killed after a third of
-	// the grid has completed.
+	// Chaos leg: every third cell's constructor panics, and the run is
+	// killed once half the healthy cells are journaled. One worker makes
+	// the kill point deterministic: failed cells run before it, and the
+	// cells after it are never started.
 	jobs := make([]sim.Job, len(base))
+	faulty := map[sim.Result]bool{} // reference cells whose Make panics
 	for i := range base {
 		jobs[i] = base[i]
-		if rng.Intn(2) == 0 {
-			jobs[i].Make = faults.FlakyMake(base[i].Make, 1)
+		if i%3 == 1 {
+			jobs[i].Make = panickingMake
+			faulty[reference[i]] = true
 		}
 	}
+	healthy := len(jobs) - len(faulty)
 	path := filepath.Join(t.TempDir(), "chaos.ckpt")
 	j, err := sim.CreateJournal(path)
 	if err != nil {
@@ -236,25 +231,36 @@ func TestChaosResumableCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
-	j.OnCell = func(sim.Result) {
-		if done.Add(1) == int64(len(jobs)/3) {
+	var journaledFaulty atomic.Int64
+	j.OnCell = func(r sim.Result) {
+		if faulty[r] {
+			journaledFaulty.Add(1)
+		}
+		if done.Add(1) == int64(healthy/2) {
 			cancel()
 		}
 	}
-	s := sim.NewScheduler(4).WithContext(ctx).WithJournal(j).
-		WithPolicy(sim.Policy{MaxRetries: 2, Backoff: time.Millisecond})
-	partial := s.RunAll(jobs)
+	partial := sim.NewScheduler(1).WithContext(ctx).WithJournal(j).RunAll(jobs)
 	if err := j.Close(); err != nil {
 		t.Fatalf("closing journal: %v", err)
 	}
-	interrupted := false
-	for _, r := range partial {
-		if errors.Is(r.Err, context.Canceled) {
+	if n := journaledFaulty.Load(); n != 0 {
+		t.Errorf("%d cells whose Make panics were journaled", n)
+	}
+	interrupted, failed := false, false
+	for i, r := range partial {
+		switch {
+		case errors.Is(r.Err, context.Canceled):
 			interrupted = true
+		case faulty[reference[i]]:
+			if !errors.Is(r.Err, errMakeFault) {
+				t.Errorf("cell %d (make-panic): err %v, want the injected construction failure", i, r.Err)
+			}
+			failed = true
 		}
 	}
-	if !interrupted {
-		t.Fatalf("the kill did not interrupt the chaos run")
+	if !interrupted || !failed {
+		t.Fatalf("the chaos leg must end with canceled and failed cells (canceled %v, failed %v)", interrupted, failed)
 	}
 
 	// Resume leg: no faults, no cancel — must reproduce the reference

@@ -1,13 +1,12 @@
 // Package faults provides deterministic, seed-driven fault injectors for
 // exercising the simulation runtime's failure paths: corrupted and
-// truncated traces, panicking jobs, artificial stalls, and transient
-// construction failures. Every injector is a plain wrapper around the
-// interfaces the runtime already consumes (trace.Source, Job.Make), so
-// faults flow through exactly the code paths real failures would — panic
-// recovery in the scheduler, retry classification via sim.Transient,
-// cooperative deadlines in MaterializeContext — and the chaos suite can
-// assert the runtime's contract: a clean partial report or a resumable
-// checkpoint, never a hang or silent data loss.
+// truncated traces, panicking jobs and artificial stalls. Every injector
+// is a plain wrapper around the interface the runtime already consumes
+// (trace.Source), so faults flow through exactly the code paths real
+// failures would — panic recovery in the scheduler, cooperative
+// cancellation in MaterializeContext — and the chaos suite can assert the
+// runtime's contract: a clean partial report or a resumable checkpoint,
+// never a hang or silent data loss.
 //
 // Determinism is the point. Given the same seed and the same grid, a
 // chaos schedule injects byte-for-byte the same faults, so a failing seed
@@ -16,7 +15,7 @@
 // internally; the dice live in the chaos test's schedule builder.
 //
 // Every injected fault increments the sim_faults_injected expvar, which
-// cmd/obsreport surfaces alongside the scheduler's retry and cancel
+// cmd/obsreport surfaces alongside the scheduler's job and cancel
 // counters.
 package faults
 
@@ -27,14 +26,11 @@ import (
 	"fmt"
 	"time"
 
-	"bimode/internal/predictor"
-	"bimode/internal/sim"
 	"bimode/internal/trace"
 )
 
 // faultsInjected counts fault activations process-wide: one per stream
-// truncation, injected panic, stall pause, corrupted trace decode, and
-// flaky construction failure.
+// truncation, injected panic, stall pause and corrupted trace decode.
 var faultsInjected = expvar.NewInt("sim_faults_injected")
 
 // wrap is the common base of the source injectors: it preserves the
@@ -115,10 +111,9 @@ func (s *panicStream) Next() (trace.Record, bool) {
 // Stall returns a source whose streams pause for d before every every-th
 // record, modeling a slow or intermittently wedged generator. Stalls
 // change timing only, never records: a stalled run must produce exactly
-// the un-stalled counts (or a deadline error, if the scheduler's
-// Policy.JobTimeout bounds the attempt first). Stall's pauses are
-// uninterruptible sleeps; use StallContext when the consumer holds a
-// cancelable context and must not wait out a stall already in progress.
+// the un-stalled counts. Stall's pauses are uninterruptible sleeps; use
+// StallContext when the consumer holds a cancelable context and must not
+// wait out a stall already in progress.
 func Stall(src trace.Source, every int, d time.Duration) trace.Source {
 	return StallContext(context.Background(), src, every, d)
 }
@@ -301,24 +296,4 @@ func (s *corruptColumnarSource) decode() {
 func (s *corruptColumnarSource) Stream() trace.Stream {
 	s.decode()
 	panic(fmt.Errorf("faults: corrupted columnar trace %q: %w", s.src.Name(), s.decErr))
-}
-
-// FlakyMake wraps a predictor constructor so its first failures calls
-// panic with a sim.Transient error, modeling a transient resource
-// failure at job start. Because the panic value is an error carrying the
-// transient classification, the scheduler's recovery keeps it retryable:
-// a Policy with MaxRetries >= failures completes the job, fewer retries
-// surface the transient error in the cell's Result.Err. The returned
-// constructor counts its calls without synchronization — give each Job
-// its own rather than sharing one across cells.
-func FlakyMake(mk func() predictor.Predictor, failures int) func() predictor.Predictor {
-	calls := 0
-	return func() predictor.Predictor {
-		calls++
-		if calls <= failures {
-			faultsInjected.Add(1)
-			panic(sim.Transient(fmt.Errorf("faults: injected construction failure %d of %d", calls, failures)))
-		}
-		return mk()
-	}
 }

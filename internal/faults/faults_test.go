@@ -119,28 +119,6 @@ func TestCorruptDeterministic(t *testing.T) {
 	}
 }
 
-func TestFlakyMake(t *testing.T) {
-	mk := faults.FlakyMake(func() predictor.Predictor { return zoo.MustNew("smith:a=12") }, 2)
-	for i := 0; i < 2; i++ {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("construction %d did not fail", i)
-				}
-				err, ok := r.(error)
-				if !ok || !sim.Retryable(err) {
-					t.Fatalf("construction %d panicked with %v, want a retryable error", i, r)
-				}
-			}()
-			mk()
-		}()
-	}
-	if p := mk(); p == nil {
-		t.Fatalf("construction after the flakes returned nil")
-	}
-}
-
 // TestCorruptColumnarAlwaysDetected pins the injector's stronger
 // contract: for MANY corruption positions across the encoded file, the
 // stream panics with an error that unwraps to a located

@@ -21,15 +21,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"bimode/internal/faults"
-	"bimode/internal/predictor"
-	"bimode/internal/sim"
 	"bimode/internal/trace"
-	"bimode/internal/zoo"
 )
 
 // chaosSeeds mirrors the seed-matrix knob of internal/faults.
@@ -117,22 +113,10 @@ func TestServiceChaos(t *testing.T) {
 func runChaosSchedule(t *testing.T, seed int64, mem *trace.Memory) {
 	rng := rand.New(rand.NewSource(seed))
 
-	// A transiently flaky builder: every few constructions fail once with
-	// a sim.Transient error, which the retry loop must absorb invisibly.
-	var builds atomic.Int64
-	cfg := Config{
-		Dir:          t.TempDir(),
-		MaxResident:  2, // force heavy eviction churn across clients
-		RetryBackoff: time.Millisecond,
-		MaxRetries:   3,
-		Build: func(spec string) (predictor.Predictor, error) {
-			if builds.Add(1)%5 == 3 {
-				return nil, sim.Transient(fmt.Errorf("chaos: injected transient build failure"))
-			}
-			return zoo.New(spec)
-		},
-	}
-	s, err := New(cfg)
+	s, err := New(Config{
+		Dir:         t.TempDir(),
+		MaxResident: 2, // force heavy eviction churn across clients
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

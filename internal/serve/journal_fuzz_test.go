@@ -20,7 +20,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -136,7 +135,7 @@ func FuzzLoadSessionJournal(f *testing.F) {
 		}
 		defer s.Close()
 		sess := s.sessions[hdr.ID]
-		if err := s.restore(context.Background(), sess); err != nil {
+		if err := s.restore(sess); err != nil {
 			requireTyped(t, "restore", err)
 			return
 		}

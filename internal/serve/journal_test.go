@@ -6,7 +6,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -21,7 +20,6 @@ import (
 
 	"bimode/internal/journal"
 	"bimode/internal/predictor"
-	"bimode/internal/sim"
 	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
@@ -394,7 +392,7 @@ func TestJournalBodyDamage(t *testing.T) {
 			}
 			defer s.Close()
 			var de *journal.DamageError
-			if err := s.restore(context.Background(), s.sessions[id]); !errors.As(err, &de) || de.Index != tc.index {
+			if err := s.restore(s.sessions[id]); !errors.As(err, &de) || de.Index != tc.index {
 				t.Fatalf("restore: %v, want a *journal.DamageError at record %d", err, tc.index)
 			}
 			rr := httptest.NewRecorder()
@@ -410,20 +408,18 @@ func TestJournalBodyDamage(t *testing.T) {
 }
 
 // TestJournalRestoreBuildFailureKeepsJournal: a spilled session whose
-// predictors will not build at restore time, past every retry, answers
-// 503 with a Retry-After and stays registered with its journal
+// predictors will not build at restore time answers 503 with a
+// Retry-After and stays registered with its journal
 // untouched; once the builder heals, the session restores to the report
 // it had before the spill.
 func TestJournalRestoreBuildFailureKeepsJournal(t *testing.T) {
 	var broken atomic.Bool
 	dir := t.TempDir()
 	s, base := newTestServer(t, Config{
-		Dir:          dir,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
+		Dir: dir,
 		Build: func(spec string) (predictor.Predictor, error) {
 			if broken.Load() {
-				return nil, sim.Transient(errors.New("injected construction failure"))
+				return nil, errors.New("injected construction failure")
 			}
 			return zoo.New(spec)
 		},
@@ -487,7 +483,7 @@ func TestJournalRestoreMismatchIsDamage(t *testing.T) {
 	}
 	defer s2.Close()
 	var de *journal.DamageError
-	if err := s2.restore(context.Background(), s2.sessions[id]); !errors.As(err, &de) || de.Index != 1 {
+	if err := s2.restore(s2.sessions[id]); !errors.As(err, &de) || de.Index != 1 {
 		t.Fatalf("restore: %v, want a *journal.DamageError at record 1", err)
 	}
 	rr := httptest.NewRecorder()

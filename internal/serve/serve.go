@@ -74,11 +74,6 @@ type Config struct {
 	IngestBurst float64
 	// RequestTimeout bounds one request's processing (default 30s).
 	RequestTimeout time.Duration
-	// MaxRetries and RetryBackoff govern predictor-construction retries
-	// on transient (sim.Retryable) failures: doubling backoff from
-	// RetryBackoff, MaxRetries additional attempts (defaults 3, 10ms).
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// CompactBytes is the journal size that triggers compaction to
 	// header + latest snapshot (default 4 MiB).
 	CompactBytes int64
@@ -116,14 +111,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
 	if c.CompactBytes <= 0 {
 		c.CompactBytes = 4 << 20
 	}
@@ -151,7 +138,6 @@ type counters struct {
 	rollbacks       atomic.Int64
 	overload        atomic.Int64
 	panics          atomic.Int64
-	buildRetries    atomic.Int64
 	snapshotCommits atomic.Int64
 	bodyCommits     atomic.Int64
 	replayed        atomic.Int64
@@ -287,7 +273,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, "no predictor specs requested"))
 		return
 	}
-	ctx := r.Context()
 
 	// Build every requested spec, admitting the Snapshotter-capable ones
 	// and footnoting the rest — per-spec degradation from the first
@@ -296,7 +281,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var footnotes []string
 	var specs []*specState
 	for _, spec := range req.Specs {
-		p, err := s.buildPredictor(ctx, spec)
+		p, err := buildOnce(s.cfg.Build, spec)
 		if err != nil {
 			footnotes = append(footnotes, fmt.Sprintf("spec %q rejected: %v", spec, err))
 			continue
@@ -436,7 +421,7 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request,
 	}
 	v, code, err := func() (any, int, error) {
 		defer sess.unlock()
-		if err := s.makeResident(ctx, sess); err != nil {
+		if err := s.makeResident(sess); err != nil {
 			return nil, 0, err
 		}
 		s.touch(sess)
@@ -454,19 +439,16 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request,
 // the session lock. A journal that cannot be trusted — a typed damage or
 // version error — is quarantined and the session unregistered: 410 Gone,
 // never guessed-at state. Any other failure is not the file's fault (a
-// predictor that will not build, a deadline that cut its retries short):
-// the session stays registered and spilled, its journal untouched, and
-// the client is told to retry.
-func (s *Server) makeResident(ctx context.Context, sess *session) error {
+// predictor that will not build, a journal that will not open): the
+// session stays registered and spilled, its journal untouched, and the
+// client is told to retry.
+func (s *Server) makeResident(sess *session) error {
 	if sess.resident {
 		return nil
 	}
 	path := sess.journal.path
-	if err := s.restore(ctx, sess); err != nil {
+	if err := s.restore(sess); err != nil {
 		if !damaged(err) {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxError(ctxErr)
-			}
 			return &httpError{code: http.StatusServiceUnavailable,
 				msg: fmt.Sprintf("session %s not restored: %v", sess.id, err), retryAfter: time.Second}
 		}
@@ -616,7 +598,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // varzPayload is the /varz document: the server's own counters plus the
-// process-wide sim_* expvars (scheduler retries, injected faults, ...)
+// process-wide sim_* expvars (scheduler jobs, injected faults, ...)
 // the rest of the runtime already publishes.
 type varzPayload struct {
 	UptimeSeconds float64                    `json:"uptime_seconds"`
@@ -641,7 +623,6 @@ func (s *Server) varz() varzPayload {
 			"rollbacks":        s.ctr.rollbacks.Load(),
 			"overload_rejects": s.ctr.overload.Load(),
 			"panics_recovered": s.ctr.panics.Load(),
-			"build_retries":    s.ctr.buildRetries.Load(),
 			"snapshot_commits": s.ctr.snapshotCommits.Load(),
 			"body_commits":     s.ctr.bodyCommits.Load(),
 			"replayed_records": s.ctr.replayed.Load(),

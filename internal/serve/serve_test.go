@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"bimode/internal/predictor"
-	"bimode/internal/sim"
 	"bimode/internal/synth"
 	"bimode/internal/trace"
 	"bimode/internal/zoo"
@@ -355,44 +354,6 @@ func TestRuntimeDegradation(t *testing.T) {
 		if sr.Spec == "smith:a=12" && sr.Mispredicts != frozen {
 			t.Errorf("failed spec counts moved: %d -> %d", frozen, sr.Mispredicts)
 		}
-	}
-}
-
-// TestTransientBuildRetry: construction failures marked sim.Transient
-// heal through the bounded-backoff retry loop, invisibly to the client.
-func TestTransientBuildRetry(t *testing.T) {
-	fails := 2
-	cfg := Config{
-		MaxRetries:   3,
-		RetryBackoff: time.Millisecond,
-		Build: func(spec string) (predictor.Predictor, error) {
-			if fails > 0 {
-				fails--
-				return nil, sim.Transient(fmt.Errorf("injected construction failure"))
-			}
-			return zoo.New(spec)
-		},
-	}
-	s, base := newTestServer(t, cfg)
-	rep := createSession(t, base, "bimode:b=11")
-	if len(rep.Specs) != 1 || len(rep.Footnotes) != 0 {
-		t.Fatalf("transient failures leaked into the session: %+v", rep)
-	}
-	if got := s.ctr.buildRetries.Load(); got != 2 {
-		t.Errorf("build_retries = %d, want 2", got)
-	}
-
-	// A permanent failure, by contrast, burns no retries and footnotes.
-	permanent := Config{
-		RetryBackoff: time.Millisecond,
-		Build: func(spec string) (predictor.Predictor, error) {
-			return nil, fmt.Errorf("permanently broken")
-		},
-	}
-	_, base2 := newTestServer(t, permanent)
-	body, _ := json.Marshal(createRequest{Specs: []string{"bimode:b=11"}})
-	if resp := doJSON(t, "POST", base2+"/v1/sessions", bytes.NewReader(body), nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("permanent failure: status %d", resp.StatusCode)
 	}
 }
 

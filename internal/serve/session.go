@@ -95,29 +95,10 @@ func newSpecState(spec string, p predictor.Predictor) (*specState, error) {
 	return &specState{spec: spec, obs: sim.NewObserver(p)}, nil
 }
 
-// buildPredictor constructs a predictor from a spec through the Server's
+// buildOnce constructs a predictor from a spec through the Server's
 // Build seam, converting panics to errors (the zoo.New contract already
-// does, but the seam is test-injectable) and retrying transient failures
-// with doubling backoff — the scheduler's Policy idiom, so a FlakyMake
-// construction fault heals here exactly as it does in a batch suite.
-func (s *Server) buildPredictor(ctx context.Context, spec string) (predictor.Predictor, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		p, err := buildOnce(s.cfg.Build, spec)
-		if err == nil {
-			return p, nil
-		}
-		lastErr = err
-		if !sim.Retryable(err) || attempt >= s.cfg.MaxRetries {
-			return nil, lastErr
-		}
-		s.ctr.buildRetries.Add(1)
-		if !sleepCtx(ctx, s.cfg.RetryBackoff<<uint(attempt)) {
-			return nil, fmt.Errorf("%v (retry abandoned: %w)", lastErr, ctx.Err())
-		}
-	}
-}
-
+// does, but the seam is test-injectable). A failure is returned as is:
+// construction is a pure function of the spec, so it is never retried.
 func buildOnce(build func(string) (predictor.Predictor, error), spec string) (p predictor.Predictor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -129,21 +110,6 @@ func buildOnce(build func(string) (predictor.Predictor, error), spec string) (p 
 		}
 	}()
 	return build(spec)
-}
-
-// sleepCtx sleeps for d unless ctx cancels first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // siteFor maps a branch PC to the session's dense static id, assigning
@@ -227,13 +193,12 @@ func (sess *session) feed(sp *specState, recs []trace.Record) {
 
 // restoreState rebuilds the session's in-memory state from a journal
 // snapshot (nil = a session that never committed: fresh predictors, zero
-// counts). Predictor construction retries transients like creation did,
-// and a predictor that will not build is returned as is: the journal is
-// not at fault. Any mismatch between the snapshot and freshly built
-// predictors means the journal does not describe this server's world;
-// that is a *journal.DamageError at the snapshot's record, and the
-// session is unrecoverable rather than approximately recovered.
-func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionSnap) error {
+// counts). A predictor that will not build is returned as is: the
+// journal is not at fault. Any mismatch between the snapshot and freshly
+// built predictors means the journal does not describe this server's
+// world; that is a *journal.DamageError at the snapshot's record, and
+// the session is unrecoverable rather than approximately recovered.
+func (s *Server) restoreState(sess *session, snap *sessionSnap) error {
 	admitted := sess.specsAdmitted()
 	if snap == nil {
 		snap = &sessionSnap{Footnotes: sess.journal.hdr.Footnotes, Specs: make([]specSnap, len(admitted))}
@@ -259,7 +224,7 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 			continue
 		}
 		var sp *specState
-		p, err := s.buildPredictor(ctx, ss.Spec)
+		p, err := buildOnce(s.cfg.Build, ss.Spec)
 		if err == nil {
 			sp, err = newSpecState(ss.Spec, p)
 		}
@@ -504,13 +469,13 @@ func (s *Server) admit(ctx context.Context, n int) error {
 
 // restore makes a spilled session resident from its journal: the last
 // snapshot (restoreState), then every body record after it (replay).
-func (s *Server) restore(ctx context.Context, sess *session) error {
+func (s *Server) restore(sess *session) error {
 	j, snap, bodies, err := openSessionJournal(sess.journal.path, s.cfg.CompactBytes)
 	if err != nil {
 		return err
 	}
 	sess.journal = j
-	if err = s.restoreState(ctx, sess, snap); err == nil {
+	if err = s.restoreState(sess, snap); err == nil {
 		err = s.replay(sess, bodies)
 	}
 	if err != nil {

@@ -1,6 +1,6 @@
 package sim_test
 
-// Cancellation, deadline and retry tests for the fault-tolerant
+// Cancellation and panic-recovery tests for the fault-tolerant
 // scheduler layer. Everything here runs under -race in CI (test-race and
 // test-chaos jobs).
 
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
@@ -215,147 +214,21 @@ func TestChunkedCancelStopsMidCell(t *testing.T) {
 	}
 }
 
-// TestPolicyRetriesTransient proves the retry loop: a job failing with a
-// Transient-wrapped error is re-attempted up to MaxRetries and succeeds
-// once the fault clears, with sim_sched_retries counting the
-// re-attempts.
-func TestPolicyRetriesTransient(t *testing.T) {
-	var attempts atomic.Int64
-	before := expvarInt(t, "sim_sched_retries")
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{MaxRetries: 3, Backoff: time.Microsecond})
-	errs := s.Do(1, func(int) error {
-		if attempts.Add(1) <= 2 {
-			return sim.Transient(fmt.Errorf("flaky I/O"))
-		}
-		return nil
-	})
-	if errs[0] != nil {
-		t.Fatalf("job failed despite retries: %v", errs[0])
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("job attempted %d times, want 3", attempts.Load())
-	}
-	if got := expvarInt(t, "sim_sched_retries") - before; got < 2 {
-		t.Errorf("sim_sched_retries advanced %d, want >= 2", got)
-	}
-}
-
-// TestPolicyRetryBudgetExhausted: a persistently transient job fails
-// after MaxRetries re-attempts, and the transient classification is
-// still visible on the returned error.
-func TestPolicyRetryBudgetExhausted(t *testing.T) {
-	var attempts atomic.Int64
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{MaxRetries: 2, Backoff: time.Microsecond})
-	errs := s.Do(1, func(int) error {
-		attempts.Add(1)
-		return sim.Transient(fmt.Errorf("still down"))
-	})
-	if errs[0] == nil {
-		t.Fatalf("persistently failing job reported success")
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("job attempted %d times, want 1 + 2 retries", attempts.Load())
-	}
-	if !sim.Retryable(errs[0]) {
-		t.Errorf("returned error lost its transient classification: %v", errs[0])
-	}
-}
-
-// TestPolicyDoesNotRetryPermanent: an unclassified error is never
-// re-attempted, whatever the budget.
-func TestPolicyDoesNotRetryPermanent(t *testing.T) {
-	var attempts atomic.Int64
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{MaxRetries: 5, Backoff: time.Microsecond})
-	permanent := errors.New("bad spec")
-	errs := s.Do(1, func(int) error {
-		attempts.Add(1)
-		return permanent
-	})
-	if !errors.Is(errs[0], permanent) {
-		t.Fatalf("got %v, want the permanent error", errs[0])
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("permanent failure attempted %d times, want 1", attempts.Load())
-	}
-}
-
-// TestPolicyJobTimeout: a stalled job is abandoned at its deadline and
-// the error both names the deadline and unwraps to
-// context.DeadlineExceeded; the suite context stays live.
-func TestPolicyJobTimeout(t *testing.T) {
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{JobTimeout: 10 * time.Millisecond})
-	errs := s.DoContext(1, func(ctx context.Context, _ int) error {
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	if !errors.Is(errs[0], context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded in the chain", errs[0])
-	}
-	if !sim.Retryable(errs[0]) {
-		t.Errorf("a job timeout should be retryable: %v", errs[0])
-	}
-}
-
-// TestPolicyTimeoutRetryRecovers composes the two: a job that stalls
-// past its deadline once and then behaves completes successfully.
-func TestPolicyTimeoutRetryRecovers(t *testing.T) {
-	var attempts atomic.Int64
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{
-		JobTimeout: 20 * time.Millisecond,
-		MaxRetries: 1,
-		Backoff:    time.Microsecond,
-	})
-	errs := s.DoContext(1, func(ctx context.Context, _ int) error {
-		if attempts.Add(1) == 1 {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-		return nil
-	})
-	if errs[0] != nil {
-		t.Fatalf("stall-once job failed: %v", errs[0])
-	}
-	if attempts.Load() != 2 {
-		t.Fatalf("attempted %d times, want 2", attempts.Load())
-	}
-}
-
-// TestCancelNotRetryable: whole-suite cancellation is never retried,
-// even under a generous budget — the caller asked the work to stop.
-func TestCancelNotRetryable(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts atomic.Int64
-	s := sim.NewScheduler(0).WithContext(ctx).WithPolicy(sim.Policy{MaxRetries: 5, Backoff: time.Microsecond})
-	errs := s.DoContext(1, func(context.Context, int) error {
-		attempts.Add(1)
-		cancel()
-		return ctx.Err()
-	})
-	if !errors.Is(errs[0], context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", errs[0])
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("cancelled job attempted %d times, want 1", attempts.Load())
-	}
-}
-
 // TestPanicPreservesErrorClass: a panic whose value is an error keeps
-// its classification through the recovery, so a fault injector can panic
-// with a Transient error and still be retried.
+// its chain through the recovery, so errors.Is still finds a sentinel
+// the panicking code raised, and the job is attempted exactly once.
 func TestPanicPreservesErrorClass(t *testing.T) {
+	sentinel := errors.New("injected")
 	var attempts atomic.Int64
-	s := sim.NewScheduler(0).WithPolicy(sim.Policy{MaxRetries: 1, Backoff: time.Microsecond})
-	errs := s.Do(1, func(int) error {
-		if attempts.Add(1) == 1 {
-			panic(sim.Transient(fmt.Errorf("injected")))
-		}
-		return nil
+	errs := sim.NewScheduler(0).Do(1, func(int) error {
+		attempts.Add(1)
+		panic(fmt.Errorf("wrapped: %w", sentinel))
 	})
-	if errs[0] != nil {
-		t.Fatalf("panicking-transient job did not recover via retry: %v", errs[0])
+	if !errors.Is(errs[0], sentinel) {
+		t.Fatalf("recovered error lost its chain: %v", errs[0])
 	}
-	if attempts.Load() != 2 {
-		t.Fatalf("attempted %d times, want 2", attempts.Load())
+	if attempts.Load() != 1 {
+		t.Fatalf("attempted %d times, want 1", attempts.Load())
 	}
 }
 

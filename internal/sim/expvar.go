@@ -66,11 +66,6 @@ var (
 	schedCompleted = newShardedCounter("sim_sched_jobs_completed")
 )
 
-// Fault-tolerance counters: retries issued by the scheduler's Policy
-// (sim_sched_retries counts re-attempts, not first attempts) and jobs
-// whose slot ended context.Canceled because the suite was canceled before
-// or during them.
-var (
-	schedRetries   = newShardedCounter("sim_sched_retries")
-	schedCancelled = newShardedCounter("sim_sched_cancelled")
-)
+// schedCancelled counts jobs whose slot ended context.Canceled because
+// the suite was canceled before or during them.
+var schedCancelled = newShardedCounter("sim_sched_cancelled")

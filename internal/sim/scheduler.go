@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bimode/internal/predictor"
 	"bimode/internal/trace"
@@ -30,42 +29,23 @@ import (
 // Regardless of worker count, job panics are recovered per job and
 // surfaced as errors (Result.Err for RunAll) rather than taking down the
 // whole suite, and the expvar counters sim_sched_jobs_inflight /
-// sim_sched_jobs_completed track progress.
+// sim_sched_jobs_completed track progress. A failed job is never
+// retried: every job here is a pure function of its predictor and its
+// trace, so a second attempt would fail the same way.
 //
-// The fault-tolerant layer rides on three optional attachments, each set
-// by a With* copy (the zero configuration behaves exactly as before):
+// Two optional attachments, each set by a With* copy (the zero
+// configuration has neither):
 //
 //   - WithContext: a Context whose cancellation stops the fan-out in
 //     bounded time — queued jobs are skipped with a context.Canceled
 //     error, running RunAll cells stop at the next record block (see
 //     trace.Blocks), and completed results are kept.
-//   - WithPolicy: a per-job deadline and a bounded retry-with-backoff
-//     policy for failures whose error chain is Retryable.
 //   - WithJournal: a checkpoint file that records completed cells and
 //     serves them back on a resumed run; see Journal.
 type Scheduler struct {
 	workers int
 	ctx     context.Context
-	policy  Policy
 	journal *Journal
-}
-
-// Policy bounds how hard the scheduler works to complete one job. The
-// zero value — no deadline, no retries — is the policy of every run that
-// does not opt in.
-type Policy struct {
-	// JobTimeout, when positive, bounds each attempt of a job: the job's
-	// context expires after this long and cooperative checkpoints (the
-	// record-batch loop, MaterializeContext) abandon the attempt with an
-	// error that unwraps to context.DeadlineExceeded. The timeout is
-	// retryable — it bounds an attempt, not the fault behind it.
-	JobTimeout time.Duration
-	// MaxRetries is how many times a job failing with a retryable error
-	// (see Retryable) is re-attempted after its first failure.
-	MaxRetries int
-	// Backoff is the wait before the first retry, doubling each retry
-	// after that. The wait respects the scheduler's context.
-	Backoff time.Duration
 }
 
 // NewScheduler returns a scheduler with the given number of pool workers.
@@ -93,14 +73,6 @@ func (s *Scheduler) WithContext(ctx context.Context) *Scheduler {
 	return &c
 }
 
-// WithPolicy returns a copy of s applying the given per-job deadline and
-// retry policy.
-func (s *Scheduler) WithPolicy(p Policy) *Scheduler {
-	c := *s
-	c.policy = p
-	return &c
-}
-
 // WithJournal returns a copy of s that checkpoints completed RunAll cells
 // into j and serves cached cells from it; see Journal.
 func (s *Scheduler) WithJournal(j *Journal) *Scheduler {
@@ -108,12 +80,6 @@ func (s *Scheduler) WithJournal(j *Journal) *Scheduler {
 	c.journal = j
 	return &c
 }
-
-// Workers reports the pool width; 0 means sequential execution.
-func (s *Scheduler) Workers() int { return s.workers }
-
-// Sequential reports whether this scheduler is the inline reference path.
-func (s *Scheduler) Sequential() bool { return s.workers == 0 }
 
 // Context returns the scheduler's cancellation context
 // (context.Background() unless WithContext attached one).
@@ -130,25 +96,22 @@ func (s *Scheduler) Context() context.Context {
 // the remaining tasks still run. Tasks writing to disjoint slots of a
 // shared slice indexed by their argument is the intended result-passing
 // pattern; Do establishes the necessary happens-before edges. n <= 0
-// returns an empty slice. Cancellation and the retry policy apply as in
-// DoContext; tasks that want to observe the per-attempt context (for
-// cooperative deadline checks) use DoContext directly.
+// returns an empty slice. Cancellation applies as in DoContext; tasks
+// that want to observe the context (for cooperative cancellation checks)
+// use DoContext directly.
 func (s *Scheduler) Do(n int, task func(int) error) []error {
 	return s.DoContext(n, func(_ context.Context, i int) error { return task(i) })
 }
 
-// DoContext is Do for context-aware tasks: each attempt receives a
-// context that carries the scheduler's cancellation and, when
-// Policy.JobTimeout is set, the attempt's deadline. Jobs not yet started
-// when the scheduler's context is canceled are skipped with a
-// context.Canceled error in their slot (counted by sim_sched_cancelled);
-// jobs failing with a retryable error are re-attempted per the Policy
-// (counted by sim_sched_retries).
+// DoContext is Do for context-aware tasks: each task receives the
+// scheduler's context. Jobs not yet started when that context is
+// canceled are skipped with a context.Canceled error in their slot
+// (counted by sim_sched_cancelled).
 func (s *Scheduler) DoContext(n int, task func(ctx context.Context, i int) error) []error {
 	if n <= 0 {
 		return nil
 	}
-	parent := s.Context()
+	ctx := s.Context()
 	errs := make([]error, n)
 	// run executes job i on behalf of worker w; w doubles as the expvar
 	// shard so workers never contend on a counter cache line.
@@ -158,19 +121,13 @@ func (s *Scheduler) DoContext(n int, task func(ctx context.Context, i int) error
 			schedInFlight.add(w, -1)
 			schedCompleted.add(w, 1)
 		}()
-		errs[i] = s.runJob(parent, w, n, i, task)
+		errs[i] = attempt(ctx, n, i, task)
 		if errors.Is(errs[i], context.Canceled) {
 			schedCancelled.add(w, 1)
 		}
 	}
 
-	workers := s.workers
-	if workers < 0 {
-		workers = 0
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.workers, n)
 	if workers == 0 {
 		for i := 0; i < n; i++ {
 			run(0, i)
@@ -203,35 +160,14 @@ func (s *Scheduler) DoContext(n int, task func(ctx context.Context, i int) error
 	return errs
 }
 
-// runJob drives one job through the attempt/retry loop. w is the worker's
-// expvar shard.
-func (s *Scheduler) runJob(parent context.Context, w, n, i int, task func(context.Context, int) error) error {
-	for attempt := 0; ; attempt++ {
-		// Skip-if-canceled: a canceled suite stops dispatching instantly,
-		// leaving the untouched jobs tagged rather than half-run.
-		if err := parent.Err(); err != nil {
-			return err
-		}
-		err := s.attempt(parent, n, i, task)
-		if err == nil || attempt >= s.policy.MaxRetries || !Retryable(err) {
-			return err
-		}
-		schedRetries.add(w, 1)
-		if !sleepBackoff(parent, s.policy.Backoff<<uint(attempt)) {
-			return err
-		}
-	}
-}
-
-// attempt runs one attempt of one job under the per-job deadline, with
-// panic recovery. A panic whose value is an error is wrapped with %w so
-// classifications (Retryable, context sentinels) survive the recovery.
-func (s *Scheduler) attempt(parent context.Context, n, i int, task func(context.Context, int) error) (err error) {
-	ctx := parent
-	if s.policy.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(parent, s.policy.JobTimeout)
-		defer cancel()
+// attempt runs job i once on ctx, with panic recovery. A job whose
+// context is already canceled is skipped, so a canceled suite stops
+// dispatching at once and leaves the untouched jobs tagged rather than
+// half-run. A panic whose value is an error is wrapped with %w so its
+// chain (context sentinels, typed decode errors) survives the recovery.
+func attempt(ctx context.Context, n, i int, task func(context.Context, int) error) (err error) {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,28 +177,8 @@ func (s *Scheduler) attempt(parent context.Context, n, i int, task func(context.
 				err = fmt.Errorf("sim: job %d of %d panicked: %v", i, n, r)
 			}
 		}
-		if err != nil && s.policy.JobTimeout > 0 &&
-			errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			err = &jobTimeoutError{timeout: s.policy.JobTimeout, err: err}
-		}
 	}()
 	return task(ctx, i)
-}
-
-// sleepBackoff waits d (no-op when d <= 0), returning false if ctx was
-// canceled first.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // RunAll executes the jobs through the scheduler and returns results in
@@ -361,8 +277,7 @@ func safeSourceName(src trace.Source) (name string) {
 // sharedSources maps each job to a materialized trace, deduplicating
 // identical sources by interface identity; the distinct materializations
 // themselves run through the scheduler (and therefore observe the
-// cancellation context and per-job deadline cooperatively, via
-// trace.MaterializeContext). Sources whose dynamic type is not comparable
+// cancellation context cooperatively, via trace.MaterializeContext). Sources whose dynamic type is not comparable
 // cannot be used as memo keys and are materialized individually. A source
 // whose materialization panics or fails gets a nil slot and a per-job
 // error for every job that shares it.

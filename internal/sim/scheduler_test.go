@@ -277,16 +277,21 @@ func TestSchedulerExpvars(t *testing.T) {
 	}
 }
 
-// TestNewSchedulerClamp pins the constructor contract: negative widths are
-// the sequential scheduler, and Sequential() reflects exactly workers==0.
+// TestNewSchedulerClamp pins the constructor contract: a negative width
+// is the sequential scheduler, which runs every task inline in index
+// order (the unsynchronized append would also trip -race on a pool).
 func TestNewSchedulerClamp(t *testing.T) {
-	if s := sim.NewScheduler(-3); s.Workers() != 0 || !s.Sequential() {
-		t.Errorf("NewScheduler(-3) = %d workers, sequential=%v", s.Workers(), s.Sequential())
+	var order []int
+	sim.NewScheduler(-3).Do(8, func(i int) error {
+		order = append(order, i)
+		return nil
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("NewScheduler(-3) ran tasks in order %v, want 0..7", order)
+		}
 	}
-	if s := sim.NewScheduler(5); s.Workers() != 5 || s.Sequential() {
-		t.Errorf("NewScheduler(5) = %d workers, sequential=%v", s.Workers(), s.Sequential())
-	}
-	if s := sim.DefaultScheduler(); s.Workers() < 1 {
-		t.Errorf("DefaultScheduler has %d workers", s.Workers())
+	if len(order) != 8 {
+		t.Fatalf("NewScheduler(-3) ran %d of 8 tasks", len(order))
 	}
 }

@@ -58,8 +58,7 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 			if err := restored.(predictor.Snapshotter).RestoreSnapshot(snap); err != nil {
 				t.Fatalf("RestoreSnapshot: %v", err)
 			}
-			// Restoring must not consume or mutate the snapshot bytes: the
-			// journal may serve the same part to a retried attempt.
+			// Restoring must not consume or mutate the snapshot bytes.
 			if again := restored.(predictor.Snapshotter).Snapshot(nil); !bytes.Equal(again, snap) {
 				t.Fatalf("snapshot of the restored predictor differs from the snapshot it was restored from")
 			}
