@@ -6,6 +6,7 @@ import (
 	"bimode/internal/counter"
 	"bimode/internal/history"
 	"bimode/internal/predictor"
+	"bimode/internal/trace"
 )
 
 // Agree implements the agree predictor [Sprangle97], the de-aliasing rival
@@ -109,6 +110,43 @@ func (a *Agree) Step(pc uint64, taken bool) bool {
 	agreed := a.pht.Step(a.index(pc), taken == (b != 1))
 	a.ghr.Push(taken)
 	return agreed == before
+}
+
+// RunBatch implements predictor.BatchRunner: Step over the whole slice
+// with the bias table, the PHT and the history register in locals. The
+// first-encounter latch is bit arithmetic (an unset entry, 0, becomes
+// 1 + outcome), and the PHT is a gshare table trained toward "agreed",
+// so it steps through gshareStep. That returns the agree-miss bit; the
+// branch mispredicted when it differs from whether the latch changed the
+// bias direction the prediction used.
+//
+//bimode:hotpath
+func (a *Agree) RunBatch(recs []trace.Record) int {
+	bias := a.bias
+	pht := a.pht.Raw()
+	if len(bias) == 0 || len(pht) == 0 {
+		return 0 // unreachable (both tables are non-empty); lets the compiler drop bounds checks
+	}
+	biasMask := uint64(len(bias) - 1)
+	idxMask := uint64(len(pht) - 1)
+	h := a.ghr.Value()
+	hMask := a.ghr.Mask()
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		addr := r.PC >> 2
+		bi := addr & biasMask
+		b := bias[bi]
+		before := counter.OutcomeBit(b != 1)
+		b |= counter.OutcomeBit(b == 0) << tk
+		bias[bi] = b
+		after := b >> 1
+		miss += int(gshareStep(pht, idxMask, addr^h, 1^tk^after) ^ after ^ before)
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	a.ghr.Set(h)
+	return miss
 }
 
 // Reset implements predictor.Predictor.

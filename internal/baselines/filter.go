@@ -6,6 +6,7 @@ import (
 
 	"bimode/internal/counter"
 	"bimode/internal/history"
+	"bimode/internal/trace"
 )
 
 // Filter implements the PHT-interference filtering mechanism of Chang,
@@ -125,6 +126,48 @@ func (f *Filter) Step(pc uint64, taken bool) bool {
 	}
 	f.ghr.Push(taken)
 	return pred
+}
+
+// RunBatch implements predictor.BatchRunner: Step over the whole slice
+// with the filter entries, the PHT and the history register in locals.
+// Whether the branch is filtered is a bit, not a branch: it selects the
+// prediction, and as the enable key of counter.SatNextIf it leaves a
+// filtered branch's PHT counter as it was. The run counter climbs by
+// that same bit while the direction holds and restarts at 1 when it
+// flips.
+//
+//bimode:hotpath
+func (f *Filter) RunBatch(recs []trace.Record) int {
+	dir, run := f.dir, f.run
+	pht := f.pht.Raw()
+	if len(dir) == 0 || len(run) != len(dir) || len(pht) == 0 {
+		return 0 // unreachable (equal, non-empty tables); lets the compiler drop bounds checks
+	}
+	fltMask := uint64(len(dir) - 1)
+	idxMask := uint64(len(pht) - 1)
+	fmax := f.filterMax
+	h := f.ghr.Value()
+	hMask := f.ghr.Mask()
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		addr := r.PC >> 2
+		fi := addr & fltMask
+		d, n := counter.OutcomeBit(dir[fi]), run[fi]
+		unfiltered := counter.OutcomeBit(n < fmax)
+		pi := (addr ^ h) & idxMask
+		v := pht[pi]
+		pht[pi] = counter.SatNextIf(v, tk, unfiltered)
+		pred := d ^ (d^v.TakenBit())&unfiltered
+		miss += int(pred ^ tk)
+		held := 0 - (d ^ tk ^ 1) // all ones while the direction holds
+		run[fi] = (n+unfiltered)&held | 1&^held
+		dir[fi] = r.Taken
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	f.ghr.Set(h)
+	return miss
 }
 
 // Reset implements predictor.Predictor.

@@ -5,6 +5,7 @@ import (
 
 	"bimode/internal/counter"
 	"bimode/internal/history"
+	"bimode/internal/trace"
 )
 
 // Gskew implements the skewed branch predictor of Michaud, Seznec and
@@ -21,13 +22,12 @@ import (
 // H(y) = (y >> 1) ^ (lsb(y) * polyTap) and its inverse, applied to the two
 // halves of the hashed value.
 type Gskew struct {
-	banks     [3]*counter.Table
-	ghr       *history.Global
-	bankBits  int
-	histBits  int
-	partial   bool
-	bankMask  uint64
-	inputMask uint64
+	banks    [3]*counter.Table
+	ghr      *history.Global
+	bankBits int
+	histBits int
+	partial  bool
+	bankMask uint64
 }
 
 // NewGskew returns a gskew predictor with three banks of 2^bankBits
@@ -43,12 +43,11 @@ func NewGskew(bankBits, histBits int, partial bool) *Gskew {
 		panic(fmt.Sprintf("baselines: gskew history width %d invalid", histBits))
 	}
 	g := &Gskew{
-		ghr:       history.NewGlobal(histBits),
-		bankBits:  bankBits,
-		histBits:  histBits,
-		partial:   partial,
-		bankMask:  1<<uint(bankBits) - 1,
-		inputMask: 1<<uint(2*bankBits) - 1,
+		ghr:      history.NewGlobal(histBits),
+		bankBits: bankBits,
+		histBits: histBits,
+		partial:  partial,
+		bankMask: 1<<uint(bankBits) - 1,
 	}
 	for i := range g.banks {
 		g.banks[i] = counter.NewTwoBit(1<<uint(bankBits), counter.WeakTaken)
@@ -86,11 +85,12 @@ func (g *Gskew) shuffleHInv(y uint64) uint64 {
 }
 
 // indices computes the three skewed bank indices for the current
-// (address, history) pair.
+// (address, history) pair. RunBatch computes the same indices with both
+// halves in one word.
 //
 //bimode:hotpath
 func (g *Gskew) indices(pc uint64) (f0, f1, f2 int) {
-	v := ((pc >> 2) ^ g.ghr.Value()<<uint(g.bankBits/2)) & g.inputMask
+	v := (pc >> 2) ^ g.ghr.Value()<<uint(g.bankBits/2)
 	v1 := v & g.bankMask
 	v2 := (v >> uint(g.bankBits)) & g.bankMask
 	shared := g.shuffleH(v1) ^ g.shuffleHInv(v2)
@@ -160,6 +160,67 @@ func (g *Gskew) Step(pc uint64, taken bool) bool {
 	}
 	g.ghr.Push(taken)
 	return vote == 1
+}
+
+// RunBatch implements predictor.BatchRunner: Step's transition over the
+// whole slice with the three banks and the history register in locals.
+//
+// The indices are those of Gskew.indices, computed on both n-bit halves
+// of the hashed value v at once: v holds them side by side (bits 0..n-1
+// and n..2n-1, with n <= 26), so one shift of the word shifts both. A
+// shift carries a bit across the boundary only into a half's top or
+// bottom bit, the bit the bijection rewrites anyway. With w = v>>1 and
+// d = v^w, hh is H of each half: w, whose top bit of a half is set to
+// that half's lsb XOR msb (w's own bit there cancels against d's). ii is
+// H^-1 of each half: v<<1, whose bottom bit of a half is set to the
+// half's bit n-1 XOR bit n-2 (d's bit n-2 of the half). The shift counts
+// are masked to 63, which they are already, so the compiler emits plain
+// shifts.
+//
+// The vote is bit arithmetic on the three taken bits, and whether a bank
+// trains is the enable key of counter.SatNextIf: under the partial policy
+// a bank that disagreed with a correct vote is stored back unchanged
+// rather than skipped by a branch on trace data.
+//
+//bimode:hotpath
+func (g *Gskew) RunBatch(recs []trace.Record) int {
+	b0, b1, b2 := g.banks[0].Raw(), g.banks[1].Raw(), g.banks[2].Raw()
+	if len(b0) == 0 || len(b1) != len(b0) || len(b2) != len(b0) {
+		return 0 // unreachable (equal, non-empty banks); lets the compiler drop bounds checks
+	}
+	mask := uint64(len(b0) - 1)
+	n := uint(g.bankBits) & 63
+	top, low, half := (n-1)&63, (n-2)&63, n/2
+	tops := uint64(1)<<top | 1<<(top+n)
+	lows := 1 | uint64(1)<<n
+	total := counter.OutcomeBit(!g.partial)
+	h := g.ghr.Value()
+	hMask := g.ghr.Mask()
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		v := r.PC>>2 ^ h<<half
+		w := v >> 1
+		d := v ^ w
+		u := v << 1
+		hh := w ^ (v<<top^d)&tops
+		ii := u ^ (d>>low^u)&lows
+		i0 := (hh ^ (ii^v)>>n) & mask
+		i1 := (hh ^ ii>>n ^ v) & mask
+		i2 := (ii ^ (hh^v)>>n) & mask
+		v0, v1, v2 := b0[i0], b1[i1], b2[i2]
+		t0, t1, t2 := v0.TakenBit(), v1.TakenBit(), v2.TakenBit()
+		vote := t0&t1 | t0&t2 | t1&t2
+		all := total | (vote ^ tk)
+		b0[i0] = counter.SatNextIf(v0, tk, all|(t0^tk^1))
+		b1[i1] = counter.SatNextIf(v1, tk, all|(t1^tk^1))
+		b2[i2] = counter.SatNextIf(v2, tk, all|(t2^tk^1))
+		miss += int(vote ^ tk)
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	g.ghr.Set(h)
+	return miss
 }
 
 // Reset implements predictor.Predictor.

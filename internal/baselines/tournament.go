@@ -5,6 +5,7 @@ import (
 
 	"bimode/internal/counter"
 	"bimode/internal/predictor"
+	"bimode/internal/trace"
 )
 
 // Tournament is McFarling's combining predictor [McFarling93], the design
@@ -108,6 +109,78 @@ func (t *Tournament) Step(pc uint64, taken bool) bool {
 		return pb
 	}
 	return pa
+}
+
+// RunBatch implements predictor.BatchRunner. The pairing
+// NewAlpha21264Style builds, a per-address two-level component a and a
+// global two-level component b, runs as one kernel (runLocalGlobal); any
+// other pairing runs Step per record.
+//
+//bimode:hotpath dispatch
+func (t *Tournament) RunBatch(recs []trace.Record) int {
+	if local, ok := t.a.(*TwoLevel); ok && local.perAddr {
+		if global, ok := t.b.(*TwoLevel); ok && !global.perAddr {
+			return t.runLocalGlobal(local, global, recs)
+		}
+	}
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		if t.Step(r.PC, r.Taken) != r.Taken {
+			miss++
+		}
+	}
+	return miss
+}
+
+// runLocalGlobal is RunBatch for a per-address component a and a global
+// component b: the meta table, both components' PHTs, a's history
+// registers and b's history register in locals, and per record the
+// transitions of Step with both components' TwoLevel.Step inlined. The
+// meta counter trains only when the components disagreed, which is the
+// enable key of counter.SatNextIf, and its taken bit selects between the
+// two predictions by masking.
+//
+//bimode:hotpath
+func (t *Tournament) runLocalGlobal(a, b *TwoLevel, recs []trace.Record) int {
+	meta := t.meta.Raw()
+	regs := a.bht.Regs()
+	at, bt := a.table.Raw(), b.table.Raw()
+	if len(meta) == 0 || len(regs) == 0 || len(at) == 0 || len(bt) == 0 {
+		return 0 // unreachable (all tables are non-empty); lets the compiler drop bounds checks
+	}
+	metaMask := uint64(len(meta) - 1)
+	regMask := uint64(len(regs) - 1)
+	atMask, btMask := uint64(len(at)-1), uint64(len(bt)-1)
+	// The widths are at most 28; masking the shift counts to 63 lets the
+	// compiler emit plain shifts.
+	aSet, aShift := a.setMask, uint(a.histBits)&63
+	bSet, bShift := b.setMask, uint(b.histBits)&63
+	pMask := a.bht.Mask()
+	h := b.ghr.Value()
+	hMask := b.ghr.Mask()
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		addr := r.PC >> 2
+		mi := addr & metaMask
+		m := meta[mi]
+		ri := addr & regMask
+		p := regs[ri]
+		ai := ((addr&aSet)<<aShift | p) & atMask
+		bi := ((addr&bSet)<<bShift | h) & btMask
+		av, bv := at[ai], bt[bi]
+		pa, pb := av.TakenBit(), bv.TakenBit()
+		at[ai] = counter.SatNext(av, tk)
+		bt[bi] = counter.SatNext(bv, tk)
+		meta[mi] = counter.SatNextIf(m, pb^tk^1, pa^pb)
+		miss += int(pa ^ (pa^pb)&m.TakenBit() ^ tk)
+		regs[ri] = (p<<1 | uint64(tk)) & pMask
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	b.ghr.Set(h)
+	return miss
 }
 
 // Reset implements predictor.Predictor.

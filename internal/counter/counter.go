@@ -128,3 +128,20 @@ func OutcomeBit(taken bool) uint8 {
 func SatNext(v State, taken uint8) State {
 	return SatNext2[(taken<<2|uint8(v))&7]
 }
+
+// satNextIf2[enable<<3|outcome<<2|state] is the conditional two-bit
+// transition table: rows 0-7 leave the state as it is, rows 8-15 are
+// SatNext2.
+var satNextIf2 = [16]State{0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 1, 2, 1, 2, 3, 3}
+
+// SatNextIf is SatNext applied only when the bit en is 1: the state v
+// unchanged for en == 0, SatNext(v, taken) for en == 1. Kernels whose
+// counters train only sometimes (e-gskew's partial update, the filter's
+// PHT, the tournament's meta counter) use it so the condition, which is
+// trace data, is a table key rather than a branch;
+// TestSatNextIf2Exhaustive pins it to Counter.Update.
+//
+//bimode:hotpath
+func SatNextIf(v State, taken, en uint8) State {
+	return satNextIf2[(en<<3|taken<<2|uint8(v))&15]
+}

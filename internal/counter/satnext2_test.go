@@ -43,3 +43,22 @@ func TestSatNext2MatchesTable(t *testing.T) {
 		}
 	}
 }
+
+// TestSatNextIf2Exhaustive checks every (state, outcome, enable) key of
+// the conditional table: disabled rows keep the state, enabled rows match
+// the scalar two-bit Counter and SatNext.
+func TestSatNextIf2Exhaustive(t *testing.T) {
+	for v := State(0); v <= 3; v++ {
+		for _, taken := range []bool{false, true} {
+			tk := OutcomeBit(taken)
+			if got := SatNextIf(v, tk, 0); got != v {
+				t.Errorf("SatNextIf(%d, %d, 0) = %d, want the state unchanged", v, tk, got)
+			}
+			c := New(2, v)
+			c.Update(taken)
+			if got := SatNextIf(v, tk, 1); got != c.Value() || got != SatNext(v, tk) {
+				t.Errorf("SatNextIf(%d, %d, 1) = %d, Counter.Update gives %d", v, tk, got, c.Value())
+			}
+		}
+	}
+}

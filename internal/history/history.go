@@ -102,6 +102,18 @@ func (p *PerAddress) Len() int { return len(p.regs) }
 // Bits returns the width of each history register.
 func (p *PerAddress) Bits() int { return p.histLen }
 
+// Regs returns the history registers themselves, for kernels that step
+// them in a local loop; a register is selected by (pc>>2)&(len-1) and
+// holds at most Mask's bits.
+//
+//bimode:hotpath
+func (p *PerAddress) Regs() []uint64 { return p.regs }
+
+// Mask returns a register's value mask.
+//
+//bimode:hotpath
+func (p *PerAddress) Mask() uint64 { return p.mask }
+
 // index maps a branch PC to its history register. Branch instructions are
 // word aligned, so the two low bits carry no information and are dropped.
 //

@@ -36,7 +36,7 @@ func TestSimulationRungs(t *testing.T) {
 	want := map[string]string{
 		"smith": "batch", "gshare": "batch", "gag": "batch", "gas": "batch",
 		"pag": "batch", "pas": "batch", "bimode": "batch", "trimode": "batch",
-		"gselect": "step", "gskew": "step", "agree": "step", "filter": "step", "alpha": "step",
+		"gskew": "batch", "agree": "batch", "filter": "batch", "alpha": "batch", "gselect": "step",
 		"yags": "generic", "loopgshare": "generic",
 		"taken": "generic", "not-taken": "generic", "btfn": "generic",
 	}
