@@ -171,11 +171,16 @@ func CreateJournal(path string) (*Journal, error) { return sim.CreateJournal(pat
 // version or with a damaged interior is an error.
 func ResumeJournal(path string) (*Journal, error) { return sim.ResumeJournal(path) }
 
-// Study is the bias-class analysis of paper Section 4.
+// Study is the bias-class analysis of paper Section 4. Its Substreams
+// slice lists every substream s(i,c) the run accessed, in order of first
+// appearance.
 type Study = analysis.Study
 
 // RunStudy performs the bias analysis of a fresh predictor (which must
-// implement Indexed) in one simulation pass over a workload.
+// implement Indexed) in one simulation pass over a workload. Gshare and
+// bi-mode run it through their batched probe kernels; any other
+// predictor is stepped one record at a time. A damaged block source ends
+// the study with its decode error.
 func RunStudy(p Predictor, src Source) (*Study, error) {
 	return analysis.RunStudy(p, src)
 }

@@ -55,10 +55,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The shared counter is the one both branches reach; the others hold
+	// the one-outcome substreams of the first records, before the history
+	// settles.
+	reach := map[int]int{}
 	for _, sub := range study.Substreams {
+		reach[sub.Counter]++
+	}
+	warmup := 0
+	for _, sub := range study.Substreams {
+		if reach[sub.Counter] < 2 {
+			warmup++
+			continue
+		}
 		fmt.Printf("  branch %d -> counter %2d: %5d outcomes, %5d taken, class %s\n",
 			sub.Static, sub.Counter, sub.Len, sub.Taken, sub.Class())
 	}
+	fmt.Printf("  (and %d warm-up substreams of one outcome each at other counters)\n", warmup)
 	d, nd, wb := study.AreaShares()
 	fmt.Printf("  gshare area shares: dominant %.0f%%, non-dominant %.0f%%, WB %.0f%%\n",
 		100*d, 100*nd, 100*wb)

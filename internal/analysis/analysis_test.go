@@ -274,7 +274,7 @@ func TestFindExample(t *testing.T) {
 }
 
 func TestFindExampleEmpty(t *testing.T) {
-	st := &Study{Substreams: map[uint64]*Substream{}}
+	st := &Study{}
 	if _, ok := FindExample(st); ok {
 		t.Fatalf("empty study must not produce an example")
 	}

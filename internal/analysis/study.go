@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"bimode/internal/predictor"
@@ -27,9 +29,9 @@ type Study struct {
 	Branches    int
 	Mispredicts int
 
-	// Substreams maps packed (static, counter) keys to accumulated
-	// substreams.
-	Substreams map[uint64]*Substream
+	// Substreams holds every substream s(i,c) the run accessed, in order
+	// of first appearance.
+	Substreams []Substream
 	// Counters aggregates per-counter class counts (only counters that
 	// were accessed appear).
 	Counters []CounterBias
@@ -78,13 +80,19 @@ func (s *Study) ClassRate(c Class) float64 {
 	return float64(s.MissByClass[c]) / float64(s.Branches)
 }
 
-func key(static uint32, counter int) uint64 {
-	return uint64(static)<<32 | uint64(uint32(counter))
-}
+// stripLen is how many records RunStudy fills and then accounts at a
+// time; one strip's rows take 16 KB.
+const stripLen = 1024
 
 // RunStudy performs the bias analysis of p, which must implement
 // predictor.Indexed, in one pass over src's blocks. A damaged block
 // source ends the study with its decode error.
+//
+// Each block goes through in strips of stripLen records, each in two
+// passes, as in sim.Observer.Feed: a fill that steps the predictor and
+// writes one row per record (its counter id and whether it missed), by
+// the predictor's ProbeBatch kernel when it has one and by
+// predictor.FillEach otherwise, then account over the strip's rows.
 func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 	ix, ok := p.(predictor.Indexed)
 	if !ok {
@@ -94,30 +102,13 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 		Predictor:   p.Name(),
 		Workload:    src.Name(),
 		NumCounters: ix.NumCounters(),
-		PCs:         map[uint32]uint64{},
 	}
-
-	// Each substream accumulates in an acc, found through index and
-	// numbered in order of first appearance (subs[a.idx] == a). last holds
-	// the substream that last accessed each counter (-1 before the first
-	// access), and switches logs, in stream order, every access whose
-	// substream differs from the last one at its counter: the accesses it
-	// drops repeat their predecessor's substream, hence its class, so the
-	// log keeps every bias-class change.
-	type acc struct {
-		Substream
-		miss int // mispredictions within the substream
-		idx  int32
+	batch, _ := p.(predictor.ProbeBatcher)
+	lookup := func(pc uint64) predictor.Lookup {
+		return predictor.Lookup{CounterID: ix.CounterID(pc), Bank: -1}
 	}
-	var (
-		subs     []*acc
-		switches []int32
-		index    = map[uint64]*acc{}
-		last     = make([]int32, st.NumCounters)
-	)
-	for c := range last {
-		last[c] = -1
-	}
+	a := newAccounts(st)
+	rows := make([]predictor.ProbeRow, stripLen)
 	bs := trace.Blocks(src)
 	for {
 		blk, err := bs.NextBlock()
@@ -127,31 +118,104 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 		if blk == nil {
 			break
 		}
-		for _, rec := range blk {
-			cid := ix.CounterID(rec.PC)
-			k := key(rec.Static, cid)
-			a := index[k]
-			if a == nil {
-				a = &acc{Substream: Substream{Static: rec.Static, Counter: cid}, idx: int32(len(subs))}
-				index[k] = a
-				subs = append(subs, a)
-				if _, seen := st.PCs[rec.Static]; !seen {
-					st.PCs[rec.Static] = rec.PC &^ (1 << 63)
-				}
+		for len(blk) > 0 {
+			strip := blk[:min(len(blk), stripLen)]
+			r := rows[:len(strip)]
+			if batch != nil {
+				batch.ProbeBatch(strip, r)
+			} else {
+				var filled int
+				predictor.FillEach(p, lookup, st.NumCounters, strip, r, &filled)
 			}
-			a.Len++
-			if rec.Taken {
-				a.Taken++
-			}
-			if p.Predict(rec.PC) != rec.Taken {
-				a.miss++
-			}
-			p.Update(rec.PC, rec.Taken)
-			if last[cid] != a.idx {
-				last[cid] = a.idx
-				switches = append(switches, a.idx)
-			}
+			a.account(strip, r)
+			blk = blk[len(strip):]
 		}
+	}
+	a.finish(st)
+	return st, nil
+}
+
+// accounts is the study's running state. Each substream accumulates in
+// subs, numbered in order of first appearance, with its mispredictions in
+// miss; table finds a substream's number from its (static, counter) key.
+// last holds the substream that last accessed each counter (-1 before
+// the first access), and switches logs, in stream order, every access
+// whose substream differs from the last one at its counter: the accesses
+// it drops repeat their predecessor's substream, hence its class, so the
+// log keeps every bias-class change. firsts lists each static's first
+// record, in order of first appearance, and seen has a bit per static id
+// set once it is listed.
+type accounts struct {
+	subs     []Substream
+	miss     []int
+	table    subTable
+	last     []int32
+	switches []int32
+	firsts   []trace.Record
+	seen     []uint64
+}
+
+func newAccounts(st *Study) *accounts {
+	a := &accounts{last: make([]int32, st.NumCounters)}
+	for c := range a.last {
+		a.last[c] = -1
+	}
+	a.table.init(minTableLen)
+	return a
+}
+
+// account folds one strip of filled rows into the substreams. A record
+// whose static last touched its counter is in the substream last names,
+// so only the other accesses, the ones the switch log records, look their
+// substream up in the table.
+func (a *accounts) account(recs []trace.Record, rows []predictor.ProbeRow) {
+	last := a.last
+	for i := range recs {
+		rec := &recs[i]
+		cid := rows[i].CounterID
+		s := last[cid]
+		if s < 0 || a.subs[s].Static != rec.Static {
+			s = a.substream(rec, int(cid))
+			last[cid] = s
+			a.switches = append(grown(a.switches), s)
+		}
+		sub := &a.subs[s]
+		sub.Len++
+		sub.Taken += b2i(rec.Taken)
+		a.miss[s] += b2i(rows[i].Miss)
+	}
+}
+
+// substream returns the number of rec's substream at counter cid,
+// opening one when this is its first access.
+func (a *accounts) substream(rec *trace.Record, cid int) int32 {
+	k := key(rec.Static, cid)
+	e := a.table.entry(k)
+	if e.slot > 0 {
+		return e.slot - 1
+	}
+	s := int32(len(a.subs))
+	a.subs = append(grown(a.subs), Substream{Static: rec.Static, Counter: cid})
+	a.miss = append(grown(a.miss), 0)
+	if w := int(rec.Static >> 6); w >= len(a.seen) {
+		a.seen = append(a.seen, make([]uint64, w+1-len(a.seen))...)
+	}
+	if bit := uint64(1) << (rec.Static & 63); a.seen[rec.Static>>6]&bit == 0 {
+		a.seen[rec.Static>>6] |= bit
+		a.firsts = append(a.firsts, *rec)
+	}
+	e.key, e.slot = k, s+1
+	a.table.added()
+	return s
+}
+
+// finish derives the study's results from the accumulated substreams.
+func (a *accounts) finish(st *Study) {
+	subs, last := a.subs, a.last
+	st.Substreams = subs
+	st.PCs = make(map[uint32]uint64, len(a.firsts))
+	for _, rec := range a.firsts {
+		st.PCs[rec.Static] = rec.PC &^ (1 << 63)
 	}
 
 	// Number the touched counters in id order; last now maps each counter
@@ -171,16 +235,17 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 	}
 
 	// Classify every substream once, then aggregate per counter and
-	// attribute the misses.
-	classes := make([]Class, len(subs))
-	st.Substreams = make(map[uint64]*Substream, len(subs))
+	// attribute the misses. tags packs each substream's place in Counters
+	// with its class: all that the replay below reads of a substream.
+	tags := make([]int32, len(subs))
 	for i := range subs {
-		sub := &subs[i].Substream
-		st.Substreams[key(sub.Static, sub.Counter)] = sub
-		classes[i] = sub.Class()
-		cb := &st.Counters[last[sub.Counter]]
+		sub := &subs[i]
+		class := sub.Class()
+		pos := last[sub.Counter]
+		tags[i] = pos<<2 | int32(class)
+		cb := &st.Counters[pos]
 		cb.Total += sub.Len
-		switch classes[i] {
+		switch class {
 		case ST:
 			cb.STCount += sub.Len
 		case SNT:
@@ -189,24 +254,105 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 			cb.WBCount += sub.Len
 		}
 		st.Branches += sub.Len
-		st.Mispredicts += subs[i].miss
-		st.MissByClass[classes[i]] += subs[i].miss
+		st.Mispredicts += a.miss[i]
+		st.MissByClass[class] += a.miss[i]
 	}
 
 	// Replay the switch log per counter: each class change cuts off the
-	// previous run.
-	prev := make([]int32, touched)
+	// previous run. prev holds the class of each counter's current run
+	// (noRun before the first).
+	const noRun = Class(3)
+	prev := make([]Class, touched)
 	for pos := range prev {
-		prev[pos] = -1
+		prev[pos] = noRun
 	}
-	for _, i := range switches {
-		pos := last[subs[i].Counter]
-		if p := prev[pos]; p >= 0 && classes[p] != classes[i] {
-			st.Interruptions[categoryOf(classes[p], st.Counters[pos].DominantClass())]++
+	for _, i := range a.switches {
+		pos, class := tags[i]>>2, Class(tags[i]&3)
+		if p := prev[pos]; p != noRun && p != class {
+			st.Interruptions[categoryOf(p, st.Counters[pos].DominantClass())]++
 		}
-		prev[pos] = i
+		prev[pos] = class
 	}
-	return st, nil
+}
+
+// grown returns s with room for one more element, doubling its capacity
+// when it is full: append alone grows a long slice by about a quarter at
+// a time, copying it many more times over.
+func grown[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, len(s)+1)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// key packs a (static, counter) pair into the table's key.
+func key(static uint32, counter int) uint64 {
+	return uint64(static)<<32 | uint64(uint32(counter))
+}
+
+// subTable maps substream keys to substream numbers: open addressing
+// with linear probing over a power-of-two array of entries, indexed by a
+// multiplicative hash of the key and doubled whenever it is three
+// quarters full.
+type subTable struct {
+	ents  []subEntry
+	shift uint // 64 - log2(len(ents)): the hash keeps the product's top bits
+	n     int  // entries in use
+}
+
+// subEntry holds a key and its substream number plus one, so that the
+// zero entry is empty.
+type subEntry struct {
+	key  uint64
+	slot int32
+}
+
+// minTableLen is the table's first size, 4 KB: the table grows with the
+// substreams a study finds, not with the predictor's counter count.
+const minTableLen = 256
+
+// hashMul is 2^64 divided by the golden ratio, the multiplier of
+// Fibonacci hashing.
+const hashMul = 0x9e3779b97f4a7c15
+
+func (t *subTable) init(n int) {
+	t.ents = make([]subEntry, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	t.n = 0
+}
+
+// entry returns key's entry, or the empty entry where key goes.
+func (t *subTable) entry(key uint64) *subEntry {
+	mask := uint64(len(t.ents) - 1)
+	for i := key * hashMul >> t.shift; ; i = (i + 1) & mask {
+		if e := &t.ents[i]; e.slot == 0 || e.key == key {
+			return e
+		}
+	}
+}
+
+// added records that an empty entry was filled, growing the table at
+// three-quarters load.
+func (t *subTable) added() {
+	t.n++
+	if 4*t.n <= 3*len(t.ents) {
+		return
+	}
+	old := t.ents
+	t.init(2 * len(old))
+	for _, e := range old {
+		if e.slot > 0 {
+			*t.entry(e.key) = e
+			t.n++
+		}
+	}
 }
 
 // categoryOf maps a substream class to its Table 4 category relative to

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"bimode/internal/core"
@@ -289,9 +288,4 @@ func CostAdvantage(c SizeCurves) (factor float64, lowerBound bool) {
 		}
 	}
 	return worst, lowerBound
-}
-
-// SortCurves orders panels by workload name for stable rendering.
-func SortCurves(cs []SizeCurves) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Workload < cs[j].Workload })
 }

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"errors"
+	"fmt"
 
 	"bimode/internal/trace"
 )
@@ -92,3 +93,41 @@ type ProbeBatcher interface {
 // records. It is a variable, not a literal, so the kernels' guard
 // allocates nothing.
 var ErrShortRows = errors.New("predictor: ProbeBatch given fewer rows than records")
+
+// FillEach is the fill for a predictor without a ProbeBatch kernel: per
+// record, in order, lookup(pc) (CounterID and Bank -1 when lookup is
+// nil), then Predict and Update, written to the record's row as
+// ProbeBatch would write it. A lookup whose CounterID is counters or more
+// panics, so that no caller indexes its per-counter state with it.
+//
+// *filled counts the rows written so far: when the predictor panics at
+// record i, the panic goes on with *filled == i, and a caller that
+// defers its accounting can cover exactly the records before the failing
+// one.
+func FillEach(p Predictor, lookup func(pc uint64) Lookup, counters int, recs []trace.Record, rows []ProbeRow, filled *int) {
+	if len(rows) < len(recs) {
+		panic(ErrShortRows)
+	}
+	for i := range recs {
+		rec := &recs[i]
+		look := Lookup{CounterID: -1, Bank: -1}
+		if lookup != nil {
+			look = lookup(rec.PC)
+		}
+		if look.CounterID >= counters {
+			panic(fmt.Sprintf("predictor: %s looked up counter %d of %d", p.Name(), look.CounterID, counters))
+		}
+		pred := p.Predict(rec.PC)
+		p.Update(rec.PC, rec.Taken)
+		// Field by field: a composite literal would be built on the stack
+		// and copied in wider words than it was written in, which stalls
+		// store forwarding on every record.
+		row := &rows[i]
+		row.CounterID = int32(look.CounterID)
+		row.Bank = int32(look.Bank)
+		row.ChoiceTaken = look.ChoiceTaken
+		row.HasChoice = look.HasChoice
+		row.Miss = pred != rec.Taken
+		*filled = i + 1
+	}
+}

@@ -194,39 +194,22 @@ func (o *Observer) Feed(blk []trace.Record) {
 	}
 }
 
-// fillEach is the fill for predictors without a probe kernel: per record
-// the lookup, Predict and Update. When the predictor panics at record i,
-// it accounts the rows before it, so the counts cover exactly the
-// records before the failing one, and lets the panic go on.
+// fillEach is the fill for predictors without a probe kernel,
+// predictor.FillEach. When the predictor panics at record i, it accounts
+// the rows before it, so the counts cover exactly the records before the
+// failing one, and lets the panic go on.
 func (o *Observer) fillEach(recs []trace.Record, rows []predictor.ProbeRow) {
-	i := 0
+	filled := 0
 	defer func() {
-		if i < len(recs) {
-			o.account(recs[:i], rows[:i])
+		if filled < len(recs) {
+			o.account(recs[:filled], rows[:filled])
 		}
 	}()
-	p, lookup := o.p, o.lookup
-	for ; i < len(recs); i++ {
-		rec := &recs[i]
-		look := predictor.Lookup{CounterID: -1, Bank: -1}
-		if lookup != nil {
-			look = lookup(rec.PC)
-		}
-		if o.inter != nil && look.CounterID >= len(o.lastWriter) {
-			panic(fmt.Sprintf("sim: %s looked up counter %d of %d", p.Name(), look.CounterID, len(o.lastWriter)))
-		}
-		pred := p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken)
-		// Field by field: a composite literal would be built on the stack
-		// and copied in wider words than it was written in, which stalls
-		// store forwarding on every record.
-		row := &rows[i]
-		row.CounterID = int32(look.CounterID)
-		row.Bank = int32(look.Bank)
-		row.ChoiceTaken = look.ChoiceTaken
-		row.HasChoice = look.HasChoice
-		row.Miss = pred != rec.Taken
+	counters := math.MaxInt
+	if o.inter != nil {
+		counters = len(o.lastWriter)
 	}
+	predictor.FillEach(o.p, o.lookup, counters, recs, rows, &filled)
 }
 
 // account folds one strip of filled rows into the metrics. It first

@@ -84,8 +84,3 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 { return lo + (hi-lo)*r.Float64() }
-
-// Fork derives an independent generator from this one; used to give each
-// static branch site its own stream without coupling site count to the
-// main walk's randomness.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

@@ -159,15 +159,6 @@ func Describe(spec string) (Geometry, error) {
 	return g, nil
 }
 
-// MustDescribe is Describe for specs fixed at compile time.
-func MustDescribe(spec string) Geometry {
-	g, err := Describe(spec)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Families lists every registered family name in registration order.
 func Families() []string {
 	out := make([]string, len(registryOrder))
