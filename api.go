@@ -26,14 +26,14 @@ type Predictor = predictor.Predictor
 type Indexed = predictor.Indexed
 
 // Stepper is the optional fused-step capability: Step(pc, taken) behaves
-// exactly like Predict then Update, returning the prediction. The
-// simulator uses it to halve per-branch interface dispatch; implement it
-// on custom predictors to opt into the fast path.
+// exactly like Predict then Update, returning the prediction. It is the
+// lockstep oracle a BatchRunner's kernel is tested against; the
+// simulator itself runs a predictor without RunBatch on Predict/Update.
 type Stepper = predictor.Stepper
 
 // BatchRunner is the optional whole-trace capability: RunBatch simulates
 // a record slice in one call and returns the misprediction count. The
-// simulator prefers it over Stepper when the workload is materialized.
+// simulator runs every block of records through it when it is present.
 type BatchRunner = predictor.BatchRunner
 
 // Snapshotter is the optional checkpoint capability: a predictor that can
@@ -127,9 +127,9 @@ func DecodeTrace(data []byte) (Source, error) { return trace.Decode(data) }
 type Result = sim.Result
 
 // Run simulates a predictor over the source and returns misprediction
-// statistics, taking the batched/fused fast path when the source and
-// predictor offer the capabilities (see Stepper, BatchRunner); results
-// are bit-identical to the generic loop either way.
+// statistics, running each block of records through the predictor's
+// RunBatch kernel when it has one (see BatchRunner); results are
+// bit-identical to the generic loop either way.
 func Run(p Predictor, src Source) Result { return sim.Run(p, src) }
 
 // RunGeneric is Run restricted to the base Predict/Update stream loop,

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"bimode/internal/experiments"
-	_ "bimode/internal/faults" // registers sim_faults_injected for the counters block
 	"bimode/internal/sim"
 	"bimode/internal/synth"
 	"bimode/internal/textplot"
@@ -169,13 +168,13 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	return nil
 }
 
-// renderCounters prints the scheduler/fault expvars, so a terminal run
+// renderCounters prints the scheduler expvars, so a terminal run
 // surfaces the same runtime counters -http exposes at /debug/vars.
 func renderCounters(out io.Writer) {
 	fmt.Fprintf(out, "runtime counters:")
 	for _, name := range []string{
 		"sim_sched_jobs_inflight", "sim_sched_jobs_completed",
-		"sim_sched_cancelled", "sim_faults_injected",
+		"sim_sched_cancelled",
 	} {
 		val := "0"
 		if v := expvar.Get(name); v != nil {

@@ -135,22 +135,22 @@ func TestObsreportDegradedRun(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{"did not complete", "[!]", "context canceled",
-		"runtime counters:", "sched_cancelled=", "faults_injected="} {
+		"runtime counters:", "sched_cancelled="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("degraded output missing %q:\n%s", want, text)
 		}
 	}
 }
 
-// TestObsreportCountersBlock: a healthy run surfaces the scheduler and
-// fault expvars on the terminal, not just at /debug/vars.
+// TestObsreportCountersBlock: a healthy run surfaces the scheduler
+// expvars on the terminal, not just at /debug/vars.
 func TestObsreportCountersBlock(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-w", "sortbench", "-p", "smith:a=8", "-n", "5000"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"runtime counters:", "sched_jobs_completed=",
-		"sched_cancelled=", "faults_injected="} {
+		"sched_cancelled="} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -41,8 +41,9 @@ func main() {
 // common baseline: the whole-trace BatchRunner loops of bi-mode,
 // tri-mode, gshare, smith and GAs, and those of the paper's de-aliasing
 // rivals (e-gskew, the 21264-style tournament, agree and the filter). A
-// kernel that silently fell back to its Step, or to Predict/Update,
-// would lose most of its speedup and trip the guard's per-spec floor.
+// family that silently lost its kernel would fall back to
+// Predict/Update, lose most of its speedup and trip the guard's
+// per-spec floor.
 const defaultSpecs = "bimode:b=11,trimode:b=10,gshare:i=12;h=12,smith:a=12,gas:h=10;s=2,gskew:b=10;h=10;p=1,alpha:s=12,agree:i=12;h=12;b=10,filter:i=12;h=12;f=10;m=32"
 
 // defaultDynamic keeps each workload's record slice (16 B/branch)

@@ -191,8 +191,10 @@ func TestGshareReset(t *testing.T) {
 	}
 }
 
+// TestGselect checks McFarling's gselect, which the zoo builds as GAs
+// with set bits = address bits.
 func TestGselect(t *testing.T) {
-	g := NewGselect(4, 4)
+	g := NewGAs(4, 4)
 	if g.CostBits() != 2*256 {
 		t.Fatalf("cost = %d, want 512", g.CostBits())
 	}

@@ -191,83 +191,3 @@ func (g *Gshare) ProbeLookup(pc uint64) predictor.Lookup {
 	i := g.index(pc)
 	return predictor.Lookup{CounterID: i, Bank: i >> uint(g.histBits)}
 }
-
-// Gselect is McFarling's gselect predictor: the index concatenates global
-// history bits with branch-address bits instead of XOR-ing them. It is
-// included for the two-level design-space studies in the analysis tooling.
-type Gselect struct {
-	table    *counter.Table
-	ghr      *history.Global
-	addrBits int
-	histBits int
-	addrMask uint64
-}
-
-// NewGselect returns a gselect predictor whose index concatenates histBits
-// of global history with addrBits of branch address (2^(addrBits+histBits)
-// counters).
-func NewGselect(addrBits, histBits int) *Gselect {
-	if addrBits < 0 || histBits < 0 || addrBits+histBits > 28 {
-		panic(fmt.Sprintf("baselines: gselect widths (%d,%d) invalid", addrBits, histBits))
-	}
-	return &Gselect{
-		table:    counter.NewTwoBit(1<<uint(addrBits+histBits), counter.WeakTaken),
-		ghr:      history.NewGlobal(histBits),
-		addrBits: addrBits,
-		histBits: histBits,
-		addrMask: 1<<uint(addrBits) - 1,
-	}
-}
-
-// Name implements predictor.Predictor.
-func (g *Gselect) Name() string { return fmt.Sprintf("gselect(%da,%dh)", g.addrBits, g.histBits) }
-
-//bimode:hotpath
-func (g *Gselect) index(pc uint64) int {
-	return int(((pc>>2)&g.addrMask)<<uint(g.histBits) | g.ghr.Value())
-}
-
-// Predict implements predictor.Predictor.
-func (g *Gselect) Predict(pc uint64) bool { return g.table.Taken(g.index(pc)) }
-
-// Update implements predictor.Predictor.
-func (g *Gselect) Update(pc uint64, taken bool) {
-	g.table.Update(g.index(pc), taken)
-	g.ghr.Push(taken)
-}
-
-// Step implements predictor.Stepper: Predict and Update fused so the
-// concatenated index is computed once per branch.
-//
-//bimode:hotpath
-func (g *Gselect) Step(pc uint64, taken bool) bool {
-	i := g.index(pc)
-	pred := g.table.Taken(i)
-	g.table.Update(i, taken)
-	g.ghr.Push(taken)
-	return pred
-}
-
-// Reset implements predictor.Predictor.
-func (g *Gselect) Reset() {
-	g.table.Reset()
-	g.ghr.Reset()
-}
-
-// CostBits implements predictor.Predictor.
-func (g *Gselect) CostBits() int { return g.table.CostBits() }
-
-// CounterID implements predictor.Indexed.
-func (g *Gselect) CounterID(pc uint64) int { return g.index(pc) }
-
-// NumCounters implements predictor.Indexed.
-func (g *Gselect) NumCounters() int { return g.table.Len() }
-
-// ProbeLookup implements predictor.Probe. The bank is the per-address PHT
-// the concatenated index selects (the address half of the index).
-func (g *Gselect) ProbeLookup(pc uint64) predictor.Lookup {
-	return predictor.Lookup{
-		CounterID: g.index(pc),
-		Bank:      int((pc >> 2) & g.addrMask),
-	}
-}

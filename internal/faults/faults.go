@@ -15,8 +15,7 @@
 // internally; the dice live in the chaos test's schedule builder.
 //
 // Every injected fault increments the sim_faults_injected expvar, which
-// cmd/obsreport surfaces alongside the scheduler's job and cancel
-// counters.
+// the chaos test reads to confirm its schedule fired.
 package faults
 
 import (

@@ -40,15 +40,17 @@ type Predictor interface {
 // size axis (0.25 KB ... 32 KB).
 func CostBytes(p Predictor) float64 { return float64(p.CostBits()) / 8 }
 
-// Stepper is the optional fused-step capability behind the simulator's
-// fast path. Step must behave exactly like Predict(pc) immediately
-// followed by Update(pc, taken), returning what Predict would have
-// returned — one call per dynamic branch instead of two, computing each
-// table index once. Implementations must keep Step, Predict and Update
-// interchangeable call-for-call: a stream driven through Step must leave
-// the predictor in the same state, and produce the same predictions, as
-// the same stream driven through Predict+Update (the differential test in
-// internal/sim enforces this for every registered predictor).
+// Stepper is the optional fused-step capability: the lockstep oracle
+// every RunBatch kernel is checked against, and the step a tournament
+// drives its components with. Step must behave exactly like Predict(pc)
+// immediately followed by Update(pc, taken), returning what Predict
+// would have returned — one call per dynamic branch instead of two,
+// computing each table index once. Implementations must keep Step,
+// Predict and Update interchangeable call-for-call: a stream driven
+// through Step must leave the predictor in the same state, and produce
+// the same predictions, as the same stream driven through Predict+Update
+// (the differential test in internal/sim enforces this for every
+// registered predictor).
 type Stepper interface {
 	// Step predicts the branch at pc, trains with the resolved outcome and
 	// advances history, returning the prediction made before training.

@@ -27,31 +27,22 @@ import (
 // into.
 const blockRecords = 1 << 16
 
-// tierSpecs returns one spec per engine tier: a BatchRunner, a Stepper
-// that is not a BatchRunner, and a predictor with only Predict/Update.
+// tierSpecs returns specs for both engine tiers: two BatchRunners (the
+// bi-mode kernel and the GAs kernel the zoo's gselect is built on) and a
+// predictor with only Predict/Update.
 func tierSpecs(t *testing.T) []string {
 	t.Helper()
-	stepOnly := ""
-	for _, spec := range zoo.Known() {
-		p := zoo.MustNew(spec)
-		_, step := p.(predictor.Stepper)
-		_, batch := p.(predictor.BatchRunner)
-		if step && !batch {
-			stepOnly = spec
-			break
+	const genericSpec = "yags:c=11,e=10,h=10,t=6"
+	batchSpecs := []string{"bimode:b=11", "gselect:a=6,h=6"}
+	for _, spec := range batchSpecs {
+		if _, ok := zoo.MustNew(spec).(predictor.BatchRunner); !ok {
+			t.Fatalf("%s is not a BatchRunner", spec)
 		}
 	}
-	if stepOnly == "" {
-		t.Fatal("no zoo spec implements Stepper without BatchRunner")
+	if _, ok := zoo.MustNew(genericSpec).(predictor.BatchRunner); ok {
+		t.Fatalf("%s is a BatchRunner", genericSpec)
 	}
-	const batchSpec, genericSpec = "bimode:b=11", "yags:c=11,e=10,h=10,t=6"
-	if _, ok := zoo.MustNew(batchSpec).(predictor.BatchRunner); !ok {
-		t.Fatalf("%s is not a BatchRunner", batchSpec)
-	}
-	if _, ok := zoo.MustNew(genericSpec).(predictor.Stepper); ok {
-		t.Fatalf("%s is a Stepper", genericSpec)
-	}
-	return []string{batchSpec, stepOnly, genericSpec}
+	return append(batchSpecs, genericSpec)
 }
 
 // timeless zeroes a report's wall-clock fields so reports compare by

@@ -73,14 +73,15 @@ const (
 )
 
 // journalVersion guards the record schema and what a cell means. Version
-// 4 holds a header and cells only; checkpoints of earlier versions (1:
+// 5 holds a header and cells only; checkpoints of earlier versions (1:
 // JSON lines, 2: cells keyed by fan-out position, 3: cells keyed by
-// identity plus mid-cell snapshot parts) are refused, never converted —
-// rerun without -resume. The version is also bumped whenever a
-// predictor's or the engine's behaviour changes, so a rebuilt binary
-// never serves a cell the old one computed; TestJournalVersionPinsBehaviour
-// fails until it is.
-const journalVersion = 4
+// identity plus mid-cell snapshot parts, 4: as 5, but with gselect
+// named gselect(Na,Nh) rather than GAs(Nh,Ns)) are refused, never
+// converted — rerun without -resume. The version is also bumped
+// whenever a predictor's name or behaviour or the engine's behaviour
+// changes, so a rebuilt binary never serves a cell the old one
+// computed; TestJournalVersionPinsBehaviour fails until it is.
+const journalVersion = 5
 
 // CreateJournal starts a fresh checkpoint file at path, truncating any
 // existing one.

@@ -207,7 +207,7 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 // TestJournalRejectsDamage: a torn header or a torn interior record is
 // corruption, not kill residue, and an empty file is not a checkpoint.
 func TestJournalRejectsDamage(t *testing.T) {
-	header := jnl.AppendRecord(nil, []byte{'H', 4})
+	header := jnl.AppendRecord(nil, []byte{'H', byte(sim.JournalVersion)})
 	// A cell: predictor "x", workload "y", one record, checksum, no
 	// mispredicts.
 	cell := jnl.AppendRecord(nil, []byte("C\x01x\x01y\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -514,9 +514,12 @@ func TestCellIdentityInjective(t *testing.T) {
 // as good as the build that computed it, so a change to any predictor's
 // behaviour must come with a new version. Version 4 changed only the
 // record schema (no more mid-cell parts), so its digest is version 3's.
+// Version 5 changed no result: gselect, now built as GAs, reports GAs's
+// name, and the digest hashes names.
 var behaviourDigests = map[int]string{
 	3: "ed2aa236f9525b29ff6fd0a5b0580f004d96775a56a30275ca0d3dcfa5522fc5",
 	4: "ed2aa236f9525b29ff6fd0a5b0580f004d96775a56a30275ca0d3dcfa5522fc5",
+	5: "8b83c69db85982235fa6132f0077b14209dc80671b9c7a54bb705677f03e3a49",
 }
 
 // TestJournalVersionPinsBehaviour: the zoo's behaviour digest must be the

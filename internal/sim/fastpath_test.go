@@ -2,11 +2,10 @@ package sim_test
 
 // Differential correctness gate for the batched/fused simulation fast
 // path: for every registered predictor spec and every synthetic suite
-// workload, sim.Run (which dispatches on the trace.Batched,
-// predictor.Stepper and predictor.BatchRunner capabilities) must produce
-// bit-identical results to sim.RunGeneric, the capability-free
-// Predict/Update stream loop. The fast path is an optimization, never a
-// semantic fork.
+// workload, sim.Run (which runs a predictor.BatchRunner's kernel over
+// each block of records) must produce bit-identical results to
+// sim.RunGeneric, the capability-free Predict/Update stream loop. The
+// fast path is an optimization, never a semantic fork.
 
 import (
 	"testing"
@@ -64,21 +63,44 @@ func TestFastPathEquivalence(t *testing.T) {
 						mem.Name(), ref.Branches, mem.Len())
 				}
 
-				// Batched fast path (BatchRunner or Stepper over the slice).
+				// Block driver over the materialized slice.
 				fast := sim.Run(zoo.MustNew(spec), mem)
 				if fast != ref {
 					t.Errorf("%s: batched path %+v != generic %+v", mem.Name(), fast, ref)
 				}
 
 				// Stream path with capabilities hidden on the source side
-				// (exercises the Stepper stream loop for predictors that
-				// also implement BatchRunner).
+				// (the driver cuts the stream into its own blocks).
 				streamed := sim.Run(zoo.MustNew(spec), hideCaps{mem})
 				if streamed != ref {
 					t.Errorf("%s: stream path %+v != generic %+v", mem.Name(), streamed, ref)
 				}
 			}
 		})
+	}
+}
+
+// stepOnly has Predict/Update and a Step that must never be called: the
+// simulator has no Step tier, so a Stepper without RunBatch runs on
+// Predict/Update.
+type stepOnly struct{ predictor.Predictor }
+
+func (stepOnly) Step(uint64, bool) bool { panic("sim called Step") }
+
+// TestStepperWithoutBatchRunsPredictUpdate checks that sim.Run drives a
+// Stepper that is not a BatchRunner through Predict/Update, over every
+// source shape, with RunGeneric's result.
+func TestStepperWithoutBatchRunsPredictUpdate(t *testing.T) {
+	mk := func() predictor.Predictor { return stepOnly{zoo.MustNew("gas:h=6,s=6")} }
+	if _, ok := mk().(predictor.Stepper); !ok {
+		t.Fatal("stepOnly is not a Stepper")
+	}
+	mem := suiteTraces()[0]
+	ref := sim.RunGeneric(mk(), mem)
+	for _, src := range []trace.Source{mem, hideCaps{mem}, columnarize(t, mem, trace.DefaultColumnarBlock)} {
+		if got := sim.Run(mk(), src); got != ref {
+			t.Errorf("%T: Run %+v != generic %+v", src, got, ref)
+		}
 	}
 }
 

@@ -25,18 +25,17 @@ func observeWorkload(t testing.TB, name string, dynamic int) *trace.Memory {
 
 // TestObserveMatchesRun pins the tentpole invariant: the instrumented tier
 // must count exactly what the uninstrumented engine counts, for every
-// capability shape in the zoo (BatchRunner, Stepper, probe-less,
-// non-Indexed).
+// capability shape in the zoo (BatchRunner, Predict/Update only,
+// probe-less, non-Indexed).
 func TestObserveMatchesRun(t *testing.T) {
 	mem := observeWorkload(t, "gcc", 60000)
 	specs := []string{
 		"bimode:b=9",          // BatchRunner + Probe
-		"trimode:b=8",         // Stepper + Probe
+		"trimode:b=8",         // BatchRunner + Probe
 		"gshare:i=10,h=10",    // BatchRunner + Probe
 		"gshare:i=10,h=7",     // multi-PHT
 		"smith:a=10",          // PC-indexed Probe
 		"agree:i=10,h=10,b=8", // Probe with bias-bit choice
-		"gselect:a=5,h=5",     // Indexed, Probe
 		"gas:h=8,s=2",         // Indexed only (no Probe)
 		"taken",               // neither Indexed nor Probe
 	}

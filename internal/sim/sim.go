@@ -56,12 +56,12 @@ func (r Result) String() string {
 //
 // Run is the block driver with a context that never cancels: trace.Blocks
 // cuts any source into record slices, and runRecords runs each slice
-// through the fastest capability the predictor has (BatchRunner, then
-// Stepper, then Predict/Update). Every path produces bit-identical
-// Mispredicts (enforced by TestFastPathEquivalence); the capabilities are
-// an optimization, never a semantic fork. A decode error from a damaged
-// block source panics, surfacing through the scheduler's per-job
-// recovery as the cell's Result.Err.
+// through the predictor's RunBatch kernel, or else Predict/Update. Both
+// paths produce bit-identical Mispredicts (enforced by
+// TestFastPathEquivalence); the kernel is an optimization, never a
+// semantic fork. A decode error from a damaged block source panics,
+// surfacing through the scheduler's per-job recovery as the cell's
+// Result.Err.
 func Run(p predictor.Predictor, src trace.Source) Result {
 	res := Result{
 		Predictor: p.Name(),
@@ -101,30 +101,13 @@ func drive(ctx context.Context, p predictor.Predictor, src trace.Source) (int, i
 	}
 }
 
-// runRecords simulates a flat record slice with the fastest capability p
-// offers.
+// runRecords simulates a flat record slice with p's RunBatch kernel, or
+// else Predict then Update per record.
 func runRecords(p predictor.Predictor, recs []trace.Record) int {
 	if br, ok := p.(predictor.BatchRunner); ok {
 		return br.RunBatch(recs)
 	}
-	if stepper, ok := p.(predictor.Stepper); ok {
-		return stepRecords(stepper, recs)
-	}
 	return predictUpdateRecords(p, recs)
-}
-
-// stepRecords is the fused per-record loop over a materialized trace: one
-// dynamic Step call per branch and nothing else.
-//
-//bimode:hotpath dispatch
-func stepRecords(stepper predictor.Stepper, recs []trace.Record) int {
-	miss := 0
-	for _, r := range recs {
-		if stepper.Step(r.PC, r.Taken) != r.Taken {
-			miss++
-		}
-	}
-	return miss
 }
 
 // predictUpdateRecords is the base-protocol per-record loop over a

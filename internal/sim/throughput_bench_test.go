@@ -52,8 +52,8 @@ func benchLoop(b *testing.B, run func(p predictor.Predictor, src trace.Source) s
 
 // BenchmarkThroughput compares the simulation engine's paths per hot
 // predictor: "generic" is the capability-free reference loop, "batched"
-// is sim.Run over a materialized trace (BatchRunner where implemented,
-// fused Stepper otherwise).
+// is sim.Run over a materialized trace (every spec here has a RunBatch
+// kernel).
 func BenchmarkThroughput(b *testing.B) {
 	mem := throughputTrace()
 	specs := []string{

@@ -216,6 +216,8 @@ func init() {
 		}, nil
 	}, "gshare:i=12,h=12", "gshare:i=12,h=8")
 
+	// McFarling's gselect concatenates a branch-address bits with h
+	// global-history bits: that is GAs with a set bits.
 	register("gselect", func(pr *params) (predictor.Predictor, error) {
 		a, err := pr.get("a")
 		if err != nil {
@@ -225,7 +227,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return baselines.NewGselect(a, h), nil
+		return baselines.NewGAs(h, a), nil
 	}, func(pr *params) (Geometry, error) {
 		a, err := pr.get("a")
 		if err != nil {

@@ -27,16 +27,16 @@ func TestAllKnownSpecsBuild(t *testing.T) {
 	}
 }
 
-// TestSimulationRungs pins the strongest simulation capability each
-// family reaches (DESIGN.md §7). A family that silently loses its fused
-// Step or RunBatch would still pass every equivalence oracle, only
-// slower; this names the fallback instead. YAGS stays on Predict/Update
-// deliberately: it is the benchmark's generic-tier probe.
+// TestSimulationRungs pins the simulation tier each family reaches
+// (DESIGN.md §7): its RunBatch kernel, or else Predict/Update. A family
+// that silently loses its RunBatch would still pass every equivalence
+// oracle, only slower; this names the fallback instead. YAGS stays on
+// Predict/Update deliberately: it is the benchmark's generic-tier probe.
 func TestSimulationRungs(t *testing.T) {
 	want := map[string]string{
 		"smith": "batch", "gshare": "batch", "gag": "batch", "gas": "batch",
 		"pag": "batch", "pas": "batch", "bimode": "batch", "trimode": "batch",
-		"gskew": "batch", "agree": "batch", "filter": "batch", "alpha": "batch", "gselect": "step",
+		"gskew": "batch", "agree": "batch", "filter": "batch", "alpha": "batch", "gselect": "batch",
 		"yags": "generic", "loopgshare": "generic",
 		"taken": "generic", "not-taken": "generic", "btfn": "generic",
 	}
@@ -44,9 +44,6 @@ func TestSimulationRungs(t *testing.T) {
 		family, _, _ := strings.Cut(spec, ":")
 		p := MustNew(spec)
 		rung := "generic"
-		if _, ok := p.(predictor.Stepper); ok {
-			rung = "step"
-		}
 		if _, ok := p.(predictor.BatchRunner); ok {
 			rung = "batch"
 		}
@@ -101,6 +98,7 @@ func TestSpecErrors(t *testing.T) {
 		"gshare:i=99",        // width out of range
 		"bimode:b=0",         // bank width invalid
 		"gselect:a=5",        // missing h
+		"gselect:a=6,h=0",    // GAs needs at least one history bit
 		"pas:b=4,h=4",        // missing s
 		"yags:c=4",           // missing e
 		"gskew:b=1",          // bank too small
