@@ -25,23 +25,19 @@ type Predictor = predictor.Predictor
 // counter a lookup consults; the bias analysis requires it.
 type Indexed = predictor.Indexed
 
-// Stepper is the optional fused-step capability: Step(pc, taken) behaves
-// exactly like Predict then Update, returning the prediction. It is the
-// lockstep oracle a BatchRunner's kernel is tested against; the
-// simulator itself runs a predictor without RunBatch on Predict/Update.
-type Stepper = predictor.Stepper
-
 // BatchRunner is the optional whole-trace capability: RunBatch simulates
-// a record slice in one call and returns the misprediction count. The
-// simulator runs every block of records through it when it is present.
+// a record slice in one call and returns the misprediction count, exactly
+// as Predict then Update on every record would. The simulator runs every
+// block of records through it when it is present, and Predict/Update
+// otherwise.
 type BatchRunner = predictor.BatchRunner
 
 // Snapshotter is the optional checkpoint capability: a predictor that can
 // serialize its complete mutable state and restore it into an identically
 // configured instance (after RestoreSnapshot(Snapshot(nil)) the two are
-// step-for-step indistinguishable). The prediction service's session
-// journal uses it to persist live sessions; the suite Journal does not,
-// since it records completed cells only.
+// prediction-for-prediction indistinguishable). The prediction service's
+// session journal uses it to persist live sessions; the suite Journal does
+// not, since it records completed cells only.
 type Snapshotter = predictor.Snapshotter
 
 // BiMode is the paper's predictor.

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bimode/internal/synth"
+	"bimode/internal/trace"
 )
 
 func TestRunList(t *testing.T) {
@@ -51,6 +56,34 @@ func TestRunFromTraceFile(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-w", "@" + path, "-p", "smith:a=6"}); err == nil {
 		t.Fatalf("malformed trace must fail")
+	}
+}
+
+// TestRunFromColumnarTraceFile checks that -w @file reads both trace
+// formats: the same trace saved as BMT1 and as BMC1 prints the same
+// results.
+func TestRunFromColumnarTraceFile(t *testing.T) {
+	dir := t.TempDir()
+	p, _ := synth.ProfileByName("gcc")
+	m := trace.Materialize(synth.MustWorkload(p.WithDynamic(20000)))
+	writers := map[string]func(io.Writer, *trace.Memory) error{
+		"g.trace": trace.Write,
+		"g.bmc":   trace.WriteColumnar,
+	}
+	out := map[string]string{}
+	for name, write := range writers {
+		var buf bytes.Buffer
+		if err := write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = stdout(t, []string{"-w", "@" + path, "-p", "bimode:b=10"})
+	}
+	if out["g.trace"] == "" || out["g.bmc"] != out["g.trace"] {
+		t.Errorf("BMC1 file printed:\n%s\nwant the BMT1 file's:\n%s", out["g.bmc"], out["g.trace"])
 	}
 }
 

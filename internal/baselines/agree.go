@@ -87,34 +87,10 @@ func (a *Agree) Update(pc uint64, taken bool) {
 	a.ghr.Push(taken)
 }
 
-// Step implements predictor.Stepper: the bias entry and the PHT counter
-// are each read once. The prediction uses the bias bit as it stood before
-// this branch; on a branch's first encounter its outcome is then latched
-// as the bias bit, and the PHT trains toward whether the outcome agreed
-// with the (latched) bias.
-//
-//bimode:hotpath
-func (a *Agree) Step(pc uint64, taken bool) bool {
-	bias := a.bias
-	if len(bias) == 0 {
-		return false // unreachable (the bias table is non-empty); lets the compiler drop bounds checks
-	}
-	bi := uint(pc>>2) & uint(len(bias)-1)
-	b := bias[bi]
-	before := b != 1
-	if b == 0 {
-		// First encounter: latch the outcome as the bias bit.
-		b = 1 + counter.OutcomeBit(taken)
-		bias[bi] = b
-	}
-	agreed := a.pht.Step(a.index(pc), taken == (b != 1))
-	a.ghr.Push(taken)
-	return agreed == before
-}
-
-// RunBatch implements predictor.BatchRunner: Step over the whole slice
-// with the bias table, the PHT and the history register in locals. The
-// first-encounter latch is bit arithmetic (an unset entry, 0, becomes
+// RunBatch implements predictor.BatchRunner: Predict+Update over the
+// whole slice with the bias table, the PHT and the history register in
+// locals. The prediction uses the bias bit as it stood before the branch;
+// the first-encounter latch is bit arithmetic (an unset entry, 0, becomes
 // 1 + outcome), and the PHT is a gshare table trained toward "agreed",
 // so it steps through gshareStep. That returns the agree-miss bit; the
 // branch mispredicted when it differs from whether the latch changed the

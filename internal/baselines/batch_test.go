@@ -5,48 +5,71 @@ import (
 	"testing"
 
 	"bimode/internal/predictor"
+	"bimode/internal/synth"
+	"bimode/internal/trace"
 )
 
-// Chunked lockstep tests for the de-aliasing rivals' RunBatch kernels:
-// RunBatch over random-length chunks must count, chunk for chunk, the
-// mispredicts a twin driven by Step makes, and must leave behind the
-// state the twin has. The second half is checked by stepping both over
-// a tail: a kernel that fails to write back its history register, a
-// history table or a counter table predicts that tail differently.
+// Chunked lockstep tests for the de-aliasing rivals' RunBatch kernels at
+// geometries the zoo's one-spec-per-family oracles do not reach: RunBatch
+// over random-length chunks must count, chunk for chunk, the mispredicts
+// a twin driven by Predict+Update makes, and must leave behind the state
+// the twin has. The second half is checked by running both through
+// Predict+Update over a tail: a kernel that fails to write back its
+// history register, a history table or a counter table predicts that
+// tail differently.
+
+// lockstepWorkload is one suite workload, long enough to wrap every table
+// below many times.
+func lockstepWorkload(t *testing.T) []trace.Record {
+	t.Helper()
+	p, ok := synth.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("suite profile gcc missing")
+	}
+	return trace.Materialize(synth.MustWorkload(p.WithDynamic(30000))).Records()
+}
+
+// predictUpdate is the reference protocol for one branch: Predict, then
+// Update with the outcome. It returns the prediction.
+func predictUpdate(p predictor.Predictor, r trace.Record) bool {
+	pred := p.Predict(r.PC)
+	p.Update(r.PC, r.Taken)
+	return pred
+}
 
 // batchLockstep runs one instance from mk through RunBatch over
-// random-length chunks (zero-length ones included) of the first 80% of
-// stepWorkload and a twin through Step, then steps both over the rest,
-// comparing every prediction.
+// random-length chunks (zero- and one-record ones included) of the first
+// 80% of lockstepWorkload and a twin through Predict+Update, then runs both
+// through Predict+Update over the rest, comparing every prediction.
 func batchLockstep(t *testing.T, mk func() predictor.Predictor) {
 	t.Helper()
-	all := stepWorkload(t)
+	all := lockstepWorkload(t)
 	recs, tail := all[:len(all)*4/5], all[len(all)*4/5:]
-	batch, ok := mk().(predictor.BatchRunner)
+	batch := mk()
+	runner, ok := batch.(predictor.BatchRunner)
 	if !ok {
-		t.Fatalf("%s is not a BatchRunner", mk().Name())
+		t.Fatalf("%s is not a BatchRunner", batch.Name())
 	}
-	twin := mk().(predictor.Stepper)
-	name := mk().Name()
+	twin := mk()
+	name := batch.Name()
 	rng := rand.New(rand.NewPCG(uint64(len(name)), 7))
 	for pos := 0; pos < len(recs); {
 		chunk := recs[pos : pos+min(rng.IntN(1024), len(recs)-pos)]
 		want := 0
 		for _, r := range chunk {
-			if twin.Step(r.PC, r.Taken) != r.Taken {
+			if predictUpdate(twin, r) != r.Taken {
 				want++
 			}
 		}
-		if got := batch.RunBatch(chunk); got != want {
-			t.Fatalf("%s: chunk at %d (%d records): RunBatch=%d mispredicts, Step=%d",
+		if got := runner.RunBatch(chunk); got != want {
+			t.Fatalf("%s: chunk at %d (%d records): RunBatch=%d mispredicts, Predict+Update=%d",
 				name, pos, len(chunk), got, want)
 		}
 		pos += len(chunk)
 	}
-	step := batch.(predictor.Stepper)
 	for i, r := range tail {
-		if got, want := step.Step(r.PC, r.Taken), twin.Step(r.PC, r.Taken); got != want {
-			t.Fatalf("%s: tail branch %d (pc %#x) after RunBatch: Step=%v, twin Step=%v",
+		if got, want := predictUpdate(batch, r), predictUpdate(twin, r); got != want {
+			t.Fatalf("%s: tail branch %d (pc %#x) after RunBatch: Predict=%v, twin Predict=%v",
 				name, i, r.PC, got, want)
 		}
 	}
@@ -60,9 +83,25 @@ func TestGskewBatchLockstep(t *testing.T) {
 	}
 }
 
+// TestAgreeBatchLockstep runs a bias table large enough that most static
+// branches latch their own bias bit on first encounter, and a small one
+// where later branches find an entry an alias already latched. The
+// kernel must latch both directions over the workload, so its
+// first-encounter path is exercised with either outcome.
 func TestAgreeBatchLockstep(t *testing.T) {
+	recs := lockstepWorkload(t)
 	for _, biasBits := range []int{4, 12} {
 		batchLockstep(t, func() predictor.Predictor { return NewAgree(10, 8, biasBits) })
+		a := NewAgree(10, 8, biasBits)
+		a.RunBatch(recs)
+		latched := map[uint8]int{}
+		for _, b := range a.bias {
+			latched[b]++
+		}
+		if latched[1] == 0 || latched[2] == 0 {
+			t.Fatalf("b=%d: RunBatch latched %d not-taken and %d taken biases; want both",
+				biasBits, latched[1], latched[2])
+		}
 	}
 }
 
@@ -73,8 +112,9 @@ func TestFilterBatchLockstep(t *testing.T) {
 }
 
 // TestTournamentBatchLockstep covers the kernel (the 21264-style
-// per-address + global pairing) and the Step-per-record fallback of
-// every other pairing.
+// per-address + global pairing) and the per-record fallback of every
+// other pairing, with a component without a kernel (YAGS) in either
+// slot.
 func TestTournamentBatchLockstep(t *testing.T) {
 	builds := []struct {
 		name string

@@ -99,37 +99,9 @@ func (f *Filter) Update(pc uint64, taken bool) {
 	f.ghr.Push(taken)
 }
 
-// Step implements predictor.Stepper: the filter entry and, for an
-// unfiltered branch, the PHT counter are each read once, and both
-// indices are computed once. The PHT is consulted and trained only by
-// unfiltered branches; the run counter then tracks the direction run.
-//
-//bimode:hotpath
-func (f *Filter) Step(pc uint64, taken bool) bool {
-	dir, run := f.dir, f.run
-	if len(dir) == 0 || len(run) != len(dir) {
-		return false // unreachable (equal, non-empty tables); lets the compiler drop bounds checks
-	}
-	fi := uint(pc>>2) & uint(len(dir)-1)
-	d, n := dir[fi], run[fi]
-	pred := d
-	if n < f.filterMax {
-		pred = f.pht.Step(f.index(pc), taken)
-	}
-	if d == taken {
-		if n < f.filterMax {
-			run[fi] = n + 1
-		}
-	} else {
-		dir[fi] = taken
-		run[fi] = 1
-	}
-	f.ghr.Push(taken)
-	return pred
-}
-
-// RunBatch implements predictor.BatchRunner: Step over the whole slice
-// with the filter entries, the PHT and the history register in locals.
+// RunBatch implements predictor.BatchRunner: Predict+Update over the
+// whole slice with the filter entries, the PHT and the history register
+// in locals.
 // Whether the branch is filtered is a bit, not a branch: it selects the
 // prediction, and as the enable key of counter.SatNextIf it leaves a
 // filtered branch's PHT counter as it was. The run counter climbs by

@@ -79,18 +79,6 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	g.ghr.Push(taken)
 }
 
-// Step implements predictor.Stepper: Predict and Update fused so the
-// XOR index is computed once per branch.
-//
-//bimode:hotpath
-func (g *Gshare) Step(pc uint64, taken bool) bool {
-	i := g.index(pc)
-	pred := g.table.Taken(i)
-	g.table.Update(i, taken)
-	g.ghr.Push(taken)
-	return pred
-}
-
 // gshareStep is the one gshare per-record transition the batched kernels
 // share: it steps the counter at idx&mask and returns the mispredict bit.
 // The mask is the table length minus one; the guard that checks it lets

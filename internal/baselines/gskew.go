@@ -128,42 +128,9 @@ func (g *Gskew) Update(pc uint64, taken bool) {
 	g.ghr.Push(taken)
 }
 
-// Step implements predictor.Stepper: the three skewed indices are
-// computed once and each bank counter is read once; the majority vote and
-// the (partial) update both come from those three reads. Under the
-// partial policy a correct vote strengthens only the agreeing banks; a
-// wrong vote, or the total policy, retrains all three.
-//
-//bimode:hotpath
-func (g *Gskew) Step(pc uint64, taken bool) bool {
-	i0, i1, i2 := g.indices(pc)
-	b0, b1, b2 := g.banks[0].Raw(), g.banks[1].Raw(), g.banks[2].Raw()
-	if len(b0) == 0 || len(b1) == 0 || len(b2) == 0 {
-		return false // unreachable (banks are non-empty); lets the compiler drop bounds checks
-	}
-	j0 := uint(i0) & uint(len(b0)-1)
-	j1 := uint(i1) & uint(len(b1)-1)
-	j2 := uint(i2) & uint(len(b2)-1)
-	v0, v1, v2 := b0[j0], b1[j1], b2[j2]
-	t0, t1, t2 := v0.TakenBit(), v1.TakenBit(), v2.TakenBit()
-	vote := t0&t1 | t0&t2 | t1&t2
-	tk := counter.OutcomeBit(taken)
-	all := !g.partial || vote != tk
-	if all || t0 == tk {
-		b0[j0] = counter.SatNext(v0, tk)
-	}
-	if all || t1 == tk {
-		b1[j1] = counter.SatNext(v1, tk)
-	}
-	if all || t2 == tk {
-		b2[j2] = counter.SatNext(v2, tk)
-	}
-	g.ghr.Push(taken)
-	return vote == 1
-}
-
-// RunBatch implements predictor.BatchRunner: Step's transition over the
-// whole slice with the three banks and the history register in locals.
+// RunBatch implements predictor.BatchRunner: Predict+Update's transition
+// over the whole slice with the three banks and the history register in
+// locals, each bank counter read once per record.
 //
 // The indices are those of Gskew.indices, computed on both n-bit halves
 // of the hashed value v at once: v holds them side by side (bits 0..n-1

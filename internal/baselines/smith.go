@@ -44,17 +44,6 @@ func (s *Smith) Predict(pc uint64) bool { return s.table.Taken(s.index(pc)) }
 // Update implements predictor.Predictor.
 func (s *Smith) Update(pc uint64, taken bool) { s.table.Update(s.index(pc), taken) }
 
-// Step implements predictor.Stepper: Predict and Update fused so the
-// table index is computed once per branch.
-//
-//bimode:hotpath
-func (s *Smith) Step(pc uint64, taken bool) bool {
-	i := s.index(pc)
-	pred := s.table.Taken(i)
-	s.table.Update(i, taken)
-	return pred
-}
-
 // RunBatch implements predictor.BatchRunner: the whole-trace loop over
 // the raw counter array, branch-free per record (see counter.SatNext).
 // The table is two-bit by construction (NewSmith), so the prediction is

@@ -15,14 +15,10 @@ import (
 // always train; the meta counter moves toward the component that was
 // right when exactly one of them was.
 type Tournament struct {
-	meta *counter.Table
-	a, b predictor.Predictor
-	// stepA and stepB drive a and b one fused call per branch: the
-	// component itself when it is a predictor.Stepper, its Predict+Update
-	// otherwise. Resolved once at construction.
-	stepA, stepB predictor.Stepper
-	metaBit      int
-	mask         uint64
+	meta    *counter.Table
+	a, b    predictor.Predictor
+	metaBit int
+	mask    uint64
 }
 
 // NewTournament combines predictors a and b under a 2^metaBits-entry
@@ -37,30 +33,9 @@ func NewTournament(metaBits int, a, b predictor.Predictor) *Tournament {
 		meta:    counter.NewTwoBit(1<<uint(metaBits), counter.WeakTaken),
 		a:       a,
 		b:       b,
-		stepA:   asStepper(a),
-		stepB:   asStepper(b),
 		metaBit: metaBits,
 		mask:    1<<uint(metaBits) - 1,
 	}
-}
-
-// splitStep gives a component without a fused Step the Stepper shape
-// through its own Predict+Update.
-type splitStep struct{ predictor.Predictor }
-
-// Step implements predictor.Stepper.
-func (s splitStep) Step(pc uint64, taken bool) bool {
-	pred := s.Predict(pc)
-	s.Update(pc, taken)
-	return pred
-}
-
-// asStepper returns p's own Step when it has one, else splitStep{p}.
-func asStepper(p predictor.Predictor) predictor.Stepper {
-	if s, ok := p.(predictor.Stepper); ok {
-		return s
-	}
-	return splitStep{p}
 }
 
 // Name implements predictor.Predictor.
@@ -91,20 +66,22 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 	t.b.Update(pc, taken)
 }
 
-// Step implements predictor.Stepper: the meta counter is read once and
-// each component runs one Step. Components share no state, so stepping a
-// before b sees the same predictions as predicting both before updating
-// either.
+// step is Predict and Update for one branch with the meta counter read
+// once: each component predicts, the meta counter trains when the two
+// disagree, then each component updates. It returns the prediction the
+// meta counter selected.
 //
 //bimode:hotpath dispatch
-func (t *Tournament) Step(pc uint64, taken bool) bool {
+func (t *Tournament) step(pc uint64, taken bool) bool {
 	mi := t.metaIndex(pc)
 	useB := t.meta.Taken(mi)
-	pa := t.stepA.Step(pc, taken)
-	pb := t.stepB.Step(pc, taken)
+	pa := t.a.Predict(pc)
+	pb := t.b.Predict(pc)
 	if pa != pb {
 		t.meta.Update(mi, pb == taken)
 	}
+	t.a.Update(pc, taken)
+	t.b.Update(pc, taken)
 	if useB {
 		return pb
 	}
@@ -114,7 +91,7 @@ func (t *Tournament) Step(pc uint64, taken bool) bool {
 // RunBatch implements predictor.BatchRunner. The pairing
 // NewAlpha21264Style builds, a per-address two-level component a and a
 // global two-level component b, runs as one kernel (runLocalGlobal); any
-// other pairing runs Step per record.
+// other pairing runs step per record.
 //
 //bimode:hotpath dispatch
 func (t *Tournament) RunBatch(recs []trace.Record) int {
@@ -126,7 +103,7 @@ func (t *Tournament) RunBatch(recs []trace.Record) int {
 	miss := 0
 	for i := range recs {
 		r := &recs[i]
-		if t.Step(r.PC, r.Taken) != r.Taken {
+		if t.step(r.PC, r.Taken) != r.Taken {
 			miss++
 		}
 	}
@@ -136,7 +113,7 @@ func (t *Tournament) RunBatch(recs []trace.Record) int {
 // runLocalGlobal is RunBatch for a per-address component a and a global
 // component b: the meta table, both components' PHTs, a's history
 // registers and b's history register in locals, and per record the
-// transitions of Step with both components' TwoLevel.Step inlined. The
+// transitions of step with both components' TwoLevel.step inlined. The
 // meta counter trains only when the components disagreed, which is the
 // enable key of counter.SatNextIf, and its taken bit selects between the
 // two predictions by masking.

@@ -120,12 +120,12 @@ func (t *TwoLevel) Update(pc uint64, taken bool) {
 	}
 }
 
-// Step implements predictor.Stepper: Predict and Update fused so the
-// first-level pattern is read and the second-level index computed once
-// per branch, for all four variants (GAg/GAs/PAg/PAs).
+// step is Predict and Update fused so the first-level pattern is read
+// and the second-level index computed once per branch. It returns the
+// prediction; runBatchPerAddr runs it per record.
 //
 //bimode:hotpath
-func (t *TwoLevel) Step(pc uint64, taken bool) bool {
+func (t *TwoLevel) step(pc uint64, taken bool) bool {
 	i := t.index(pc)
 	pred := t.table.Taken(i)
 	t.table.Update(i, taken)
@@ -143,7 +143,7 @@ func (t *TwoLevel) Step(pc uint64, taken bool) bool {
 // gshare and fused bi-mode kernels, since a global two-level index is
 // just set-bits concatenated with the history pattern. The per-address
 // variants keep their first level inside history.PerAddress, so they run
-// the fused Step per record instead; their bottleneck is the BHT
+// the fused step per record instead; their bottleneck is the BHT
 // indirection, not dispatch.
 //
 //bimode:hotpath
@@ -175,14 +175,14 @@ func (t *TwoLevel) RunBatch(recs []trace.Record) int {
 }
 
 // runBatchPerAddr is RunBatch for the per-address-history variants
-// (PAg/PAs): the fused Step loop.
+// (PAg/PAs): the fused step loop.
 //
 //bimode:hotpath
 func (t *TwoLevel) runBatchPerAddr(recs []trace.Record) int {
 	miss := 0
 	for i := range recs {
 		r := &recs[i]
-		if t.Step(r.PC, r.Taken) != r.Taken {
+		if t.step(r.PC, r.Taken) != r.Taken {
 			miss++
 		}
 	}

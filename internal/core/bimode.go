@@ -227,12 +227,12 @@ func (b *BiMode) Predict(pc uint64) bool {
 // whose bit fusedMissShift is the mispredict bit. The masks are the
 // planes' lengths minus one; the guard that checks it lets the prove
 // pass drop the bounds checks, and in a caller that computed the masks
-// from the lengths it proves away too. Update and Step reach it through
-// stepAt; ProbeBatch inlines it with the planes, masks and LUT in locals.
-// RunBatch keeps the same three lines written out: inlined into its
-// two-way unrolled loop, the helper made the register allocator spill the
-// LUT value to the stack on every record, about 10% of RunBatch's time
-// per record.
+// from the lengths it proves away too. Update reaches it through stepAt;
+// ProbeBatch inlines it with the planes, masks and LUT in locals. RunBatch
+// keeps the same three lines written out: inlined into its two-way
+// unrolled loop, the helper made the register allocator spill the LUT
+// value to the stack on every record, about 10% of RunBatch's time per
+// record.
 //
 //bimode:hotpath
 func fusedStep(lut *[256]uint8, choice, dir []uint8, chMask, dirMask, ci, di uint64, tk uint8) uint8 {
@@ -260,18 +260,6 @@ func (b *BiMode) stepAt(ci, di int, tk uint8) uint8 {
 func (b *BiMode) Update(pc uint64, taken bool) {
 	b.stepAt(b.choiceIndex(pc), b.dirIndex(pc), counter.OutcomeBit(taken))
 	b.ghr.Push(taken)
-}
-
-// Step implements predictor.Stepper: Predict and Update fused into one
-// call that computes the choice and direction indices once and performs
-// the whole counter transition as a single fused-LUT probe.
-//
-//bimode:hotpath
-func (b *BiMode) Step(pc uint64, taken bool) bool {
-	tk := counter.OutcomeBit(taken)
-	missBit := b.stepAt(b.choiceIndex(pc), b.dirIndex(pc), tk)
-	b.ghr.Push(taken)
-	return missBit^tk == 1
 }
 
 // RunBatch implements predictor.BatchRunner: the whole-trace loop with the

@@ -120,7 +120,7 @@ func buildFusedLUT(fullChoice, bothBanks bool) *[256]uint8 {
 
 // fusedLUTs holds the four ablation variants, indexed by
 // bothBanks<<1 | fullChoice; New picks the right one per Config so
-// RunBatch, Step and Update share one kernel for every configuration.
+// RunBatch, ProbeBatch and Update share one kernel for every configuration.
 var fusedLUTs = [4]*[256]uint8{
 	buildFusedLUT(false, false),
 	buildFusedLUT(true, false),

@@ -177,17 +177,6 @@ func (t *TriMode) Update(pc uint64, taken bool) {
 	t.ghr.Push(taken)
 }
 
-// Step implements predictor.Stepper: the fused Predict+Update, one index
-// computation and one LUT probe per branch.
-//
-//bimode:hotpath
-func (t *TriMode) Step(pc uint64, taken bool) bool {
-	tk := counter.OutcomeBit(taken)
-	missBit := t.stepAt(t.choiceIndex(pc), t.dirIndex(pc), tk)
-	t.ghr.Push(taken)
-	return missBit^tk == 1
-}
-
 // RunBatch implements predictor.BatchRunner: the same fused whole-trace
 // loop as BiMode.RunBatch on the tri-mode planes — two plane loads, one
 // triLUT probe and two stores per branch, with classification and both

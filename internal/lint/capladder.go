@@ -11,8 +11,9 @@ import (
 // implements a fast rung without the rung below it would dodge the
 // equivalence oracle, so the ladder shape is a compile-time invariant:
 //
-//	BatchRunner  ⇒ Stepper   (a whole-trace loop must have a fused step)
-//	Stepper      ⇒ Predictor (a fused step must have the split protocol)
+//	BatchRunner  ⇒ Predictor (a whole-trace loop must have the
+//	                          Predict/Update reference it is checked
+//	                          against)
 //	Probe        ⇒ Predictor and Indexed (observability agrees with the
 //	                                      counter-attribution interface)
 //	ProbeBatcher ⇒ Probe and BatchRunner (a probe kernel is RunBatch that
@@ -39,7 +40,6 @@ var CapLadderAnalyzer = &Analyzer{
 
 func runCapLadder(pass *Pass) {
 	predictorI := pass.Prog.predictorInterface("Predictor")
-	stepperI := pass.Prog.predictorInterface("Stepper")
 	batchI := pass.Prog.predictorInterface("BatchRunner")
 	probeI := pass.Prog.predictorInterface("Probe")
 	indexedI := pass.Prog.predictorInterface("Indexed")
@@ -47,7 +47,7 @@ func runCapLadder(pass *Pass) {
 	probeBatchI := pass.Prog.predictorInterface("ProbeBatcher")
 	blockedI := pass.Prog.traceInterface("Blocked")
 	sourceI := pass.Prog.traceInterface("Source")
-	if predictorI == nil || stepperI == nil || batchI == nil || probeI == nil || indexedI == nil {
+	if predictorI == nil || batchI == nil || probeI == nil || indexedI == nil {
 		return // ladder interfaces missing; nothing to enforce
 	}
 
@@ -71,11 +71,8 @@ func runCapLadder(pass *Pass) {
 		report := func(has, missing, why string) {
 			pass.Reportf(tn.Pos(), "%s implements predictor.%s but not predictor.%s (%s)", name, has, missing, why)
 		}
-		if impl(batchI) && !impl(stepperI) {
-			report("BatchRunner", "Stepper", "every whole-trace loop needs the fused step the differential tests compare it against")
-		}
-		if impl(stepperI) && !impl(predictorI) {
-			report("Stepper", "Predictor", "the fused step must stay interchangeable with the split Predict/Update protocol")
+		if impl(batchI) && !impl(predictorI) {
+			report("BatchRunner", "Predictor", "every whole-trace loop needs the Predict/Update reference the differential tests compare it against")
 		}
 		if impl(probeI) {
 			if !impl(predictorI) {

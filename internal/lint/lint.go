@@ -3,16 +3,16 @@
 // simulation tiers and the counter encapsulation rely on but which Go's
 // type system cannot express:
 //
-//   - hotpath: functions annotated //bimode:hotpath (the fused RunBatch /
-//     Step loops and the leaf helpers they call) must stay free of
+//   - hotpath: functions annotated //bimode:hotpath (the fused RunBatch
+//     loops and the leaf helpers they call) must stay free of
 //     interface dispatch, map operations, defer, closures, channels, and
 //     allocating expressions, and may call only other hotpath-annotated or
 //     allowlisted functions. The weaker //bimode:hotpath dispatch level
 //     (the simulator's per-record dispatch loops) permits dynamic calls
 //     but keeps every other restriction.
 //   - capladder: the optional-capability ladder of internal/predictor is
-//     downward closed — a BatchRunner must also be a Stepper, a Stepper or
-//     Probe must be a Predictor, and a Probe must be Indexed.
+//     downward closed — a BatchRunner or Probe must also be a Predictor,
+//     and a Probe must be Indexed.
 //   - registry: calls to functions annotated //bimode:registry (the zoo's
 //     register) use unique, lowercase-canonical, constant spec names,
 //     family-prefixed examples, and factories provably unable to return a

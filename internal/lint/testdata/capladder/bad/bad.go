@@ -7,18 +7,12 @@ import (
 	"bimode/internal/trace"
 )
 
-// BatchOnly has a whole-trace loop but no fused step to compare it
-// against.
-type BatchOnly struct{} // want `implements predictor.BatchRunner but not predictor.Stepper`
+// BatchOnly has a whole-trace loop but no Predict/Update reference to
+// compare it against.
+type BatchOnly struct{} // want `implements predictor.BatchRunner but not predictor.Predictor`
 
 // RunBatch implements predictor.BatchRunner.
 func (BatchOnly) RunBatch(recs []trace.Record) int { return 0 }
-
-// StepOnly has a fused step without the split Predict/Update protocol.
-type StepOnly struct{} // want `implements predictor.Stepper but not predictor.Predictor`
-
-// Step implements predictor.Stepper.
-func (StepOnly) Step(pc uint64, taken bool) bool { return false }
 
 // ProbeOnly reports decision paths without being a predictor at all.
 type ProbeOnly struct{} // want `implements predictor.Probe but not predictor.Predictor` `implements predictor.Probe but not predictor.Indexed`

@@ -7,8 +7,8 @@ import (
 	"bimode/internal/trace"
 )
 
-// Full climbs the whole ladder: Predictor, Stepper, BatchRunner,
-// Indexed, Probe, ProbeBatcher.
+// Full climbs the whole ladder: Predictor, BatchRunner, Indexed, Probe,
+// ProbeBatcher, Snapshotter.
 type Full struct{ bit bool }
 
 // Name implements predictor.Predictor.
@@ -25,9 +25,6 @@ func (*Full) Reset() {}
 
 // CostBits implements predictor.Predictor.
 func (*Full) CostBits() int { return 0 }
-
-// Step implements predictor.Stepper.
-func (*Full) Step(pc uint64, taken bool) bool { return false }
 
 // RunBatch implements predictor.BatchRunner.
 func (*Full) RunBatch(recs []trace.Record) int { return 0 }

@@ -40,28 +40,12 @@ type Predictor interface {
 // size axis (0.25 KB ... 32 KB).
 func CostBytes(p Predictor) float64 { return float64(p.CostBits()) / 8 }
 
-// Stepper is the optional fused-step capability: the lockstep oracle
-// every RunBatch kernel is checked against, and the step a tournament
-// drives its components with. Step must behave exactly like Predict(pc)
-// immediately followed by Update(pc, taken), returning what Predict
-// would have returned — one call per dynamic branch instead of two,
-// computing each table index once. Implementations must keep Step,
-// Predict and Update interchangeable call-for-call: a stream driven
-// through Step must leave the predictor in the same state, and produce
-// the same predictions, as the same stream driven through Predict+Update
-// (the differential test in internal/sim enforces this for every
-// registered predictor).
-type Stepper interface {
-	// Step predicts the branch at pc, trains with the resolved outcome and
-	// advances history, returning the prediction made before training.
-	Step(pc uint64, taken bool) bool
-}
-
 // BatchRunner is the optional whole-trace capability: a predictor that
 // runs an entire record slice in one fully inlined loop, touching its
 // tables directly instead of through per-branch method calls. RunBatch
-// must be observationally identical to calling Step (equivalently
-// Predict+Update) on every record in order and counting mispredictions.
+// must be observationally identical to calling Predict then Update on
+// every record in order and counting mispredictions: Predict/Update is
+// the reference every kernel is checked against, record for record.
 type BatchRunner interface {
 	// RunBatch simulates every record in order and returns the number of
 	// wrong direction predictions.
@@ -73,11 +57,11 @@ type BatchRunner interface {
 // registers) and later restore it into an identically configured
 // instance. The prediction service's session journal (internal/serve) is
 // its one user: it persists each live session's predictor state, so the
-// contract is strict: after
-// RestoreSnapshot(Snapshot(nil)) the predictor must be Step-for-Step
-// indistinguishable from the instance that was snapshotted, for any
-// subsequent stream (the property test in internal/sim enforces this for
-// every implementation in the repository).
+// contract is strict: after RestoreSnapshot(Snapshot(nil)) the predictor
+// must be prediction-for-prediction indistinguishable from the instance
+// that was snapshotted, for any subsequent stream (the property test in
+// internal/sim enforces this for every implementation in the
+// repository).
 //
 // Snapshots encode only mutable state, not configuration: restoring is
 // defined only into a predictor built with the same constructor

@@ -31,8 +31,8 @@ type Lookup struct {
 }
 
 // Probe is the optional observability capability, the introspective rung
-// of the same ladder Stepper and BatchRunner form for speed: a predictor
-// that can describe, BEFORE Update, the internal decision path the next
+// beside the one BatchRunner forms for speed: a predictor that can
+// describe, BEFORE Update, the internal decision path the next
 // Predict(pc) would take. ProbeLookup must be read-only — it must not
 // touch counters or history — so instrumented and uninstrumented runs of
 // the same stream leave the predictor in identical states.

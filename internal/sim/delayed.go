@@ -47,7 +47,7 @@ type outcome struct {
 // capacity: Predict forwards, and Update queues the outcome and applies
 // the one that has waited lag branches. Its method set is
 // predictor.Predictor alone, so runRecords drives it Predict then Update
-// per record; a fused Step or RunBatch would train without the lag.
+// per record; the inner predictor's RunBatch would train without the lag.
 type lagged struct {
 	predictor.Predictor
 	queue []outcome // the last lag outcomes, a ring once full

@@ -8,6 +8,7 @@ package sim_test
 // fast path is an optimization, never a semantic fork.
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"bimode/internal/predictor"
@@ -80,46 +81,46 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// stepOnly has Predict/Update and a Step that must never be called: the
-// simulator has no Step tier, so a Stepper without RunBatch runs on
-// Predict/Update.
-type stepOnly struct{ predictor.Predictor }
-
-func (stepOnly) Step(uint64, bool) bool { panic("sim called Step") }
-
-// TestStepperWithoutBatchRunsPredictUpdate checks that sim.Run drives a
-// Stepper that is not a BatchRunner through Predict/Update, over every
-// source shape, with RunGeneric's result.
-func TestStepperWithoutBatchRunsPredictUpdate(t *testing.T) {
-	mk := func() predictor.Predictor { return stepOnly{zoo.MustNew("gas:h=6,s=6")} }
-	if _, ok := mk().(predictor.Stepper); !ok {
-		t.Fatal("stepOnly is not a Stepper")
+// TestRunBatchMatchesPredictUpdate runs every BatchRunner's kernel over
+// random-length chunks (zero- and one-record ones included, so an
+// unrolled kernel's tail path runs too) in lockstep with a twin driven
+// through Predict+Update, comparing each chunk's mispredict count, then
+// drives both through Predict+Update over a tail, comparing every
+// prediction: a kernel that leaves a table or history register behind
+// predicts the tail differently.
+func TestRunBatchMatchesPredictUpdate(t *testing.T) {
+	recs := suiteTraces()[0].Records()
+	body, tail := recs[:len(recs)*4/5], recs[len(recs)*4/5:]
+	predictUpdate := func(p predictor.Predictor, r trace.Record) bool {
+		pred := p.Predict(r.PC)
+		p.Update(r.PC, r.Taken)
+		return pred
 	}
-	mem := suiteTraces()[0]
-	ref := sim.RunGeneric(mk(), mem)
-	for _, src := range []trace.Source{mem, hideCaps{mem}, columnarize(t, mem, trace.DefaultColumnarBlock)} {
-		if got := sim.Run(mk(), src); got != ref {
-			t.Errorf("%T: Run %+v != generic %+v", src, got, ref)
-		}
-	}
-}
-
-// TestStepMatchesPredictUpdate drives a Stepper in lockstep with a twin
-// predictor using the split protocol, checking every individual
-// prediction (a stronger property than equal mispredict totals).
-func TestStepMatchesPredictUpdate(t *testing.T) {
-	mem := suiteTraces()[0]
 	for _, spec := range fastpathSpecs() {
-		stepper, ok := zoo.MustNew(spec).(predictor.Stepper)
+		batch := zoo.MustNew(spec)
+		runner, ok := batch.(predictor.BatchRunner)
 		if !ok {
 			continue
 		}
 		twin := zoo.MustNew(spec)
-		for i, r := range mem.Records() {
-			want := twin.Predict(r.PC)
-			twin.Update(r.PC, r.Taken)
-			if got := stepper.Step(r.PC, r.Taken); got != want {
-				t.Fatalf("%s: branch %d (pc %#x): Step=%v, Predict+Update=%v",
+		rng := rand.New(rand.NewPCG(uint64(len(spec)), 7))
+		for pos := 0; pos < len(body); {
+			chunk := body[pos : pos+min(rng.IntN(1024), len(body)-pos)]
+			want := 0
+			for _, r := range chunk {
+				if predictUpdate(twin, r) != r.Taken {
+					want++
+				}
+			}
+			if got := runner.RunBatch(chunk); got != want {
+				t.Fatalf("%s: chunk at %d (%d records): RunBatch=%d mispredicts, Predict+Update=%d",
+					spec, pos, len(chunk), got, want)
+			}
+			pos += len(chunk)
+		}
+		for i, r := range tail {
+			if got, want := predictUpdate(batch, r), predictUpdate(twin, r); got != want {
+				t.Fatalf("%s: tail branch %d (pc %#x) after RunBatch: Predict=%v, twin Predict=%v",
 					spec, i, r.PC, got, want)
 			}
 		}

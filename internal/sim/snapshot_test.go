@@ -3,7 +3,7 @@ package sim_test
 // Snapshot property tests: for every registered predictor implementing
 // predictor.Snapshotter, serializing mid-run and restoring into a fresh
 // instance must be undetectable — the restored predictor predicts
-// Step-for-Step identically to the uninterrupted one from the cut point
+// branch-for-branch identically to the uninterrupted one from the cut point
 // on. This is the correctness backbone of the service's session journal
 // (a spilled or restarted session restores its snapshot and continues).
 
