@@ -479,7 +479,7 @@ func (s *Server) dropResident(sess *session) {
 	sess.resident = false
 	sess.specs = nil
 	sess.pcs, sess.sites, sess.footnotes = nil, nil, nil
-	sess.remap, sess.enc = nil, nil
+	sess.siteCache, sess.remap, sess.enc = nil, nil, nil
 	sess.cursor = 0
 	s.mu.Lock()
 	if sess.lruToken != nil {

@@ -46,28 +46,46 @@ func IsColumnar(data []byte) bool {
 // t/n, T/N, taken/not. Blank lines and lines starting with '#' are
 // skipped. Static site ids are assigned densely in first-appearance
 // order of the PC — the identifier contract workload generators follow —
-// and the site table can be seeded and carried across scanners, which is
-// how a long-running ingest (cmd/predserve) keeps one consistent id
-// space over many request bodies without ever materializing a whole
-// capture.
+// and the site table can be seeded and carried across scanners, so that
+// the bodies of one capture share one id space.
+//
+// A scanner reads an io.Reader through a window it refills
+// (NewTextScanner), or parses a body already in memory where it lies,
+// never writing to it (NewTextScannerBytes); cmd/predserve parses each
+// request body the second way. Both cut lines by the rules of the
+// bufio.Scanner the format was first read with: a line ends at "\n",
+// one trailing "\r" is dropped, a last line without "\n" still counts,
+// and a line of maxLine bytes or more fails with an error wrapping
+// bufio.ErrTooLong.
 //
 // Usage follows bufio.Scanner: Scan until it returns false, reading each
 // Record, then check Err. Errors carry the one-based line number of the
 // offending line (blank and comment lines count), exactly as ImportText
 // reports them.
 type TextScanner struct {
-	sc     *bufio.Scanner
+	buf    []byte    // the body, or the reader's window; buf[pos:] is unread
+	pos    int       // the start of the next line in buf
+	r      io.Reader // the reader still to drain: nil once it ended, and for a body
+	rerr   error     // the error the reader ended with, io.EOF at a clean end
 	sites  map[uint64]uint32
 	rec    Record
 	err    error
 	lineNo int
 }
 
+// maxLine bounds a line, its "\n" included: bufio.Scanner's token limit
+// as the scanner was first configured, so that the same line fails.
+const maxLine = 1 << 20
+
 // NewTextScanner returns a scanner over r with a fresh site table.
 func NewTextScanner(r io.Reader) *TextScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &TextScanner{sc: sc, sites: map[uint64]uint32{}}
+	return &TextScanner{buf: make([]byte, 0, 64<<10), r: r, sites: map[uint64]uint32{}}
+}
+
+// NewTextScannerBytes returns a scanner over body with a fresh site
+// table. It reads body in place and never modifies it.
+func NewTextScannerBytes(body []byte) *TextScanner {
+	return &TextScanner{buf: body, sites: map[uint64]uint32{}}
 }
 
 // SetSites replaces the scanner's site table with sites (pc -> static
@@ -90,45 +108,110 @@ func (s *TextScanner) Record() Record { return s.rec }
 // Err returns the first error the scan hit, nil at clean end of input.
 func (s *TextScanner) Err() error { return s.err }
 
-// Scan advances to the next record, skipping blanks and comments. It
-// returns false at end of input or on the first malformed line; Err
-// distinguishes the two.
-//
-// Each line goes first through scanLine, one pass over the scanner's
-// bytes that allocates nothing. A line it does not accept — a field
-// holding a byte at or above 0x80, or anything malformed — goes to
-// parseLine, the string parser, which alone decides such lines and words
-// every error.
+// Scan advances to the next record, skipping blanks and comments, and
+// gives its PC a static id from the site table. It returns false at end
+// of input or on the first malformed line; Err distinguishes the two.
 func (s *TextScanner) Scan() bool {
-	if s.err != nil {
+	pc, taken, ok := s.Next()
+	if !ok {
 		return false
 	}
-	for s.sc.Scan() {
+	st, ok := s.sites[pc]
+	if !ok {
+		st = uint32(len(s.sites))
+		s.sites[pc] = st
+	}
+	s.rec = Record{PC: pc, Static: st, Taken: taken}
+	return true
+}
+
+// Next is Scan without the site table: it advances to the next record
+// and returns its PC and direction, leaving the static id to the caller,
+// and Record does not change. It returns ok false where Scan returns
+// false.
+//
+// Each line goes first through scanLine, one pass over its bytes that
+// allocates nothing. A line it does not accept — a field holding a byte
+// at or above 0x80, or anything malformed — goes to parseLine, the
+// string parser, which alone decides such lines and words every error.
+func (s *TextScanner) Next() (pc uint64, taken, ok bool) {
+	for s.err == nil {
+		line, more := s.line()
+		if !more {
+			break
+		}
 		s.lineNo++
-		pc, taken, kind := scanLine(s.sc.Bytes())
+		pc, taken, kind := scanLine(line)
 		if kind == lineOther {
-			pc, taken, kind, s.err = s.parseLine(s.sc.Text())
-			if s.err != nil {
-				return false
-			}
+			pc, taken, kind, s.err = s.parseLine(string(line))
 		}
-		if kind == lineSkip {
-			continue
+		if kind == lineRecord && s.err == nil {
+			return pc, taken, true
 		}
-		st, ok := s.sites[pc]
-		if !ok {
-			st = uint32(len(s.sites))
-			s.sites[pc] = st
-		}
-		s.rec = Record{PC: pc, Static: st, Taken: taken}
-		return true
 	}
-	if err := s.sc.Err(); err != nil {
-		// A scanner error surfaces while reading the line after the last
-		// one delivered, so the failing line is lineNo+1.
-		s.err = fmt.Errorf("trace: import line %d: %w", s.lineNo+1, err)
+	return 0, false, false
+}
+
+// line cuts the next line, without its "\n" and one trailing "\r", from
+// the unread bytes, refilling a reader's window until they hold a "\n"
+// or the reader has ended. It returns false at the end of input, setting
+// s.err when the reader failed or the line is maxLine bytes or longer.
+// Either error belongs to the line after the last one delivered.
+func (s *TextScanner) line() ([]byte, bool) {
+	rest := s.buf[s.pos:]
+	n := bytes.IndexByte(rest, '\n')
+	for n < 0 && s.r != nil && len(rest) < maxLine {
+		s.fill()
+		rest = s.buf[s.pos:]
+		n = bytes.IndexByte(rest, '\n')
 	}
-	return false
+	next := s.pos + n + 1
+	if n < 0 {
+		n, next = len(rest), len(s.buf)
+	}
+	switch {
+	case n >= maxLine:
+		s.err = fmt.Errorf("trace: import line %d: %w", s.lineNo+1, bufio.ErrTooLong)
+		return nil, false
+	case len(rest) == 0:
+		if s.rerr != nil && s.rerr != io.EOF {
+			s.err = fmt.Errorf("trace: import line %d: %w", s.lineNo+1, s.rerr)
+		}
+		return nil, false
+	}
+	s.pos = next
+	line := rest[:n]
+	if n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, true
+}
+
+// fill moves a reader's unread bytes to the front of its window, doubling
+// the window up to maxLine when they fill it, and reads more behind them.
+// A reader that returns nothing 100 times running ends with
+// io.ErrNoProgress, as under bufio.Scanner.
+func (s *TextScanner) fill() {
+	rest := s.buf[s.pos:]
+	if len(rest) == cap(s.buf) {
+		s.buf = make([]byte, 0, min(2*cap(s.buf), maxLine))
+	}
+	s.buf, s.pos = s.buf[:copy(s.buf[:cap(s.buf)], rest)], 0
+	for empties := 0; ; {
+		n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+n]
+		switch {
+		case err != nil:
+			s.r, s.rerr = nil, err
+			return
+		case n > 0:
+			return
+		}
+		if empties++; empties == 100 {
+			s.r, s.rerr = nil, io.ErrNoProgress
+			return
+		}
+	}
 }
 
 // lineKind is what one capture line holds.
@@ -140,126 +223,173 @@ const (
 	lineOther                  // undecided by scanLine: parseLine decides
 )
 
-// scanLine is the byte-level form of parseLine for ASCII fields. It
-// trims the line as strings.TrimSpace does, skips blank and '#' lines,
-// splits on the first ',' (later fields ignored) or else on ASCII
-// white-space runs, and parses the first two fields in place. It returns lineOther for every line it
-// does not accept, so it need not agree with parseLine on a rejection,
-// only on what it accepts: an accepted field holds only ASCII bytes,
-// where Unicode splitting and case folding reduce to the ASCII rules
-// used here.
+// scanLine is parseLine's accepting half for ASCII fields, in one
+// forward pass: leading white space, a blank or '#' line, the PC token,
+// the first ',' or else a white-space run, the flag token and trailing
+// white space. A CSV line ends there or at its next ',' (later fields
+// are ignored, as parseLine ignores them); a white-space line must end
+// there, since a ',' anywhere makes parseLine split it as CSV, and
+// further fields are left to parseLine. White space is the six ASCII
+// bytes strings.TrimSpace and strings.Fields treat as space.
+//
+// Every other line is lineOther, so scanLine need not agree with
+// parseLine on a rejection, only on what it accepts: an accepted field
+// holds only ASCII bytes, where Unicode trimming, splitting and case
+// folding reduce to the ASCII rules used here.
 func scanLine(b []byte) (pc uint64, taken bool, kind lineKind) {
-	line := bytes.TrimSpace(b)
-	if len(line) == 0 || line[0] == '#' {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] == '#' {
 		return 0, false, lineSkip
 	}
-	var f0, f1 []byte
-	if before, after, ok := bytes.Cut(line, []byte(",")); ok {
-		f1, _, _ = bytes.Cut(after, []byte(","))
-		f0, f1 = bytes.TrimSpace(before), bytes.TrimSpace(f1)
-	} else {
-		f0 = line[:spaceIndex(line)]
-		f1 = bytes.TrimSpace(line[len(f0):])
-		f1 = f1[:spaceIndex(f1)]
-	}
-	pc, ok := scanPC(f0)
+	pc, i, ok := scanPC(b, i)
 	if !ok {
 		return 0, false, lineOther
 	}
-	if taken, ok = scanTaken(f1); !ok {
+	i = skipSpace(b, i)
+	csv := i < len(b) && b[i] == ','
+	if csv {
+		i = skipSpace(b, i+1)
+	}
+	j := i
+	for j < len(b) && !isSpace(b[j]) && b[j] != ',' {
+		j++
+	}
+	if taken, ok = scanTaken(b[i:j]); !ok {
+		return 0, false, lineOther
+	}
+	if j = skipSpace(b, j); j < len(b) && (!csv || b[j] != ',') {
 		return 0, false, lineOther
 	}
 	return pc, taken, lineRecord
 }
 
-// spaceIndex returns the index of the first ASCII white-space byte in b
-// (one strings.Fields splits on), or len(b).
-func spaceIndex(b []byte) int {
-	for i, c := range b {
-		switch c {
-		case ' ', '\t', '\n', '\v', '\f', '\r':
-			return i
+// isSpace reports whether c is ASCII white space: '\t', '\n', '\v',
+// '\f', '\r' or ' '.
+func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// skipSpace returns the index of the first byte of b at or after i that
+// is not ASCII white space, or len(b).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// scanPC is parsePC's accepting half: it reads the PC token at b[i:] as
+// 0x- or 0X-prefixed hex, else decimal, else bare hex, each refused on
+// overflow as strconv.ParseUint refuses it, and returns the index past
+// the token. An unprefixed token accumulates its decimal and hex values
+// side by side in the one pass. The token must end the line or be
+// followed by white space or ','.
+func scanPC(b []byte, i int) (pc uint64, end int, ok bool) {
+	start, decOK := i, true
+	if i+1 < len(b) && b[i] == '0' && b[i+1]|0x20 == 'x' {
+		start, decOK = i+2, false
+	}
+	var dec, hex uint64
+	for i = start; i < len(b); i++ {
+		d := uint64(hexDigit[b[i]])
+		if d > 15 {
+			break
 		}
-	}
-	return len(b)
-}
-
-// scanPC is parsePC's accepting half: 0x- or 0X-prefixed hex, else
-// decimal, else bare hex, each refused on overflow as strconv.ParseUint
-// refuses it.
-func scanPC(f []byte) (uint64, bool) {
-	if len(f) >= 2 && f[0] == '0' && f[1]|0x20 == 'x' {
-		return scanHex(f[2:])
-	}
-	if v, ok := scanDecimal(f); ok {
-		return v, true
-	}
-	return scanHex(f)
-}
-
-func scanDecimal(f []byte) (uint64, bool) {
-	if len(f) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range f {
-		d := uint64(c - '0')
-		if d > 9 || v > (math.MaxUint64-d)/10 {
-			return 0, false
+		if decOK {
+			decOK = d <= 9 && dec <= (math.MaxUint64-d)/10
+			dec = dec*10 + d
 		}
-		v = v*10 + d
+		hex = hex<<4 | d
 	}
-	return v, true
+	switch {
+	case i == start || i < len(b) && !isSpace(b[i]) && b[i] != ',':
+		return 0, i, false
+	case decOK:
+		return dec, i, true
+	}
+	// Hex overflows past 16 digits, leading zeros aside.
+	for start < i-16 && b[start] == '0' {
+		start++
+	}
+	return hex, i, i-start <= 16
 }
 
-func scanHex(f []byte) (uint64, bool) {
-	if len(f) == 0 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range f {
-		var d uint64
+// hexDigit maps a byte to its value as a hex digit, or to 0xff.
+var hexDigit = func() (t [256]uint8) {
+	for c := range t {
 		switch {
 		case '0' <= c && c <= '9':
-			d = uint64(c - '0')
+			t[c] = uint8(c - '0')
 		case 'a' <= c|0x20 && c|0x20 <= 'f':
-			d = uint64(c|0x20-'a') + 10
+			t[c] = uint8(c|0x20-'a') + 10
 		default:
-			return 0, false
+			t[c] = 0xff
 		}
-		if v>>60 != 0 {
-			return 0, false
-		}
-		v = v<<4 | d
 	}
-	return v, true
+	return t
+}()
+
+// scanTaken is parseTaken's accepting half: the flag matched in place
+// against the spellings, folding only ASCII letters. A one-byte flag,
+// the usual kind, is a table lookup.
+func scanTaken(f []byte) (taken, ok bool) {
+	if len(f) == 1 {
+		v := oneByteFlag[f[0]]
+		return v == flagTaken, v != 0
+	}
+	for i := range flagSpellings {
+		if sp := &flagSpellings[i]; len(f) == len(sp.s) && foldEqual(f, sp.s) {
+			return sp.taken, true
+		}
+	}
+	return false, false
 }
 
-// scanTaken is parseTaken for ASCII case folding only.
-func scanTaken(f []byte) (taken, ok bool) {
-	var low [len("not-taken")]byte
-	if len(f) > len(low) {
-		return false, false
+// oneByteFlag maps each byte to the one-byte flag it spells in either
+// case, flagTaken or flagNotTaken, or to 0.
+var oneByteFlag = func() (t [256]uint8) {
+	for _, sp := range flagSpellings {
+		if c := sp.s[0]; len(sp.s) == 1 {
+			v := uint8(flagNotTaken)
+			if sp.taken {
+				v = flagTaken
+			}
+			t[c] = v
+			if 'a' <= c && c <= 'z' {
+				t[c-'a'+'A'] = v
+			}
+		}
 	}
-	for i, c := range f {
+	return t
+}()
+
+const (
+	flagNotTaken = 1
+	flagTaken    = 2
+)
+
+// foldEqual reports whether f, with A–Z folded to lower case, equals the
+// lower-case s of the same length.
+func foldEqual(f []byte, s string) bool {
+	for i := range len(s) {
+		c := f[i]
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		low[i] = c
+		if c != s[i] {
+			return false
+		}
 	}
-	return takenSpelling(string(low[:len(f)]))
+	return true
 }
 
-// takenSpelling matches a lower-case direction flag against the
-// spellings real capture tools emit.
-func takenSpelling(s string) (taken, ok bool) {
-	switch s {
-	case "1", "t", "taken", "true", "y":
-		return true, true
-	case "0", "n", "not", "not-taken", "false", "nt":
-		return false, true
-	}
-	return false, false
+// flagSpellings are the direction flags real capture tools emit, lower
+// case, the two digits first as the most common.
+var flagSpellings = [...]struct {
+	s     string
+	taken bool
+}{
+	{"1", true}, {"0", false},
+	{"t", true}, {"taken", true}, {"true", true}, {"y", true},
+	{"n", false}, {"not", false}, {"not-taken", false}, {"false", false}, {"nt", false},
 }
 
 // parseLine is the string parser for one line, the only one that runs on
@@ -331,8 +461,11 @@ func parsePC(s string) (uint64, error) {
 
 // parseTaken accepts the direction spellings real capture tools emit.
 func parseTaken(s string) (bool, error) {
-	if taken, ok := takenSpelling(strings.ToLower(s)); ok {
-		return taken, nil
+	lower := strings.ToLower(s)
+	for _, sp := range flagSpellings {
+		if lower == sp.s {
+			return sp.taken, nil
+		}
 	}
 	return false, fmt.Errorf("bad taken flag %q (want 1/0, t/n, taken/not)", s)
 }

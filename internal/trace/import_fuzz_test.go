@@ -2,10 +2,12 @@ package trace
 
 // Differential fuzzing of TextScanner against refTextScanner, the string
 // parser TextScanner.Scan ran on every line before the byte-level pass:
-// a verbatim copy, kept here as the oracle. Both scanners read the same
-// body, optionally over the same seeded site table, and must deliver the
-// same records, leave the same site table and stop with the same error
-// text, line number included. The seed corpus in
+// a verbatim copy, kept here as the oracle. A scanner from each
+// constructor (NewTextScanner over a reader, NewTextScannerBytes over
+// the body in place) reads the same body as the oracle, optionally over
+// the same seeded site table, and must deliver the same records, leave
+// the same site table and stop with the same error text, line number
+// included; the body must come out unmodified. The seed corpus in
 // testdata/fuzz/FuzzTextScanner covers CRLF endings, tab, \v and \f
 // separators, a U+00A0 separator, a flag spelled with U+212A, 0X and a
 // bare 0x, the largest decimal PC and one past it, a 17-hex-digit PC, CSV
@@ -121,29 +123,41 @@ func fuzzSeedSites() map[uint64]uint32 {
 
 func FuzzTextScanner(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, seeded bool) {
-		got := NewTextScanner(bytes.NewReader(body))
-		want := newRefTextScanner(bytes.NewReader(body))
-		if seeded {
-			got.SetSites(fuzzSeedSites())
-			want.sites = fuzzSeedSites()
-		}
-		for n := 0; ; n++ {
-			g, w := got.Scan(), want.Scan()
-			if g != w {
-				t.Fatalf("record %d: Scan %v, oracle %v (err %v / %v)", n, g, w, got.Err(), want.err)
+		orig := bytes.Clone(body)
+		for _, c := range []struct {
+			name string
+			got  *TextScanner
+		}{
+			{"reader", NewTextScanner(bytes.NewReader(body))},
+			{"bytes", NewTextScannerBytes(body)},
+		} {
+			got := c.got
+			want := newRefTextScanner(bytes.NewReader(body))
+			if seeded {
+				got.SetSites(fuzzSeedSites())
+				want.sites = fuzzSeedSites()
 			}
-			if !g {
-				break
+			for n := 0; ; n++ {
+				g, w := got.Scan(), want.Scan()
+				if g != w {
+					t.Fatalf("%s: record %d: Scan %v, oracle %v (err %v / %v)", c.name, n, g, w, got.Err(), want.err)
+				}
+				if !g {
+					break
+				}
+				if got.Record() != want.rec {
+					t.Fatalf("%s: record %d: %+v, oracle %+v", c.name, n, got.Record(), want.rec)
+				}
 			}
-			if got.Record() != want.rec {
-				t.Fatalf("record %d: %+v, oracle %+v", n, got.Record(), want.rec)
+			if !reflect.DeepEqual(got.Err(), want.err) {
+				t.Fatalf("%s: error %q, oracle %q", c.name, got.Err(), want.err)
+			}
+			if !maps.Equal(got.Sites(), want.sites) {
+				t.Fatalf("%s: site table %v, oracle %v", c.name, got.Sites(), want.sites)
 			}
 		}
-		if !reflect.DeepEqual(got.Err(), want.err) {
-			t.Fatalf("error %q, oracle %q", got.Err(), want.err)
-		}
-		if !maps.Equal(got.Sites(), want.sites) {
-			t.Fatalf("site table %v, oracle %v", got.Sites(), want.sites)
+		if !bytes.Equal(body, orig) {
+			t.Fatalf("the scanners wrote to the body")
 		}
 	})
 }

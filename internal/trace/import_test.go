@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestImportTextMalformed pins the error surface of ImportText: every
@@ -129,6 +132,100 @@ func TestImportTextScannerError(t *testing.T) {
 	}
 }
 
+// TestTextScannerBytesTooLong repeats TestImportTextScannerError's 2 MiB
+// lines on a scanner over the body in place: the same bufio.ErrTooLong,
+// at the same line, after the same records.
+func TestTextScannerBytesTooLong(t *testing.T) {
+	long := strings.Repeat("f", 2<<20) // 2 MiB, over the 1 MiB line limit
+	for _, tc := range []struct {
+		in      string
+		records int
+		line    string
+	}{
+		{"0x1000 1\n0x1004 0\n" + long + " 1\n", 2, "line 3"},
+		{long + " 1\n", 0, "line 1"},
+	} {
+		sc := NewTextScannerBytes([]byte(tc.in))
+		n := 0
+		for sc.Scan() {
+			n++
+		}
+		err := sc.Err()
+		if err == nil {
+			t.Fatalf("accepted a %d-byte line", len(long))
+		}
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("error %q does not wrap bufio.ErrTooLong", err)
+		}
+		if !strings.Contains(err.Error(), tc.line) || n != tc.records {
+			t.Errorf("error %q after %d records, want %s after %d", err, n, tc.line, tc.records)
+		}
+		if _, ierr := ImportText(strings.NewReader(tc.in), "big"); ierr == nil || ierr.Error() != err.Error() {
+			t.Errorf("ImportText error %q, bytes scanner %q", ierr, err)
+		}
+	}
+}
+
+// TestTextScannerLineLimit: around the line limit, with and without a
+// final "\n" and with a CRLF ending, both constructors deliver what the
+// bufio-based oracle delivers and fail where it fails, at the same line.
+// The fuzzer's inputs never come near 1 MiB.
+func TestTextScannerLineLimit(t *testing.T) {
+	for _, n := range []int{maxLine - 2, maxLine - 1, maxLine, maxLine + 1} {
+		line := "0x1" + strings.Repeat(" ", n-4) + "1"
+		for _, in := range []string{
+			"0x10 0\n" + line + "\n0x20 1\n",
+			"0x10 0\n" + line,
+			"0x10 0\n" + line[:n-1] + "\r\n0x20 1",
+		} {
+			for name, got := range map[string]*TextScanner{
+				"reader": NewTextScanner(strings.NewReader(in)),
+				"bytes":  NewTextScannerBytes([]byte(in)),
+			} {
+				want := newRefTextScanner(strings.NewReader(in))
+				var g, w []Record
+				for got.Scan() {
+					g = append(g, got.Record())
+				}
+				for want.Scan() {
+					w = append(w, want.rec)
+				}
+				if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(got.Err(), want.err) {
+					t.Errorf("%s, %d-byte line, %q ending: %v, %v; oracle %v, %v",
+						name, n, in[len(in)-3:], g, got.Err(), w, want.err)
+				}
+			}
+		}
+	}
+}
+
+// TestTextScannerReaders: the reader constructor behaves as the
+// bufio-based oracle over readers that return a byte at a time, return
+// their last bytes with io.EOF, or fail after some bytes: the same
+// records, a partial last line delivered, and the reader's error at the
+// line after it.
+func TestTextScannerReaders(t *testing.T) {
+	body := "0x10 1\r\n\n# c\n0x20,0\n" + "0x30" + strings.Repeat(" ", 100<<10) + "1\n0x40 t"
+	boom := errors.New("boom")
+	for name, r := range map[string]func() io.Reader{
+		"one byte": func() io.Reader { return iotest.OneByteReader(strings.NewReader(body)) },
+		"data+EOF": func() io.Reader { return iotest.DataErrReader(strings.NewReader(body)) },
+		"fails":    func() io.Reader { return io.MultiReader(strings.NewReader(body), iotest.ErrReader(boom)) },
+	} {
+		got, want := NewTextScanner(r()), newRefTextScanner(r())
+		var g, w []Record
+		for got.Scan() {
+			g = append(g, got.Record())
+		}
+		for want.Scan() {
+			w = append(w, want.rec)
+		}
+		if len(g) != 4 || !reflect.DeepEqual(g, w) || !reflect.DeepEqual(got.Err(), want.err) {
+			t.Errorf("%s: %v, %v; oracle %v, %v", name, g, got.Err(), w, want.err)
+		}
+	}
+}
+
 // TestTextScannerStreaming: the record-at-a-time scanner yields exactly
 // what ImportText materializes, and a seeded site table carried across
 // two scanners assigns one consistent id space — the contract predserve
@@ -230,7 +327,9 @@ func TestImportTextEmpty(t *testing.T) {
 
 // TestTextScannerAllocs: once every PC is in the site table, scanning an
 // ASCII capture allocates nothing per record — the scanner's setup is the
-// whole cost, so twice the lines cost exactly as many allocations.
+// whole cost, so twice the lines cost exactly as many allocations. The
+// same holds for a scanner over the body in place, whose allocations per
+// scanner also stay the same for a body 64 times as long.
 func TestTextScannerAllocs(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 8192; i++ {
@@ -255,5 +354,24 @@ func TestTextScannerAllocs(t *testing.T) {
 	allocs(8192) // fills the site table
 	if half, full := allocs(4096), allocs(8192); half != full {
 		t.Errorf("%v allocations for 4096 lines, %v for 8192: the scan allocates per record", half, full)
+	}
+
+	long := bytes.Repeat(body, 64)
+	inPlace := func(in []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			sc := NewTextScannerBytes(in)
+			sc.SetSites(sites)
+			n := 0
+			for sc.Scan() {
+				n++
+			}
+			if sc.Err() != nil || n != bytes.Count(in, []byte("\n")) {
+				t.Fatalf("in place: scanned %d lines of a %d-byte body: %v", n, len(in), sc.Err())
+			}
+		})
+	}
+	if half, full, big := inPlace(body[:len(body)/2]), inPlace(body), inPlace(long); half != full || full != big {
+		t.Errorf("in place: %v allocations for 4096 lines, %v for 8192, %v for %d: the scan allocates per record or per byte",
+			half, full, big, 64*8192)
 	}
 }
