@@ -111,8 +111,11 @@ func WriteColumnarTrace(w io.Writer, src Source) error {
 
 // OpenColumnarTrace validates data as a columnar trace file (structure
 // and every checksum, in one pass) and returns a zero-copy handle that
-// Run consumes block-at-a-time. The caller must not mutate data while
-// the handle is in use.
+// Run consumes block-at-a-time. A block's static column is range-checked
+// the first time a pass decodes the block whole; Run decodes a block
+// that has passed that check without its static column, which no
+// predictor reads, and a block that failed it fails every pass the same
+// way. The caller must not mutate data while the handle is in use.
 func OpenColumnarTrace(data []byte) (*ColumnarTrace, error) { return trace.OpenColumnar(data) }
 
 // DecodeTrace sniffs the magic of an encoded trace file — row varint

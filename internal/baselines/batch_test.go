@@ -111,18 +111,39 @@ func TestFilterBatchLockstep(t *testing.T) {
 	}
 }
 
+// TestYAGSBatchLockstep covers one and sixteen tag bits, no global history
+// and as much as the cache index takes, and choice tables both larger
+// and smaller than the caches.
+func TestYAGSBatchLockstep(t *testing.T) {
+	for _, g := range [][4]int{
+		{11, 10, 10, 1}, {11, 10, 0, 16}, {8, 10, 10, 16}, {12, 8, 0, 1}, {9, 0, 0, 6},
+	} {
+		batchLockstep(t, func() predictor.Predictor { return NewYAGS(g[0], g[1], g[2], g[3]) })
+	}
+}
+
+// predictUpdateOnly hides every method of a predictor but those of
+// predictor.Predictor: a component without a kernel.
+type predictUpdateOnly struct{ predictor.Predictor }
+
+// noKernelYAGS is YAGS behind predictUpdateOnly.
+func noKernelYAGS() predictor.Predictor { return predictUpdateOnly{NewYAGS(8, 8, 8, 6)} }
+
 // TestTournamentBatchLockstep covers the kernel (the 21264-style
 // per-address + global pairing) and the per-record fallback of every
-// other pairing, with a component without a kernel (YAGS) in either
-// slot.
+// other pairing, with a component without a kernel (YAGS behind
+// predictUpdateOnly) in either slot.
 func TestTournamentBatchLockstep(t *testing.T) {
+	if _, ok := noKernelYAGS().(predictor.BatchRunner); ok {
+		t.Fatal("the component without a kernel has a RunBatch")
+	}
 	builds := []struct {
 		name string
 		mk   func() predictor.Predictor
 	}{
 		{"alpha", func() predictor.Predictor { return NewAlpha21264Style(10) }},
-		{"yags|gshare", func() predictor.Predictor { return NewTournament(9, NewYAGS(8, 8, 8, 6), NewGshare(10, 8)) }},
-		{"gskew|yags", func() predictor.Predictor { return NewTournament(9, NewGskew(8, 8, true), NewYAGS(8, 8, 8, 6)) }},
+		{"yags|gshare", func() predictor.Predictor { return NewTournament(9, noKernelYAGS(), NewGshare(10, 8)) }},
+		{"gskew|yags", func() predictor.Predictor { return NewTournament(9, NewGskew(8, 8, true), noKernelYAGS()) }},
 	}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) { batchLockstep(t, b.mk) })

@@ -47,24 +47,36 @@ func TestGskewStepLockstep(t *testing.T) {
 	}
 }
 
-// TestTournamentStepLockstep pairs a component without a kernel (YAGS,
-// run through its Predict+Update) with one that has one, in both slots,
-// and checks the 21264-style pairing of two kernels.
+// TestTournamentStepLockstep pairs a component without a kernel (YAGS
+// behind predictUpdateOnly, run through its Predict+Update) with one that
+// has one, in both slots, and checks the 21264-style pairing of two
+// kernels.
 func TestTournamentStepLockstep(t *testing.T) {
-	if _, ok := predictor.Predictor(NewYAGS(8, 8, 8, 6)).(predictor.BatchRunner); ok {
-		t.Fatal("YAGS has a RunBatch; pick another component without a kernel")
+	if _, ok := noKernelYAGS().(predictor.BatchRunner); ok {
+		t.Fatal("the component without a kernel has a RunBatch")
 	}
 	recs := lockstepWorkload(t)
 	builds := []struct {
 		name string
 		mk   func() *Tournament
 	}{
-		{"yags|gshare", func() *Tournament { return NewTournament(9, NewYAGS(8, 8, 8, 6), NewGshare(10, 8)) }},
-		{"gskew|yags", func() *Tournament { return NewTournament(9, NewGskew(8, 8, true), NewYAGS(8, 8, 8, 6)) }},
+		{"yags|gshare", func() *Tournament { return NewTournament(9, noKernelYAGS(), NewGshare(10, 8)) }},
+		{"gskew|yags", func() *Tournament { return NewTournament(9, NewGskew(8, 8, true), noKernelYAGS()) }},
 		{"alpha", func() *Tournament { return NewAlpha21264Style(10) }},
 	}
 	for _, b := range builds {
 		t.Run(b.name, func(t *testing.T) { lockstep(t, b.mk(), b.mk(), recs) })
+	}
+}
+
+// TestYAGSStepLockstep drives the YAGS kernel one record at a time
+// beside a Predict+Update twin, with global history shorter than the
+// cache index and as long as it, and with tags narrow enough that
+// aliases hit each other's entries.
+func TestYAGSStepLockstep(t *testing.T) {
+	recs := lockstepWorkload(t)
+	for _, g := range [][4]int{{10, 8, 8, 6}, {6, 9, 0, 2}, {8, 6, 6, 16}} {
+		lockstep(t, NewYAGS(g[0], g[1], g[2], g[3]), NewYAGS(g[0], g[1], g[2], g[3]), recs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"bimode/internal/counter"
 	"bimode/internal/history"
+	"bimode/internal/trace"
 )
 
 // YAGS ("Yet Another Global Scheme", Eden & Mudge 1998) is the successor
@@ -14,9 +15,16 @@ import (
 // choice predictor's bias in two small tagged caches (a taken-cache
 // consulted for not-taken-biased branches and vice versa). A tag hit
 // overrides the choice prediction.
+//
+// Both caches live in one table: entry sel<<cacheBits | idx, where sel 0
+// is the NT cache (the exceptions of taken-biased branches) and sel 1 the
+// T cache. An entry's tag word is yagsValid | its partial tag, or 0 while
+// the entry is empty, so one compare tests both the valid bit and the
+// tag. Predict/Update and RunBatch share this representation.
 type YAGS struct {
 	choice    *Smith
-	caches    [2]yagsCache // [0] = NT cache (exceptions of taken-biased), [1] = T cache
+	tags      []uint32       // both caches' tag words, 2<<cacheBits entries
+	ctrs      *counter.Table // both caches' counters, indexed like tags
 	ghr       *history.Global
 	cacheBits int
 	histBits  int
@@ -25,11 +33,9 @@ type YAGS struct {
 	tagMask   uint64
 }
 
-type yagsCache struct {
-	tags  []uint16
-	valid []bool
-	ctrs  *counter.Table
-}
+// yagsValid is an exception entry's valid bit, just above the widest
+// (16-bit) partial tag in its tag word.
+const yagsValid = 1 << 16
 
 // NewYAGS returns a YAGS predictor with a 2^choiceBits choice table, two
 // exception caches of 2^cacheBits entries each, tagBits-wide partial tags,
@@ -41,8 +47,12 @@ func NewYAGS(choiceBits, cacheBits, histBits, tagBits int) *YAGS {
 	if tagBits < 1 || tagBits > 16 {
 		panic(fmt.Sprintf("baselines: yags tag width %d out of range [1,16]", tagBits))
 	}
-	y := &YAGS{
-		choice:    NewSmith(choiceBits),
+	return &YAGS{
+		choice: NewSmith(choiceBits),
+		tags:   make([]uint32, 2<<uint(cacheBits)),
+		// A counter is set whenever its entry is allocated, before any
+		// read, so its initial state is never observed.
+		ctrs:      counter.NewTwoBit(2<<uint(cacheBits), counter.WeakTaken),
 		ghr:       history.NewGlobal(histBits),
 		cacheBits: cacheBits,
 		histBits:  histBits,
@@ -50,18 +60,6 @@ func NewYAGS(choiceBits, cacheBits, histBits, tagBits int) *YAGS {
 		idxMask:   1<<uint(cacheBits) - 1,
 		tagMask:   1<<uint(tagBits) - 1,
 	}
-	for i := range y.caches {
-		init := counter.WeakNotTaken
-		if i == 1 {
-			init = counter.WeakTaken
-		}
-		y.caches[i] = yagsCache{
-			tags:  make([]uint16, 1<<uint(cacheBits)),
-			valid: make([]bool, 1<<uint(cacheBits)),
-			ctrs:  counter.NewTwoBit(1<<uint(cacheBits), init),
-		}
-	}
-	return y
 }
 
 // Name implements predictor.Predictor.
@@ -69,27 +67,28 @@ func (y *YAGS) Name() string {
 	return fmt.Sprintf("yags(%dc,%de,%dh,%dt)", y.choice.bits, y.cacheBits, y.histBits, y.tagBits)
 }
 
-func (y *YAGS) index(pc uint64) int { return int(((pc >> 2) ^ y.ghr.Value()) & y.idxMask) }
-func (y *YAGS) tag(pc uint64) uint16 {
-	return uint16((pc >> 2) & y.tagMask)
+// slot returns the exception entry a branch consults when the choice
+// predicts choiceTaken: a taken bias consults the NT cache and vice
+// versa, at the index gshare would use within it.
+func (y *YAGS) slot(pc uint64, choiceTaken bool) int {
+	i := ((pc >> 2) ^ y.ghr.Value()) & y.idxMask
+	if !choiceTaken {
+		i |= 1 << uint(y.cacheBits)
+	}
+	return int(i)
 }
 
-// cacheFor returns the exception cache consulted when the choice predicts
-// the given direction: a taken bias consults the NT cache and vice versa.
-func (y *YAGS) cacheFor(choiceTaken bool) *yagsCache {
-	if choiceTaken {
-		return &y.caches[0]
-	}
-	return &y.caches[1]
+// tagWord is the tag word of a valid entry that holds pc.
+func (y *YAGS) tagWord(pc uint64) uint32 {
+	return yagsValid | uint32((pc>>2)&y.tagMask)
 }
 
 // Predict implements predictor.Predictor.
 func (y *YAGS) Predict(pc uint64) bool {
 	choiceTaken := y.choice.Predict(pc)
-	c := y.cacheFor(choiceTaken)
-	i := y.index(pc)
-	if c.valid[i] && c.tags[i] == y.tag(pc) {
-		return c.ctrs.Taken(i)
+	k := y.slot(pc, choiceTaken)
+	if y.tags[k] == y.tagWord(pc) {
+		return y.ctrs.Taken(k)
 	}
 	return choiceTaken
 }
@@ -97,42 +96,99 @@ func (y *YAGS) Predict(pc uint64) bool {
 // Update implements predictor.Predictor.
 func (y *YAGS) Update(pc uint64, taken bool) {
 	choiceTaken := y.choice.Predict(pc)
-	c := y.cacheFor(choiceTaken)
-	i := y.index(pc)
-	hit := c.valid[i] && c.tags[i] == y.tag(pc)
+	k := y.slot(pc, choiceTaken)
+	hit := y.tags[k] == y.tagWord(pc)
 
 	if hit {
-		c.ctrs.Update(i, taken)
+		y.ctrs.Update(k, taken)
 	} else if taken != choiceTaken {
 		// The branch deviated from its bias: allocate an exception entry.
-		c.valid[i] = true
-		c.tags[i] = y.tag(pc)
+		y.tags[k] = y.tagWord(pc)
 		if taken {
-			c.ctrs.Set(i, counter.WeakTaken)
+			y.ctrs.Set(k, counter.WeakTaken)
 		} else {
-			c.ctrs.Set(i, counter.WeakNotTaken)
+			y.ctrs.Set(k, counter.WeakNotTaken)
 		}
 	}
 
 	// Choice update mirrors bi-mode's partial policy: do not weaken the
 	// bias when the exception cache covered the deviation.
-	if !(choiceTaken != taken && hit && c.ctrs.Taken(i) == taken) {
+	if !(choiceTaken != taken && hit && y.ctrs.Taken(k) == taken) {
 		y.choice.Update(pc, taken)
 	}
 	y.ghr.Push(taken)
 }
 
+// RunBatch implements predictor.BatchRunner: Predict+Update's transition
+// over the whole slice with the choice table, the exception table and
+// the history register in locals.
+//
+// The two candidate entries, one per cache, depend only on the PC and
+// the history, so both are loaded before the choice counter resolves
+// which one the branch consults; the choice's taken bit then selects. A
+// hit is a bit: it selects the prediction, and as the enable key of
+// counter.SatNextIf it trains the entry's counter. A miss that deviates
+// from the bias allocates the entry: it takes the branch's tag word, and
+// its counter starts weakly not-taken and trains once if the outcome was
+// taken, which lands it in the outcome's weak state. The choice counter
+// trains unless it was wrong and the hit entry, trained, now predicts
+// the outcome.
+//
+//bimode:hotpath
+func (y *YAGS) RunBatch(recs []trace.Record) int {
+	choice := y.choice.table.Raw()
+	tags, ctrs := y.tags, y.ctrs.Raw()
+	if len(choice) == 0 || len(tags) == 0 || len(ctrs) != len(tags) {
+		return 0 // unreachable (non-empty tables, counters beside tags); lets the compiler drop bounds checks
+	}
+	choiceMask := uint64(len(choice) - 1)
+	kMask := uint64(len(tags) - 1)
+	e := uint(y.cacheBits) & 63
+	idxMask, tagMask := y.idxMask, y.tagMask
+	h := y.ghr.Value()
+	hMask := y.ghr.Mask()
+	miss := 0
+	for i := range recs {
+		r := &recs[i]
+		tk := counter.OutcomeBit(r.Taken)
+		addr := r.PC >> 2
+		ci := addr & choiceMask
+		cv := choice[ci]
+		idx := (addr ^ h) & idxMask
+		want := yagsValid | uint32(addr&tagMask)
+		ntK, tK := idx&kMask, (idx|1<<e)&kMask
+		ntTag, tTag := tags[ntK], tags[tK]
+		ntV, tV := ctrs[ntK], ctrs[tK]
+		ct := cv.TakenBit()
+		k := (idx | uint64(ct^1)<<e) & kMask
+		tag, v := tTag, tV
+		if ct != 0 {
+			tag, v = ntTag, ntV
+		}
+		hit := counter.OutcomeBit(tag == want)
+		pred := ct ^ (ct^v.TakenBit())&hit
+		miss += int(pred ^ tk)
+		alloc := (hit ^ 1) & (ct ^ tk)
+		from := v
+		if alloc != 0 {
+			from = counter.WeakNotTaken
+		}
+		nv := counter.SatNextIf(from, tk, hit|alloc&tk)
+		ctrs[k] = nv
+		tags[k] = tag ^ (tag^want)&-uint32(alloc)
+		covered := (ct ^ tk) & hit & (nv.TakenBit() ^ tk ^ 1)
+		choice[ci] = counter.SatNextIf(cv, tk, covered^1)
+		h = (h<<1 | uint64(tk)) & hMask
+	}
+	y.ghr.Set(h)
+	return miss
+}
+
 // Reset implements predictor.Predictor.
 func (y *YAGS) Reset() {
 	y.choice.Reset()
-	for i := range y.caches {
-		c := &y.caches[i]
-		for j := range c.tags {
-			c.tags[j] = 0
-			c.valid[j] = false
-		}
-		c.ctrs.Reset()
-	}
+	clear(y.tags)
+	y.ctrs.Reset()
 	y.ghr.Reset()
 }
 

@@ -114,24 +114,38 @@ func buildOnce(build func(string) (predictor.Predictor, error), spec string) (p 
 	return build(spec)
 }
 
-// siteCacheSize is the number of slots in a session's PC -> site cache,
-// a power of two: 16 KiB per resident session. Over four gcc-profile
-// sessions of serve-text's shape (16 bodies of 4096 records, 978 to 1649
-// distinct PCs) it served 94.7% to 97.3% of records, where first
-// appearances alone miss 1.5% to 2.5%.
-const siteCacheSize = 4096
+// siteCacheBits sets the size of a session's PC -> site cache:
+// siteCacheSize slots, 16 KiB per resident session. Over four gcc-profile
+// sessions of serve-text's shape (seeds 5000 to 5003: 16 bodies of 4096
+// records, 961 to 1649 distinct PCs) it served 96.4% to 98.0% of
+// records, where first appearances alone miss 1.5% to 2.5%; indexed by
+// the PC bits above the alignment modulo its size, it served 95.2% to
+// 97.4%.
+const (
+	siteCacheBits = 12
+	siteCacheSize = 1 << siteCacheBits
+)
+
+// siteSlot is pc's slot in the site cache: the top siteCacheBits of the
+// PC bits above the 4-byte alignment times an odd 64-bit constant
+// (2^64 over the golden ratio). The low bits alone would reach only the
+// even slots for 8-aligned PCs, as every gcc-profile PC is; the product's
+// top bits depend on every bit of the PC, bit 63's backward flag
+// included.
+func siteSlot(pc uint64) uint64 {
+	return (pc >> 2) * 0x9e3779b97f4a7c15 >> (64 - siteCacheBits)
+}
 
 // siteFor maps a branch PC to the session's dense static id, assigning
-// the next id on first appearance. A direct-mapped cache, indexed by the
-// PC bits above the 4-byte alignment, stands in front of the site map.
-// A slot holds a session id + 1 and is used only when that id's PC is
-// pc — remap's rule — so a slot left by any earlier PC costs one map
-// lookup, never a wrong site.
+// the next id on first appearance. A direct-mapped cache, indexed by
+// siteSlot, stands in front of the site map. A slot holds a session id +
+// 1 and is used only when that id's PC is pc — remap's rule — so a slot
+// left by any earlier PC costs one map lookup, never a wrong site.
 func (sess *session) siteFor(pc uint64) uint32 {
 	if sess.siteCache == nil {
 		sess.siteCache = new([siteCacheSize]uint32)
 	}
-	slot := &sess.siteCache[(pc>>2)%siteCacheSize]
+	slot := &sess.siteCache[siteSlot(pc)]
 	if e := int(*slot) - 1; e >= 0 && e < len(sess.pcs) && sess.pcs[e] == pc {
 		return uint32(e)
 	}

@@ -130,3 +130,78 @@ func TestSiteCacheRollback(t *testing.T) {
 	}
 	sameAsControl(t, base, id, control)
 }
+
+// hashSlotPCs returns n 4-byte-aligned PCs, with and without the
+// backward flag, that all index the site cache slot of the first.
+func hashSlotPCs(n int) []uint64 {
+	pcs := []uint64{0x401000}
+	for pc := uint64(0x401004); len(pcs) < n; pc += 4 {
+		for _, p := range []uint64{pc, pc | 1<<63} {
+			if siteSlot(p) == siteSlot(pcs[0]) && len(pcs) < n {
+				pcs = append(pcs, p)
+			}
+		}
+	}
+	return pcs
+}
+
+// TestSiteCacheHashCollisions: PCs that share a slot under siteSlot,
+// alternating record by record with neighbors in other slots, each get
+// the id the site map gives, directly from siteFor and through text
+// bodies whose reports must equal one Observe pass over the
+// first-appearance numbering.
+func TestSiteCacheHashCollisions(t *testing.T) {
+	shared := hashSlotPCs(4)
+	rng := rand.New(rand.NewPCG(7, 11))
+	recs := make([]trace.Record, 3*ingestChunk)
+	pcs := make([]uint64, len(recs))
+	for i := range recs {
+		pc := shared[i%len(shared)]
+		if i%7 == 3 {
+			pc = 0x500000 + 4*uint64(rng.IntN(64))
+		}
+		recs[i] = trace.Record{PC: pc, Taken: rng.IntN(3) != 0}
+		pcs[i] = pc
+	}
+	want := firstAppearance(pcs)
+	sess := &session{sites: map[uint64]uint32{}}
+	for i, pc := range pcs {
+		if got := sess.siteFor(pc); got != want[pc] {
+			t.Fatalf("record %d: siteFor(%#x) = %d, the map gives %d", i, pc, got, want[pc])
+		}
+	}
+
+	s, base := newTestServer(t, Config{})
+	specs := []string{"bimode:b=11", "gshare:i=12,h=12"}
+	id := createSession(t, base, specs...).ID
+	for _, cut := range [][2]int{{0, 5}, {5, 1000}, {1000, 5000}, {5000, len(recs)}} {
+		ingestText(t, base, id, textBody(recs[cut[0]:cut[1]]))
+	}
+	_, rep := rawReport(t, base, id)
+	for i, spec := range specs {
+		sameSpecReport(t, rep.Specs[i], referenceSpecReport(spec, recs, s.cfg.TopN))
+	}
+}
+
+// TestSiteSlotUsesOddSlots: 8-aligned PCs, the only kind the gcc
+// profile makes, reach odd slots as well as even ones, and 4096
+// consecutive ones fill well over the half of the cache that the
+// alignment bits alone would leave them.
+func TestSiteSlotUsesOddSlots(t *testing.T) {
+	used := map[uint64]bool{}
+	odd := 0
+	for i := range uint64(siteCacheSize) {
+		slot := siteSlot(0x400000 + 8*i)
+		if slot >= siteCacheSize {
+			t.Fatalf("slot %d out of range", slot)
+		}
+		if !used[slot] && slot%2 == 1 {
+			odd++
+		}
+		used[slot] = true
+	}
+	if odd == 0 || len(used) <= siteCacheSize/2 {
+		t.Fatalf("%d 8-aligned PCs use %d slots, %d of them odd; want odd slots and more than %d",
+			siteCacheSize, len(used), odd, siteCacheSize/2)
+	}
+}

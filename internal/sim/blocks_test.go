@@ -27,19 +27,37 @@ import (
 // into.
 const blockRecords = 1 << 16
 
+// genericSpec is the tier specs' predictor with only Predict/Update:
+// YAGS, whose RunBatch newTierPredictor hides.
+const genericSpec = "yags:c=11,e=10,h=10,t=6"
+
+// predictUpdateOnly hides every method of a predictor but those of
+// predictor.Predictor, so the driver runs it Predict then Update per
+// record.
+type predictUpdateOnly struct{ predictor.Predictor }
+
+// newTierPredictor builds spec, behind predictUpdateOnly when it is
+// genericSpec.
+func newTierPredictor(spec string) predictor.Predictor {
+	p := zoo.MustNew(spec)
+	if spec == genericSpec {
+		return predictUpdateOnly{p}
+	}
+	return p
+}
+
 // tierSpecs returns specs for both engine tiers: two BatchRunners (the
 // bi-mode kernel and the GAs kernel the zoo's gselect is built on) and a
-// predictor with only Predict/Update.
+// predictor with only Predict/Update. Build them with newTierPredictor.
 func tierSpecs(t *testing.T) []string {
 	t.Helper()
-	const genericSpec = "yags:c=11,e=10,h=10,t=6"
 	batchSpecs := []string{"bimode:b=11", "gselect:a=6,h=6"}
 	for _, spec := range batchSpecs {
-		if _, ok := zoo.MustNew(spec).(predictor.BatchRunner); !ok {
+		if _, ok := newTierPredictor(spec).(predictor.BatchRunner); !ok {
 			t.Fatalf("%s is not a BatchRunner", spec)
 		}
 	}
-	if _, ok := zoo.MustNew(genericSpec).(predictor.BatchRunner); ok {
+	if _, ok := newTierPredictor(genericSpec).(predictor.BatchRunner); ok {
 		t.Fatalf("%s is a BatchRunner", genericSpec)
 	}
 	return append(batchSpecs, genericSpec)
@@ -80,25 +98,25 @@ func TestBlockBoundaryDifferential(t *testing.T) {
 		}
 		for _, spec := range specs {
 			t.Run(fmt.Sprintf("n=%d/%s", n, spec), func(t *testing.T) {
-				ref := sim.RunGeneric(zoo.MustNew(spec), mem)
+				ref := sim.RunGeneric(newTierPredictor(spec), mem)
 				if ref.Branches != n {
 					t.Fatalf("generic loop saw %d branches, want %d", ref.Branches, n)
 				}
 				const lag = 3
-				delayed := runDelayedLoop(zoo.MustNew(spec), mem, lag)
+				delayed := runDelayedLoop(newTierPredictor(spec), mem, lag)
 				var firstRep *sim.Report
 				for _, s := range sources {
-					if got := sim.Run(zoo.MustNew(spec), s.src); got != ref {
+					if got := sim.Run(newTierPredictor(spec), s.src); got != ref {
 						t.Errorf("%s: Run %+v != generic %+v", s.name, got, ref)
 					}
-					if got := sim.RunDelayed(zoo.MustNew(spec), s.src, lag); got != delayed {
+					if got := sim.RunDelayed(newTierPredictor(spec), s.src, lag); got != delayed {
 						t.Errorf("%s: RunDelayed %+v != its loop %+v", s.name, got, delayed)
 					}
-					job := sim.Job{Make: func() predictor.Predictor { return zoo.MustNew(spec) }, Source: s.src}
+					job := sim.Job{Make: func() predictor.Predictor { return newTierPredictor(spec) }, Source: s.src}
 					if got := sched.RunAll([]sim.Job{job})[0]; got != ref {
 						t.Errorf("%s: journaled RunAll %+v != generic %+v", s.name, got, ref)
 					}
-					rep := timeless(sim.Observe(zoo.MustNew(spec), s.src, sim.ObserveOptions{}))
+					rep := timeless(sim.Observe(newTierPredictor(spec), s.src, sim.ObserveOptions{}))
 					if rep.Branches != ref.Branches || rep.Mispredicts != ref.Mispredicts {
 						t.Errorf("%s: Observe counted %d/%d, generic %d/%d",
 							s.name, rep.Mispredicts, rep.Branches, ref.Mispredicts, ref.Branches)

@@ -85,6 +85,30 @@ func TestColumnarDifferential(t *testing.T) {
 	}
 }
 
+// TestColumnarStaticBlind: sim.Run's first pass over a fresh columnar
+// handle decodes every block whole, checking its static column, and its
+// second pass decodes PC and Taken alone, leaving each record's Static
+// unspecified. Both must give the Result sim.Run gives over the Memory,
+// for every spec the fast-path oracle covers, so a kernel that starts
+// reading Static fails here.
+func TestColumnarStaticBlind(t *testing.T) {
+	for _, mem := range suiteTraces() {
+		if mem.StaticCount() < 2 {
+			t.Fatalf("workload %q has %d static branches; a Static read would not show", mem.Name(), mem.StaticCount())
+		}
+		for _, spec := range fastpathSpecs() {
+			want := sim.Run(zoo.MustNew(spec), mem)
+			c := columnarize(t, mem, 1024)
+			for _, pass := range []string{"checking", "projected"} {
+				if got := sim.Run(zoo.MustNew(spec), c); got != want {
+					t.Errorf("spec %q workload %q, %s pass: columnar %+v != memory %+v",
+						spec, mem.Name(), pass, got, want)
+				}
+			}
+		}
+	}
+}
+
 // columnarJobs is oracleJobs with every Source swapped for its columnar
 // encoding: the zoo-spec x suite-workload grid over zero-copy handles.
 func columnarJobs(t *testing.T, blockSize int) []sim.Job {

@@ -94,8 +94,8 @@ func mixedSourceJobs() []sim.Job {
 		src := synth.MustWorkload(p.WithDynamic(fastpathDynamic))
 		mem := trace.Materialize(synth.MustWorkload(p.WithDynamic(fastpathDynamic)))
 		jobs = append(jobs, sim.Job{Make: bigBiMode, Source: src}, sim.Job{Make: bigBiMode, Source: mem})
-		for _, spec := range []string{"bimode:b=11", "gselect:a=6,h=6", "yags:c=11,e=10,h=10,t=6"} {
-			mk := func() predictor.Predictor { return zoo.MustNew(spec) }
+		for _, spec := range []string{"bimode:b=11", "gselect:a=6,h=6", genericSpec} {
+			mk := func() predictor.Predictor { return newTierPredictor(spec) }
 			jobs = append(jobs, sim.Job{Make: mk, Source: src}, sim.Job{Make: mk, Source: mem})
 		}
 	}

@@ -54,10 +54,10 @@ func (r Result) String() string {
 // Following the paper, no warm-up exclusion is applied (its tables start
 // weakly-taken and the cold-start transient is part of the measurement).
 //
-// Run is the block driver with a context that never cancels: trace.Blocks
-// cuts any source into record slices, and runRecords runs each slice
-// through the predictor's RunBatch kernel, or else Predict/Update. Both
-// paths produce bit-identical Mispredicts (enforced by
+// Run is the block driver with a context that never cancels:
+// trace.BranchBlocks cuts any source into record slices, and runRecords
+// runs each slice through the predictor's RunBatch kernel, or else
+// Predict/Update. Both paths produce bit-identical Mispredicts (enforced by
 // TestFastPathEquivalence); the kernel is an optimization, never a
 // semantic fork. A decode error from a damaged block source panics,
 // surfacing through the scheduler's per-job recovery as the cell's
@@ -77,13 +77,16 @@ func Run(p predictor.Predictor, src trace.Source) Result {
 }
 
 // drive is the engine's one block driver. It pulls blocks from
-// trace.Blocks(src), checks ctx at every block boundary and runs each
-// block through runRecords; the predictor state carries across blocks,
-// so the result is bit-identical to one call over the concatenated
-// records. It returns the records simulated and the mispredicts among
-// them.
+// trace.BranchBlocks(src), checks ctx at every block boundary and runs
+// each block through runRecords; the predictor state carries across
+// blocks, so the result is bit-identical to one call over the
+// concatenated records. A predictor reads a record's PC and Taken only
+// (Predict and Update take nothing else, and no kernel reads Static), so
+// a columnar block whose static column an earlier pass has checked is
+// decoded without it. It returns the records simulated and the
+// mispredicts among them.
 func drive(ctx context.Context, p predictor.Predictor, src trace.Source) (int, int, error) {
-	bs := trace.Blocks(src)
+	bs := trace.BranchBlocks(src)
 	n, miss := 0, 0
 	for {
 		if err := ctx.Err(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 )
 
 // Columnar trace format ("BMC1"): the block-structured, column-oriented
@@ -48,6 +49,13 @@ import (
 // silently wrong trace. OpenColumnar validates structure and checksums
 // up front in one cheap pass without decoding payloads, so iteration
 // over a validated file does not re-verify per pass.
+//
+// The one check the CRCs cannot stand in for is the static column's
+// range rule (a site id below the header's static count), which a
+// crafted file can break under honest checksums. A pass decodes the
+// whole block, static column included, until some pass has decoded that
+// block cleanly; after that, BranchBlocks streams skip its static column
+// (see columnarBlocks.NextBlock).
 
 // columnarMagic distinguishes columnar files from the "BMT1" row format.
 const columnarMagic = "BMC1"
@@ -204,6 +212,10 @@ type Columnar struct {
 	blockSize int
 	data      []byte
 	blocks    []blockMeta
+	// checked[b] is set once a full decode of block b, static column
+	// included, has succeeded; a block that fails is never set, so every
+	// pass over it decodes it whole and reports the same error.
+	checked []atomic.Bool
 }
 
 // OpenColumnar validates data as a columnar trace file and returns a
@@ -336,6 +348,7 @@ func OpenColumnar(data []byte) (*Columnar, error) {
 		remaining -= m.count
 		c.blocks = append(c.blocks, m)
 	}
+	c.checked = make([]atomic.Bool, numBlocks)
 	if off != len(data) {
 		return nil, &ColumnarDecodeError{
 			Block:  int64(numBlocks),
@@ -383,11 +396,14 @@ func (c *Columnar) BlockSize() int { return c.blockSize }
 func (c *Columnar) BlockStream() BlockStream { return &columnarBlocks{c: c} }
 
 // columnarBlocks is the block iterator: one scratch record buffer,
-// reused for every block, refilled by the columnar decode kernel.
+// reused for every block, refilled by the columnar decode kernel. A
+// branches iterator (BranchBlocks) fills only PC and Taken in a block
+// that an earlier full decode has checked.
 type columnarBlocks struct {
-	c       *Columnar
-	next    int
-	scratch []Record
+	c        *Columnar
+	next     int
+	scratch  []Record
+	branches bool
 }
 
 // NextBlock implements BlockStream.
@@ -402,11 +418,26 @@ func (it *columnarBlocks) NextBlock() ([]Record, error) {
 		// the header declares.
 		it.scratch = make([]Record, min(it.c.blockSize, it.c.count))
 	}
-	recs, err := decodeColumnarBlock(it.c.data, it.c.blocks[b], int64(b), it.c.statics, it.scratch)
+	c, m := it.c, it.c.blocks[b]
+	if it.branches && c.checked[b].Load() {
+		// Static is left as the scratch buffer holds it.
+		recs := it.scratch[:m.count]
+		if err := decodePCs(c.data, m, int64(b), recs, true); err != nil {
+			return nil, err
+		}
+		return recs, nil
+	}
+	recs, err := decodeColumnarBlock(c.data, m, int64(b), c.statics, it.scratch)
 	if err != nil {
 		return nil, err
 	}
+	c.checked[b].Store(true)
 	return recs, nil
+}
+
+// columnarBlockErr locates a failure inside block's payload.
+func columnarBlockErr(block int64, at int, err error) error {
+	return &ColumnarDecodeError{Block: block, Offset: int64(at), Err: err}
 }
 
 // decodeColumnarBlock expands one indexed block into scratch. The
@@ -419,51 +450,20 @@ func (it *columnarBlocks) NextBlock() ([]Record, error) {
 // with the 1- and 2-byte varint cases — which cover branch-clustered PC
 // deltas and realistic static-site counts — decoded inline (a load, a
 // compare, a shift), falling back to binary.Uvarint only for wide
-// values. The outcome column is a shift-and-mask per record. Per-column
-// loops keep each iteration's branch pattern uniform, so the per-record
-// cost is a handful of predictable instructions against the row
-// decoder's per-byte interface calls.
+// values. The outcome column is a shift-and-mask per record, done in the
+// static loop. Per-column loops keep each iteration's branch pattern
+// uniform, so the per-record cost is a handful of predictable
+// instructions against the row decoder's per-byte interface calls.
 func decodeColumnarBlock(data []byte, m blockMeta, block int64, statics int, scratch []Record) ([]Record, error) {
-	blockErr := func(at int, err error) error {
-		return &ColumnarDecodeError{Block: block, Offset: int64(at), Err: err}
-	}
 	if m.count > len(scratch) {
 		scratch = make([]Record, m.count)
 	}
 	recs := scratch[:m.count]
-	pcB := data[m.pcOff:m.stOff]
+	if err := decodePCs(data, m, block, recs, false); err != nil {
+		return nil, err
+	}
 	stB := data[m.stOff:m.outOff]
 	outB := data[m.outOff:m.crcOff]
-
-	// PC column: zig-zag deltas of the rotated PC, chain restarting at 0
-	// for this block. The ≤2-byte case is decoded branchlessly — the varint's length
-	// comes out of the continuation bit as an arithmetic mask, not a
-	// data-dependent branch, because real delta streams mix 1- and
-	// 2-byte values unpredictably and a mispredict per record would
-	// cost more than the whole rest of the loop.
-	rot := uint64(0)
-	i := 0
-	for k := range recs {
-		var d uint64
-		if i+2 <= len(pcB) && pcB[i]&pcB[i+1] < 0x80 {
-			b0 := uint64(pcB[i])
-			cont := b0 >> 7 // 1 if a second byte follows
-			d = (b0 & 0x7f) | uint64(pcB[i+1])<<7&(-cont)
-			i += int(1 + cont)
-		} else {
-			v, n := binary.Uvarint(pcB[i:])
-			if n <= 0 {
-				return nil, blockErr(m.pcOff+i, fmt.Errorf("reading pc delta %d: %w", k, eofOrBad(n)))
-			}
-			d = v
-			i += n
-		}
-		rot += uint64(unzigzag(d))
-		recs[k].PC = rot>>1 | rot<<63 // undo the writer's rotation
-	}
-	if i != len(pcB) {
-		return nil, blockErr(m.pcOff+i, fmt.Errorf("%w: %d unconsumed pc stream bytes", ErrBadFormat, len(pcB)-i))
-	}
 
 	// Static column: uvarint site ids, validated against the header's
 	// declared site count.
@@ -480,13 +480,13 @@ func decodeColumnarBlock(data []byte, m blockMeta, block int64, statics int, scr
 		} else {
 			v, n := binary.Uvarint(stB[j:])
 			if n <= 0 {
-				return nil, blockErr(m.stOff+j, fmt.Errorf("reading static id %d: %w", k, eofOrBad(n)))
+				return nil, columnarBlockErr(block, m.stOff+j, fmt.Errorf("reading static id %d: %w", k, eofOrBad(n)))
 			}
 			st = v
 			j += n
 		}
 		if st >= maxStatic {
-			return nil, blockErr(m.stOff+field, fmt.Errorf("%w: site %d >= static count %d", ErrBadFormat, st, statics))
+			return nil, columnarBlockErr(block, m.stOff+field, fmt.Errorf("%w: site %d >= static count %d", ErrBadFormat, st, statics))
 		}
 		// The outcome bit (LSB first in its column) rides along in the
 		// same pass: Static and Taken share a record write this way.
@@ -494,9 +494,54 @@ func decodeColumnarBlock(data []byte, m blockMeta, block int64, statics int, scr
 		recs[k].Taken = outB[k>>3]>>(k&7)&1 != 0
 	}
 	if j != len(stB) {
-		return nil, blockErr(m.stOff+j, fmt.Errorf("%w: %d unconsumed static stream bytes", ErrBadFormat, len(stB)-j))
+		return nil, columnarBlockErr(block, m.stOff+j, fmt.Errorf("%w: %d unconsumed static stream bytes", ErrBadFormat, len(stB)-j))
 	}
 	return recs, nil
+}
+
+// decodePCs decodes a block's PC column into recs, and with taken set
+// its outcome column too, in the same loop. taken is loop-invariant, so
+// its test costs a predicted branch per record. The full decode leaves
+// it off and fills Taken in its static loop: moving the outcome bits
+// into this loop made it slower. Without a static loop, one loop over
+// both columns is faster than two.
+//
+// The PCs are zig-zag deltas of the rotated PC, the chain restarting at
+// 0 for this block. The ≤2-byte case is decoded branchlessly — the
+// varint's length comes out of the continuation bit as an arithmetic
+// mask, not a data-dependent branch, because real delta streams mix 1-
+// and 2-byte values unpredictably and a mispredict per record would cost
+// more than the whole rest of the loop.
+func decodePCs(data []byte, m blockMeta, block int64, recs []Record, taken bool) error {
+	pcB := data[m.pcOff:m.stOff]
+	outB := data[m.outOff:m.crcOff]
+	rot := uint64(0)
+	i := 0
+	for k := range recs {
+		var d uint64
+		if i+2 <= len(pcB) && pcB[i]&pcB[i+1] < 0x80 {
+			b0 := uint64(pcB[i])
+			cont := b0 >> 7 // 1 if a second byte follows
+			d = (b0 & 0x7f) | uint64(pcB[i+1])<<7&(-cont)
+			i += int(1 + cont)
+		} else {
+			v, n := binary.Uvarint(pcB[i:])
+			if n <= 0 {
+				return columnarBlockErr(block, m.pcOff+i, fmt.Errorf("reading pc delta %d: %w", k, eofOrBad(n)))
+			}
+			d = v
+			i += n
+		}
+		rot += uint64(unzigzag(d))
+		recs[k].PC = rot>>1 | rot<<63 // undo the writer's rotation
+		if taken {
+			recs[k].Taken = outB[k>>3]>>(k&7)&1 != 0
+		}
+	}
+	if i != len(pcB) {
+		return columnarBlockErr(block, m.pcOff+i, fmt.Errorf("%w: %d unconsumed pc stream bytes", ErrBadFormat, len(pcB)-i))
+	}
+	return nil
 }
 
 // Stream implements Source: record-at-a-time iteration for consumers

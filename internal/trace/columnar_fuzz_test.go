@@ -13,7 +13,9 @@ import (
 // must be rejected with a located *ColumnarDecodeError; and a
 // single-byte flip anywhere in the file must yield a typed error —
 // never a wrong-answer decode (the row format only promises not to
-// panic; the per-block CRCs upgrade that to detection).
+// panic; the per-block CRCs upgrade that to detection). The projected
+// stream, BranchBlocks, must give the same PCs and directions on a fresh
+// handle's first pass (full decodes) and its second (projected ones).
 func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Add("gcc", uint16(8), uint16(4), []byte{0x01, 0x02, 0x03, 0x04, 0xFF, 0x00, 0x10, 0x81})
 	f.Add("", uint16(1), uint16(1), []byte{})
@@ -66,6 +68,25 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		for i := range recs {
 			if got[i] != recs[i] {
 				t.Fatalf("record %d changed: %+v vs %+v", i, got[i], recs[i])
+			}
+		}
+		fresh, err := OpenColumnar(enc)
+		if err != nil {
+			t.Fatalf("OpenColumnar rejected WriteColumnarBlocks output: %v", err)
+		}
+		for pass := range 2 {
+			proj, err := drainStream(BranchBlocks(fresh))
+			if err != nil {
+				t.Fatalf("projected pass %d failed on a valid file: %v", pass, err)
+			}
+			if len(proj) != len(got) {
+				t.Fatalf("projected pass %d decoded %d records, want %d", pass, len(proj), len(got))
+			}
+			for i := range got {
+				if proj[i].PC != got[i].PC || proj[i].Taken != got[i].Taken {
+					t.Fatalf("projected pass %d, record %d: pc %#x taken %v, BlockStream pc %#x taken %v",
+						pass, i, proj[i].PC, proj[i].Taken, got[i].PC, got[i].Taken)
+				}
 			}
 		}
 

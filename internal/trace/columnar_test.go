@@ -210,20 +210,7 @@ func TestColumnarCorruptionDetected(t *testing.T) {
 }
 
 // drainAll is drainBlocks without the test harness, returning the error.
-func drainAll(c *Columnar) ([]Record, error) {
-	bs := c.BlockStream()
-	var out []Record
-	for {
-		recs, err := bs.NextBlock()
-		if err != nil {
-			return nil, err
-		}
-		if recs == nil {
-			return out, nil
-		}
-		out = append(out, recs...)
-	}
-}
+func drainAll(c *Columnar) ([]Record, error) { return drainStream(c.BlockStream()) }
 
 // TestColumnarCorruptFooterNamesBlock: damage in block b's CRC footer is
 // attributed to block b at the footer's offset.

@@ -192,6 +192,20 @@ func Blocks(src Source) BlockStream {
 	return &streamBlocks{st: src.Stream()}
 }
 
+// BranchBlocks is Blocks for a consumer that reads only each record's PC
+// and Taken, as a predictor does. Over a *Columnar, a block that some
+// earlier full decode has checked (every site id below the static count)
+// is decoded without its static column, and its records' Static is
+// unspecified; a block not yet checked is decoded whole, so a damaged
+// one fails with the same *ColumnarDecodeError on every pass. Any other
+// source gets Blocks(src).
+func BranchBlocks(src Source) BlockStream {
+	if c, ok := src.(*Columnar); ok {
+		return &columnarBlocks{c: c, branches: true}
+	}
+	return Blocks(src)
+}
+
 // sliceBlocks cuts a materialized trace into batchRecords sub-slices.
 type sliceBlocks struct{ recs []Record }
 

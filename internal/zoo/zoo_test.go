@@ -30,14 +30,13 @@ func TestAllKnownSpecsBuild(t *testing.T) {
 // TestSimulationRungs pins the simulation tier each family reaches
 // (DESIGN.md §7): its RunBatch kernel, or else Predict/Update. A family
 // that silently loses its RunBatch would still pass every equivalence
-// oracle, only slower; this names the fallback instead. YAGS stays on
-// Predict/Update deliberately: it is the benchmark's generic-tier probe.
+// oracle, only slower; this names the fallback instead.
 func TestSimulationRungs(t *testing.T) {
 	want := map[string]string{
 		"smith": "batch", "gshare": "batch", "gag": "batch", "gas": "batch",
 		"pag": "batch", "pas": "batch", "bimode": "batch", "trimode": "batch",
 		"gskew": "batch", "agree": "batch", "filter": "batch", "alpha": "batch", "gselect": "batch",
-		"yags": "generic", "loopgshare": "generic",
+		"yags": "batch", "loopgshare": "generic",
 		"taken": "generic", "not-taken": "generic", "btfn": "generic",
 	}
 	for _, spec := range Known() {
