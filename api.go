@@ -21,9 +21,10 @@ import (
 // once per dynamic branch, in order).
 type Predictor = predictor.Predictor
 
-// Indexed is implemented by predictors that expose which second-level
-// counter a lookup consults; the bias analysis requires it.
-type Indexed = predictor.Indexed
+// Probe is implemented by predictors that expose which second-level
+// counter a lookup consults, and which way a steering structure voted;
+// the bias analysis and the interference decomposition require it.
+type Probe = predictor.Probe
 
 // BatchRunner is the optional whole-trace capability: RunBatch simulates
 // a record slice in one call and returns the misprediction count, exactly
@@ -176,7 +177,7 @@ func ResumeJournal(path string) (*Journal, error) { return sim.ResumeJournal(pat
 type Study = analysis.Study
 
 // RunStudy performs the bias analysis of a fresh predictor (which must
-// implement Indexed) in one simulation pass over a workload. Gshare and
+// implement Probe) in one simulation pass over a workload. Gshare and
 // bi-mode run it through their batched probe kernels; any other
 // predictor is stepped one record at a time. A damaged block source ends
 // the study with its decode error.
@@ -214,7 +215,7 @@ func DefaultPipeline() PipelineModel { return sim.DefaultPipeline() }
 type InterferenceBreakdown = analysis.InterferenceBreakdown
 
 // MeasureInterference runs the conflict/capacity decomposition for a
-// predictor implementing Indexed.
+// predictor implementing Probe.
 func MeasureInterference(p Predictor, src Source) (InterferenceBreakdown, error) {
 	return analysis.MeasureInterference(p, src)
 }

@@ -44,7 +44,7 @@ func TestStudyErrors(t *testing.T) {
 	cases := [][]string{
 		{"-w", "bogus"},
 		{"-w", "xlisp", "-p", "bogus"},
-		{"-w", "xlisp", "-p", "taken"}, // not Indexed
+		{"-w", "xlisp", "-p", "taken"}, // not a Probe
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

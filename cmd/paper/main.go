@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -260,7 +261,24 @@ func run(ctx context.Context, args []string) error {
 	}
 	if sel("rivals") {
 		artifact("rivals", func() error {
-			return emit("rivals.txt", experiments.RenderRivals(experiments.Rivals(cfg)))
+			rows := experiments.Rivals(cfg)
+			if err := emit("rivals.txt", experiments.RenderRivals(rows)); err != nil {
+				return err
+			}
+			// A failed cell makes its suite average NaN, a gap in the
+			// table; it counts against the run like any failed artifact.
+			gaps := 0
+			for _, row := range rows {
+				for _, p := range row {
+					if math.IsNaN(p.SPECRate) || math.IsNaN(p.IBSRate) {
+						gaps++
+					}
+				}
+			}
+			if gaps > 0 {
+				return fmt.Errorf("%d scheme/size point(s) have a failed cell; gaps (--) mark their suite averages", gaps)
+			}
+			return nil
 		})
 	}
 	if sel("fig8") {

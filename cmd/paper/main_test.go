@@ -4,8 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"bimode/internal/experiments"
+	"bimode/internal/synth"
 )
 
 func TestPaperSubset(t *testing.T) {
@@ -69,6 +73,38 @@ func TestPaperDegradedRun(t *testing.T) {
 	}
 	if !strings.Contains(string(notes), "figures2-4") {
 		t.Errorf("footnotes.txt does not name the failed artifact:\n%s", notes)
+	}
+}
+
+// TestPaperRivalsGapsFail: when the rivals cells fail (here under an
+// already-canceled context, over a warm suite memo so the workloads
+// exist), rivals.txt is still written, with gaps in place of the suite
+// averages, and the artifact counts as failed in footnotes.txt and the
+// exit status.
+func TestPaperRivalsGapsFail(t *testing.T) {
+	const dynamic = 1300
+	for _, suite := range []string{synth.SuiteSPEC, synth.SuiteIBS} {
+		experiments.SuiteSources(suite, experiments.Config{Dynamic: dynamic})
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := run(ctx, []string{"-out", dir, "-only", "rivals", "-n", strconv.Itoa(dynamic)}); err == nil {
+		t.Fatal("a rivals run with failed cells must exit non-zero")
+	}
+	text, err := os.ReadFile(filepath.Join(dir, "rivals.txt"))
+	if err != nil {
+		t.Fatalf("rivals.txt missing: %v", err)
+	}
+	if !strings.Contains(string(text), "--@") || strings.Contains(string(text), "0.00@") {
+		t.Errorf("failed averages must render as gaps:\n%s", text)
+	}
+	notes, err := os.ReadFile(filepath.Join(dir, "footnotes.txt"))
+	if err != nil {
+		t.Fatalf("no footnotes.txt: %v", err)
+	}
+	if !strings.Contains(string(notes), "rivals") {
+		t.Errorf("footnotes.txt does not name the rivals artifact:\n%s", notes)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,76 +33,57 @@ import (
 )
 
 // scheme builds a predictor at a given size point (2^s counters of
-// gshare-equivalent budget).
+// gshare-equivalent budget); its cost column is predictor.CostBytes of
+// what mk builds.
 type scheme struct {
 	name string
 	mk   func(s int) predictor.Predictor
-	// cost returns the scheme's actual cost in bytes at size point s.
-	cost func(s int) float64
-	// sweep marks schemes that need the per-size gshare.best search.
+	// sweep marks schemes that need the per-size gshare.best search; mk
+	// then builds the single-PHT gshare of the same size, whose cost
+	// every configuration the search tries shares.
 	sweep bool
 }
 
 func schemes() map[string]scheme {
-	gcost := func(s int) float64 { return float64(int(1)<<uint(s)) / 4 }
+	gshare := func(s int) predictor.Predictor { return baselines.NewGshare(s, s) }
 	return map[string]scheme{
-		"gshare1": {
-			name: "gshare.1PHT",
-			mk:   func(s int) predictor.Predictor { return baselines.NewGshare(s, s) },
-			cost: gcost,
-		},
-		"gsharebest": {name: "gshare.best", sweep: true, cost: gcost},
+		"gshare1":    {name: "gshare.1PHT", mk: gshare},
+		"gsharebest": {name: "gshare.best", mk: gshare, sweep: true},
 		"bimode": {
 			name: "bi-mode",
 			mk:   func(s int) predictor.Predictor { return core.MustNew(core.DefaultConfig(s - 1)) },
-			cost: func(s int) float64 { return 3 * float64(int(1)<<uint(s-1)) / 4 },
 		},
 		"smith": {
 			name: "smith",
 			mk:   func(s int) predictor.Predictor { return baselines.NewSmith(s) },
-			cost: gcost,
 		},
 		"agree": {
 			name: "agree",
 			mk:   func(s int) predictor.Predictor { return baselines.NewAgree(s, s, s-2) },
-			cost: func(s int) float64 { return float64(int(1)<<uint(s))/4 + 2*float64(int(1)<<uint(s-2))/8 },
 		},
 		"gskew": {
 			name: "e-gskew",
 			mk:   func(s int) predictor.Predictor { return baselines.NewGskew(s-1, s-1, true) },
-			cost: func(s int) float64 { return 3 * float64(int(1)<<uint(s-1)) / 4 },
 		},
 		"yags": {
 			name: "yags",
 			mk:   func(s int) predictor.Predictor { return baselines.NewYAGS(s-1, s-2, s-2, 6) },
-			cost: func(s int) float64 {
-				return float64(int(1)<<uint(s-1))/4 + 2*float64(int(1)<<uint(s-2))*9/8
-			},
 		},
 		"trimode": {
 			name: "tri-mode",
 			mk:   func(s int) predictor.Predictor { return core.MustNewTriMode(core.DefaultConfig(s - 2)) },
-			cost: func(s int) float64 {
-				n := int(1) << uint(s-2)
-				return float64(3*n*2+n*3) / 8
-			},
 		},
 		"filter": {
 			name: "filter",
 			mk:   func(s int) predictor.Predictor { return baselines.NewFilter(s, s, s-2, 32) },
-			cost: func(s int) float64 {
-				return float64(int(1)<<uint(s))/4 + 5*float64(int(1)<<uint(s-2))/8
-			},
 		},
 		"gag": {
 			name: "GAg",
 			mk:   func(s int) predictor.Predictor { return baselines.NewGAg(s) },
-			cost: gcost,
 		},
 		"pag": {
 			name: "PAg",
 			mk:   func(s int) predictor.Predictor { return baselines.NewPAg(10, s) },
-			cost: gcost,
 		},
 	}
 }
@@ -193,7 +175,7 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "\n%s\n", sc.name)
 		fmt.Fprintf(out, "%-12s", "workload")
 		for s := *minBits; s <= *maxBits; s++ {
-			fmt.Fprintf(out, "%9.3gK", sc.cost(s)/1024)
+			fmt.Fprintf(out, "%9.3gK", predictor.CostBytes(sc.mk(s))/1024)
 		}
 		fmt.Fprintln(out)
 		perSize := make([][]sim.Result, 0, *maxBits-*minBits+1)
@@ -247,12 +229,11 @@ func cellText(r sim.Result) string {
 }
 
 // avgText renders a suite-average cell; any failed constituent makes the
-// average a gap (a partial average would silently misstate the suite).
+// average NaN, rendered as a gap.
 func avgText(results []sim.Result) string {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Sprintf("%10s", "--")
-		}
+	avg := sim.AverageRate(results)
+	if math.IsNaN(avg) {
+		return fmt.Sprintf("%10s", "--")
 	}
-	return fmt.Sprintf("%10.2f", 100*sim.AverageRate(results))
+	return fmt.Sprintf("%10.2f", 100*avg)
 }

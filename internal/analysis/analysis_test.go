@@ -76,7 +76,7 @@ func studyGshare() predictor.Predictor { return baselines.NewGshare(2, 2) }
 func TestRunStudyRequiresIndexed(t *testing.T) {
 	_, err := RunStudy(baselines.NewStatic(baselines.AlwaysTaken), aliasedSource(10))
 	if err == nil {
-		t.Fatalf("non-Indexed predictor must be rejected")
+		t.Fatalf("a predictor that is not a Probe must be rejected")
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRunStudySubstreams(t *testing.T) {
 }
 
 // TestStudyMatchesPlainSimulation: the study's branch and misprediction
-// counts are the observer's, for every Indexed zoo spec over the crafted
+// counts are the observer's, for every Probe zoo spec over the crafted
 // stream and the suite, so the misprediction count has one definition.
 func TestStudyMatchesPlainSimulation(t *testing.T) {
 	srcs := []trace.Source{aliasedSource(300)}
@@ -130,7 +130,7 @@ func TestStudyMatchesPlainSimulation(t *testing.T) {
 	}
 	specs := 0
 	for _, spec := range zoo.Known() {
-		if _, ok := zoo.MustNew(spec).(predictor.Indexed); !ok {
+		if _, ok := zoo.MustNew(spec).(predictor.Probe); !ok {
 			continue
 		}
 		specs++
@@ -147,7 +147,7 @@ func TestStudyMatchesPlainSimulation(t *testing.T) {
 		}
 	}
 	if specs == 0 {
-		t.Fatal("no Indexed specs in the zoo")
+		t.Fatal("no Probe specs in the zoo")
 	}
 }
 

@@ -53,11 +53,11 @@ func (b InterferenceBreakdown) String() string {
 }
 
 // MeasureInterference runs the decomposition for a predictor implementing
-// predictor.Indexed. It is one sim.Observer pass: compulsory misses are
+// predictor.Probe. It is one sim.Observer pass: compulsory misses are
 // the observer's cold mispredictions, conflict misses its aliased
 // mispredictions, and the intrinsic component is the remainder.
 func MeasureInterference(p predictor.Predictor, src trace.Source) (InterferenceBreakdown, error) {
-	if _, ok := p.(predictor.Indexed); !ok {
+	if _, ok := p.(predictor.Probe); !ok {
 		return InterferenceBreakdown{}, fmt.Errorf("analysis: predictor %s does not expose counter indices", p.Name())
 	}
 	rep, err := sim.ObserveContext(context.Background(), p, src, sim.ObserveOptions{TopN: -1})

@@ -40,7 +40,7 @@ func TestInterferencePartitionsMispredictions(t *testing.T) {
 func TestInterferenceRequiresIndexed(t *testing.T) {
 	_, err := MeasureInterference(baselines.NewStatic(baselines.AlwaysTaken), aliasedSource(5))
 	if err == nil {
-		t.Fatalf("non-Indexed predictor must be rejected")
+		t.Fatalf("a predictor that is not a Probe must be rejected")
 	}
 }
 
@@ -101,7 +101,7 @@ func suiteTraces(t *testing.T) []*trace.Memory {
 // before it became a sim.Observer pass, kept verbatim as the oracle the
 // observer-derived breakdown must reproduce.
 func referenceInterference(p predictor.Predictor, src trace.Source) InterferenceBreakdown {
-	ix := p.(predictor.Indexed)
+	ix := p.(predictor.Probe)
 	out := InterferenceBreakdown{Predictor: p.Name(), Workload: src.Name()}
 	lastWriter := make([]int64, ix.NumCounters())
 	for i := range lastWriter {
@@ -113,7 +113,7 @@ func referenceInterference(p predictor.Predictor, src trace.Source) Interference
 		if !ok {
 			break
 		}
-		cid := ix.CounterID(rec.PC)
+		cid := ix.ProbeLookup(rec.PC).CounterID
 		writer := lastWriter[cid]
 		conflictAccess := writer >= 0 && writer != int64(rec.Static)
 		if conflictAccess {
@@ -138,14 +138,14 @@ func referenceInterference(p predictor.Predictor, src trace.Source) Interference
 	return out
 }
 
-// TestMeasureInterferenceMatchesReference: for every Indexed zoo spec
+// TestMeasureInterferenceMatchesReference: for every Probe zoo spec
 // over the 14 suite workloads, the observer-derived breakdown equals the
 // old private loop's exactly.
 func TestMeasureInterferenceMatchesReference(t *testing.T) {
 	traces := suiteTraces(t)
 	specs := 0
 	for _, spec := range zoo.Known() {
-		if _, ok := zoo.MustNew(spec).(predictor.Indexed); !ok {
+		if _, ok := zoo.MustNew(spec).(predictor.Probe); !ok {
 			continue
 		}
 		specs++
@@ -160,34 +160,6 @@ func TestMeasureInterferenceMatchesReference(t *testing.T) {
 		}
 	}
 	if specs == 0 {
-		t.Fatal("no Indexed specs in the zoo")
-	}
-}
-
-// TestProbeAgreesWithIndexed pins what MeasureInterference's move onto
-// the observer relies on: for every zoo spec that is both a Probe and
-// Indexed, ProbeLookup names the counter CounterID names, before every
-// Update of a training run.
-func TestProbeAgreesWithIndexed(t *testing.T) {
-	recs := suiteTraces(t)[0].Records()
-	specs := 0
-	for _, spec := range zoo.Known() {
-		p := zoo.MustNew(spec)
-		pr, isProbe := p.(predictor.Probe)
-		ix, isIndexed := p.(predictor.Indexed)
-		if !isProbe || !isIndexed {
-			continue
-		}
-		specs++
-		for i, r := range recs {
-			if got, want := pr.ProbeLookup(r.PC).CounterID, ix.CounterID(r.PC); got != want {
-				t.Fatalf("%s record %d: ProbeLookup counter %d, CounterID %d", spec, i, got, want)
-			}
-			p.Predict(r.PC)
-			p.Update(r.PC, r.Taken)
-		}
-	}
-	if specs == 0 {
-		t.Fatal("no Probe+Indexed specs in the zoo")
+		t.Fatal("no Probe specs in the zoo")
 	}
 }

@@ -85,27 +85,22 @@ func (s *Study) ClassRate(c Class) float64 {
 const stripLen = 1024
 
 // RunStudy performs the bias analysis of p, which must implement
-// predictor.Indexed, in one pass over src's blocks. A damaged block
+// predictor.Probe, in one pass over src's blocks. A damaged block
 // source ends the study with its decode error.
 //
 // Each block goes through in strips of stripLen records, each in two
-// passes, as in sim.Observer.Feed: a fill that steps the predictor and
-// writes one row per record (its counter id and whether it missed), by
-// the predictor's ProbeBatch kernel when it has one and by
-// predictor.FillEach otherwise, then account over the strip's rows.
+// passes, as in sim.Observer.Feed: predictor.Fill, which steps the
+// predictor and writes one row per record (its counter id and whether it
+// missed), then account over the strip's rows.
 func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
-	ix, ok := p.(predictor.Indexed)
+	pr, ok := p.(predictor.Probe)
 	if !ok {
 		return nil, fmt.Errorf("analysis: predictor %s does not expose counter indices", p.Name())
 	}
 	st := &Study{
 		Predictor:   p.Name(),
 		Workload:    src.Name(),
-		NumCounters: ix.NumCounters(),
-	}
-	batch, _ := p.(predictor.ProbeBatcher)
-	lookup := func(pc uint64) predictor.Lookup {
-		return predictor.Lookup{CounterID: ix.CounterID(pc), Bank: -1}
+		NumCounters: pr.NumCounters(),
 	}
 	a := newAccounts(st)
 	rows := make([]predictor.ProbeRow, stripLen)
@@ -121,12 +116,8 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 		for len(blk) > 0 {
 			strip := blk[:min(len(blk), stripLen)]
 			r := rows[:len(strip)]
-			if batch != nil {
-				batch.ProbeBatch(strip, r)
-			} else {
-				var filled int
-				predictor.FillEach(p, lookup, st.NumCounters, strip, r, &filled)
-			}
+			var filled int
+			predictor.Fill(p, strip, r, &filled)
 			a.account(strip, r)
 			blk = blk[len(strip):]
 		}

@@ -27,7 +27,7 @@ import (
 // is the result.
 func referenceStudy(mk func() predictor.Predictor, src trace.Source) (*Study, error) {
 	p1 := mk()
-	ix1, ok := p1.(predictor.Indexed)
+	ix1, ok := p1.(predictor.Probe)
 	if !ok {
 		return nil, fmt.Errorf("analysis: predictor %s does not expose counter indices", p1.Name())
 	}
@@ -46,7 +46,7 @@ func referenceStudy(mk func() predictor.Predictor, src trace.Source) (*Study, er
 		if !ok {
 			break
 		}
-		cid := ix1.CounterID(rec.PC)
+		cid := ix1.ProbeLookup(rec.PC).CounterID
 		k := key(rec.Static, cid)
 		sub := substreams[k]
 		if sub == nil {
@@ -96,14 +96,14 @@ func referenceStudy(mk func() predictor.Predictor, src trace.Source) (*Study, er
 
 	// Pass 2: attribute mispredictions and count interruptions.
 	p2 := mk()
-	ix2 := p2.(predictor.Indexed) // same concrete type as p1
+	ix2 := p2.(predictor.Probe) // same concrete type as p1
 	stream = src.Stream()
 	for {
 		rec, ok := stream.Next()
 		if !ok {
 			break
 		}
-		cid := ix2.CounterID(rec.PC)
+		cid := ix2.ProbeLookup(rec.PC).CounterID
 		sub := substreams[key(rec.Static, cid)]
 		cls := sub.Class()
 
@@ -156,7 +156,7 @@ func columnarCopy(t *testing.T, m *trace.Memory, blockSize int) *trace.Columnar 
 	return c
 }
 
-// TestRunStudyMatchesReference: for every Indexed zoo spec, the one-pass
+// TestRunStudyMatchesReference: for every Probe zoo spec, the one-pass
 // study equals the two-pass reference exactly over the 14 suite
 // workloads, over a Memory longer than one 65536-record block, and over
 // a columnar copy cut into small blocks.
@@ -169,7 +169,7 @@ func TestRunStudyMatchesReference(t *testing.T) {
 	}
 	specs := 0
 	for _, spec := range zoo.Known() {
-		if _, ok := zoo.MustNew(spec).(predictor.Indexed); !ok {
+		if _, ok := zoo.MustNew(spec).(predictor.Probe); !ok {
 			continue
 		}
 		specs++
@@ -190,7 +190,7 @@ func TestRunStudyMatchesReference(t *testing.T) {
 		}
 	}
 	if specs == 0 {
-		t.Fatal("no Indexed specs in the zoo")
+		t.Fatal("no Probe specs in the zoo")
 	}
 }
 
@@ -298,10 +298,10 @@ func TestRunStudyPaperMatrix(t *testing.T) {
 	}
 }
 
-// TestRunStudyGenericFill: Indexed predictors without a ProbeBatch
-// kernel go through predictor.FillEach — GAs, which is not even a
-// predictor.Probe, smith and tri-mode — and reproduce the reference on
-// the suite and across the block boundaries of a columnar copy.
+// TestRunStudyGenericFill: predictors without a ProbeBatch kernel go
+// through predictor.Fill's per-record fill — GAs, which reports no bank,
+// smith and tri-mode — and reproduce the reference on the suite and
+// across the block boundaries of a columnar copy.
 func TestRunStudyGenericFill(t *testing.T) {
 	traces := suiteTraces(t)
 	srcs := []trace.Source{columnarCopy(t, traces[2], 97)}

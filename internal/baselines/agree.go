@@ -139,10 +139,7 @@ func (a *Agree) Reset() {
 // policy and is charged too, as in the original paper's cost discussion).
 func (a *Agree) CostBits() int { return a.pht.CostBits() + 2*len(a.bias) }
 
-// CounterID implements predictor.Indexed.
-func (a *Agree) CounterID(pc uint64) int { return a.index(pc) }
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe.
 func (a *Agree) NumCounters() int { return a.pht.Len() }
 
 // ProbeLookup implements predictor.Probe. The bias bit is agree's steering

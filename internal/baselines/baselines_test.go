@@ -77,9 +77,27 @@ func TestSmithCostAndIndexed(t *testing.T) {
 	if s.NumCounters() != 1024 {
 		t.Fatalf("NumCounters = %d", s.NumCounters())
 	}
-	id := s.CounterID(0xABC)
+	id := s.ProbeLookup(0xABC).CounterID
 	if id < 0 || id >= 1024 {
-		t.Fatalf("CounterID out of range: %d", id)
+		t.Fatalf("counter id out of range: %d", id)
+	}
+}
+
+// TestTwoLevelProbeLookup: a two-level predictor, global or
+// per-address, reports the counter its index selects as the history
+// trains, with no bank and no choice vote.
+func TestTwoLevelProbeLookup(t *testing.T) {
+	for _, tl := range []*TwoLevel{NewGAs(8, 2), NewPAs(6, 6, 2)} {
+		for i, pc := range []uint64{0x40, 0x1234, 0x40, 0x88, 0x40} {
+			look := tl.ProbeLookup(pc)
+			if look.CounterID != tl.index(pc) || look.Bank != -1 || look.HasChoice || look.ChoiceTaken {
+				t.Fatalf("%s, record %d: lookup %+v, want counter %d, bank -1, no choice", tl.Name(), i, look, tl.index(pc))
+			}
+			if look.CounterID >= tl.NumCounters() {
+				t.Fatalf("%s: counter %d of %d", tl.Name(), look.CounterID, tl.NumCounters())
+			}
+			tl.Update(pc, i%2 == 0)
+		}
 	}
 }
 
@@ -151,9 +169,6 @@ func TestGshareDestructiveAliasing(t *testing.T) {
 
 func TestGshareParams(t *testing.T) {
 	g := NewGshare(12, 8)
-	if g.NumPHTs() != 16 {
-		t.Fatalf("NumPHTs = %d, want 16", g.NumPHTs())
-	}
 	if g.HistoryBits() != 8 || g.IndexBits() != 12 {
 		t.Fatalf("params echo wrong")
 	}

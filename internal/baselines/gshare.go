@@ -61,10 +61,6 @@ func (g *Gshare) HistoryBits() int { return g.histBits }
 // IndexBits returns log2 of the second-level table size.
 func (g *Gshare) IndexBits() int { return g.indexBits }
 
-// NumPHTs returns the number of pattern history tables the address bits
-// partition the second level into.
-func (g *Gshare) NumPHTs() int { return 1 << uint(g.indexBits-g.histBits) }
-
 //bimode:hotpath
 func (g *Gshare) index(pc uint64) int {
 	return int(((pc >> 2) ^ g.ghr.Value()) & g.idxMask)
@@ -166,10 +162,7 @@ func (g *Gshare) Reset() {
 // CostBits implements predictor.Predictor.
 func (g *Gshare) CostBits() int { return g.table.CostBits() }
 
-// CounterID implements predictor.Indexed.
-func (g *Gshare) CounterID(pc uint64) int { return g.index(pc) }
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe.
 func (g *Gshare) NumCounters() int { return g.table.Len() }
 
 // ProbeLookup implements predictor.Probe. The bank is the PHT the address

@@ -77,10 +77,7 @@ func (s *Smith) Reset() { s.table.Reset() }
 // CostBits implements predictor.Predictor.
 func (s *Smith) CostBits() int { return s.table.CostBits() }
 
-// CounterID implements predictor.Indexed.
-func (s *Smith) CounterID(pc uint64) int { return s.index(pc) }
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe.
 func (s *Smith) NumCounters() int { return s.table.Len() }
 
 // ProbeLookup implements predictor.Probe: one PC-indexed table, no banks,

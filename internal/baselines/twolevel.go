@@ -5,6 +5,7 @@ import (
 
 	"bimode/internal/counter"
 	"bimode/internal/history"
+	"bimode/internal/predictor"
 	"bimode/internal/trace"
 )
 
@@ -204,8 +205,11 @@ func (t *TwoLevel) Reset() {
 // are free.
 func (t *TwoLevel) CostBits() int { return t.table.CostBits() }
 
-// CounterID implements predictor.Indexed.
-func (t *TwoLevel) CounterID(pc uint64) int { return t.index(pc) }
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe.
 func (t *TwoLevel) NumCounters() int { return t.table.Len() }
+
+// ProbeLookup implements predictor.Probe: one table, no banks, no
+// steering structure.
+func (t *TwoLevel) ProbeLookup(pc uint64) predictor.Lookup {
+	return predictor.Lookup{CounterID: t.index(pc), Bank: -1}
+}

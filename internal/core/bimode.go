@@ -392,20 +392,13 @@ func (b *BiMode) CostBits() int {
 	return 2*len(b.choicePlane) + 2*2*len(b.dirPlane)
 }
 
-// CounterID implements predictor.Indexed. The two banks' counters get
-// disjoint dense identifiers: bank*2^BankBits + index. The identifier
-// reflects the counter the *current* choice state would consult.
-func (b *BiMode) CounterID(pc uint64) int {
-	bank := int(b.choiceBitAt(b.choiceIndex(pc)))
-	return bank<<uint(b.cfg.BankBits) + b.dirIndex(pc)
-}
-
-// NumCounters implements predictor.Indexed (both banks).
+// NumCounters implements predictor.Probe (both banks).
 func (b *BiMode) NumCounters() int { return 2 << uint(b.cfg.BankBits) }
 
 // ProbeLookup implements predictor.Probe: the bank the choice predictor
 // steers pc to, the choice direction itself, and the direction counter the
-// selected bank would consult. Read-only, like Predict.
+// selected bank would consult. Read-only, like Predict. The two banks'
+// counters get disjoint dense identifiers: bank*2^BankBits + index.
 func (b *BiMode) ProbeLookup(pc uint64) predictor.Lookup {
 	bank := int(b.choiceBitAt(b.choiceIndex(pc)))
 	return predictor.Lookup{

@@ -12,7 +12,7 @@ import (
 // Interface compliance.
 var (
 	_ predictor.Predictor = (*BiMode)(nil)
-	_ predictor.Indexed   = (*BiMode)(nil)
+	_ predictor.Probe     = (*BiMode)(nil)
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -191,13 +191,13 @@ func TestCounterIDContract(t *testing.T) {
 		t.Fatalf("NumCounters = %d, want %d", b.NumCounters(), 2<<5)
 	}
 	f := func(pc uint64, outcomes []bool) bool {
-		id := b.CounterID(pc)
+		id := b.ProbeLookup(pc).CounterID
 		if id < 0 || id >= b.NumCounters() {
 			return false
 		}
 		for _, o := range outcomes {
 			b.Update(pc, o)
-			id := b.CounterID(pc)
+			id := b.ProbeLookup(pc).CounterID
 			if id < 0 || id >= b.NumCounters() {
 				return false
 			}
@@ -214,13 +214,13 @@ func TestCounterIDContract(t *testing.T) {
 func TestCounterIDReflectsBankSelection(t *testing.T) {
 	b := MustNew(Config{ChoiceBits: 6, BankBits: 6, HistoryBits: 0})
 	pc := uint64(0x240)
-	idTaken := b.CounterID(pc)
+	idTaken := b.ProbeLookup(pc).CounterID
 	if idTaken < 1<<6 {
 		t.Fatalf("fresh predictor selects the taken bank; id %d should be in the upper half", idTaken)
 	}
 	b.Update(pc, false)
 	b.Update(pc, false) // choice -> not-taken side
-	idNT := b.CounterID(pc)
+	idNT := b.ProbeLookup(pc).CounterID
 	if idNT >= 1<<6 {
 		t.Fatalf("after retraining, id %d should be in the NT bank half", idNT)
 	}

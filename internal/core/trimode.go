@@ -230,14 +230,8 @@ func (t *TriMode) CostBits() int {
 	return 3*len(t.choicePlane) + 3*2*len(t.dirPlane)
 }
 
-// CounterID implements predictor.Indexed: dense ids across the three
-// banks.
-func (t *TriMode) CounterID(pc uint64) int {
-	bank := triClassify(t.choicePlane[t.choiceIndex(pc)])
-	return bank<<uint(t.cfg.BankBits) + t.dirIndex(pc)
-}
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe (dense ids across the three
+// banks).
 func (t *TriMode) NumCounters() int { return 3 << uint(t.cfg.BankBits) }
 
 // ProbeLookup implements predictor.Probe: the bank the confidence counter

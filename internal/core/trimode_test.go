@@ -8,7 +8,7 @@ import (
 
 var (
 	_ predictor.Predictor = (*TriMode)(nil)
-	_ predictor.Indexed   = (*TriMode)(nil)
+	_ predictor.Probe     = (*TriMode)(nil)
 )
 
 func TestTriModeValidation(t *testing.T) {
@@ -37,7 +37,7 @@ func TestTriModeClassification(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tm.Update(pc, true)
 	}
-	if id := tm.CounterID(pc); id < BankTaken<<6 || id >= (BankTaken+1)<<6 {
+	if id := tm.ProbeLookup(pc).CounterID; id < BankTaken<<6 || id >= (BankTaken+1)<<6 {
 		t.Fatalf("taken-biased branch should live in the taken bank, id=%d", id)
 	}
 	if !tm.Predict(pc) {
@@ -47,7 +47,7 @@ func TestTriModeClassification(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tm.Update(pc, false)
 	}
-	if id := tm.CounterID(pc); id >= 1<<6 {
+	if id := tm.ProbeLookup(pc).CounterID; id >= 1<<6 {
 		t.Fatalf("not-taken-biased branch should live in the NT bank, id=%d", id)
 	}
 }

@@ -104,8 +104,8 @@ func (t *Table) Update(i int, taken bool) { t.Step(i, taken) }
 
 // Step reports the prediction of counter i and then moves the counter
 // toward the branch outcome, saturating: Taken(i) followed by Update(i,
-// taken), reading the counter once. The fused Steps of the predictors
-// built on a table use it.
+// taken), reading the counter once. Update is Step with the prediction
+// dropped.
 //
 //bimode:hotpath
 func (t *Table) Step(i int, taken bool) bool {

@@ -79,17 +79,6 @@ func cellRate(res sim.Result) float64 {
 	return res.MispredictRate()
 }
 
-// suiteRate averages a suite row, NaN if any constituent cell failed
-// (a partial average would silently misstate the suite).
-func suiteRate(results []sim.Result) float64 {
-	for _, r := range results {
-		if r.Err != nil {
-			return math.NaN()
-		}
-	}
-	return sim.AverageRate(results)
-}
-
 // noteFailures appends one annotation per failed cell of a sweep row.
 func noteFailures(fails []string, scheme string, sizeBits int, results []sim.Result) []string {
 	for _, r := range results {
@@ -134,9 +123,9 @@ func sweepSuite(sched *sim.Scheduler, avgName string, sources []trace.Source, si
 		bCost := float64(3 * (int(1) << uint(bankBits)) * 2 / 8)
 		avg.GshareCost = append(avg.GshareCost, gCost)
 		avg.BiModeCost = append(avg.BiModeCost, bCost)
-		avg.Gshare1PHT = append(avg.Gshare1PHT, suiteRate(onePHT))
-		avg.GshareBest = append(avg.GshareBest, bestAvgRate(best))
-		avg.BiMode = append(avg.BiMode, suiteRate(bimodeRes))
+		avg.Gshare1PHT = append(avg.Gshare1PHT, sim.AverageRate(onePHT))
+		avg.GshareBest = append(avg.GshareBest, best.AvgRate)
+		avg.BiMode = append(avg.BiMode, sim.AverageRate(bimodeRes))
 		bestHist = append(bestHist, best.HistoryBits)
 
 		for i := range sources {
@@ -148,18 +137,6 @@ func sweepSuite(sched *sim.Scheduler, avgName string, sources []trace.Source, si
 		}
 	}
 	return avg, per, bestHist, fails
-}
-
-// bestAvgRate is best.AvgRate unless the winning row carried a failed
-// cell, in which case the average is NaN like any other damaged suite
-// aggregate.
-func bestAvgRate(best sim.BestGshare) float64 {
-	for _, r := range best.PerWorkload {
-		if r.Err != nil {
-			return math.NaN()
-		}
-	}
-	return best.AvgRate
 }
 
 // RenderSizeCurves formats one panel as a table plus an ASCII chart.
@@ -176,7 +153,7 @@ func RenderSizeCurves(c SizeCurves) string {
 	row := func(name string, ys []float64) {
 		fmt.Fprintf(&b, "%-12s", name)
 		for _, y := range ys {
-			b.WriteString(fmtRate(y))
+			b.WriteString(fmtRate(8, y))
 		}
 		b.WriteString("\n")
 	}
@@ -215,15 +192,16 @@ func RenderSizeCurves(c SizeCurves) string {
 	return b.String()
 }
 
-// fmtRate renders one table cell of a panel: the fixed-precision
-// percentage for a measured point, a right-aligned "--" gap for a NaN
-// (failed) cell. Healthy cells are byte-identical to the historical
-// "%8.2f" rendering, so goldens only change where cells actually failed.
-func fmtRate(y float64) string {
+// fmtRate renders one table cell of width characters: the
+// fixed-precision percentage for a measured point, a right-aligned "--"
+// gap for a NaN (failed) cell. Healthy cells are byte-identical to the
+// historical "%<width>.2f" rendering, so goldens only change where cells
+// actually failed.
+func fmtRate(width int, y float64) string {
 	if math.IsNaN(y) {
-		return fmt.Sprintf("%8s", "--")
+		return fmt.Sprintf("%*s", width, "--")
 	}
-	return fmt.Sprintf("%8.2f", 100*y)
+	return fmt.Sprintf("%*.2f", width, 100*y)
 }
 
 // RenderFootnotes renders the failed-cell annotations of a sweep as a

@@ -16,7 +16,8 @@ import (
 type RivalPoint struct {
 	Scheme    string
 	CostBytes float64
-	// SPECRate and IBSRate are suite-average misprediction rates.
+	// SPECRate and IBSRate are suite-average misprediction rates, NaN
+	// when a cell of the suite failed.
 	SPECRate, IBSRate float64
 }
 
@@ -75,7 +76,8 @@ func Rivals(cfg Config) [][]RivalPoint {
 	return out
 }
 
-// RenderRivals formats the shoot-out.
+// RenderRivals formats the shoot-out; a failed suite average renders as
+// a "--" gap.
 //
 //bimode:deterministic
 func RenderRivals(rows [][]RivalPoint) string {
@@ -95,7 +97,7 @@ func RenderRivals(rows [][]RivalPoint) string {
 				if suite == "IBS-Ultrix" {
 					rate = p.IBSRate
 				}
-				fmt.Fprintf(&b, "  %5.2f@%-5s", 100*rate, kb(p.CostBytes))
+				fmt.Fprintf(&b, "  %s@%-5s", fmtRate(5, rate), kb(p.CostBytes))
 			}
 			b.WriteString("\n")
 		}

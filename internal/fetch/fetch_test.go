@@ -121,7 +121,7 @@ func TestRASResetCostPanic(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(5)
 	r.Reset()
-	if r.Depth() != 0 {
+	if _, ok := r.Pop(); ok {
 		t.Fatalf("reset must empty the stack")
 	}
 	if r.CostBits() != 8*32 {

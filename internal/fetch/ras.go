@@ -40,9 +40,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	return r.entries[r.top], true
 }
 
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
-
 // Reset empties the stack.
 func (r *RAS) Reset() {
 	r.top, r.depth = 0, 0

@@ -14,8 +14,8 @@ import (
 //	BatchRunner  ⇒ Predictor (a whole-trace loop must have the
 //	                          Predict/Update reference it is checked
 //	                          against)
-//	Probe        ⇒ Predictor and Indexed (observability agrees with the
-//	                                      counter-attribution interface)
+//	Probe        ⇒ Predictor (observability is a capability of a
+//	                          predictor)
 //	ProbeBatcher ⇒ Probe and BatchRunner (a probe kernel is RunBatch that
 //	                                      also writes ProbeLookup's rows;
 //	                                      the differential fuzz compares it
@@ -39,17 +39,16 @@ var CapLadderAnalyzer = &Analyzer{
 }
 
 func runCapLadder(pass *Pass) {
+	// A rung the module does not define is nil, and no type implements
+	// it: its own rules go quiet and the rungs above it are reported as
+	// missing it, while every other rule still runs.
 	predictorI := pass.Prog.predictorInterface("Predictor")
 	batchI := pass.Prog.predictorInterface("BatchRunner")
 	probeI := pass.Prog.predictorInterface("Probe")
-	indexedI := pass.Prog.predictorInterface("Indexed")
 	snapshotterI := pass.Prog.predictorInterface("Snapshotter")
 	probeBatchI := pass.Prog.predictorInterface("ProbeBatcher")
 	blockedI := pass.Prog.traceInterface("Blocked")
 	sourceI := pass.Prog.traceInterface("Source")
-	if predictorI == nil || batchI == nil || probeI == nil || indexedI == nil {
-		return // ladder interfaces missing; nothing to enforce
-	}
 
 	scope := pass.Pkg.Types.Scope()
 	for _, name := range scope.Names() {
@@ -66,7 +65,7 @@ func runCapLadder(pass *Pass) {
 		}
 		// A concrete type's full method set is that of *T.
 		impl := func(iface *types.Interface) bool {
-			return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
+			return iface != nil && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface))
 		}
 		report := func(has, missing, why string) {
 			pass.Reportf(tn.Pos(), "%s implements predictor.%s but not predictor.%s (%s)", name, has, missing, why)
@@ -74,15 +73,10 @@ func runCapLadder(pass *Pass) {
 		if impl(batchI) && !impl(predictorI) {
 			report("BatchRunner", "Predictor", "every whole-trace loop needs the Predict/Update reference the differential tests compare it against")
 		}
-		if impl(probeI) {
-			if !impl(predictorI) {
-				report("Probe", "Predictor", "observability is a capability of a predictor, not a standalone type")
-			}
-			if !impl(indexedI) {
-				report("Probe", "Indexed", "ProbeLookup reports counter identities, so the type must define the CounterID space")
-			}
+		if impl(probeI) && !impl(predictorI) {
+			report("Probe", "Predictor", "observability is a capability of a predictor, not a standalone type")
 		}
-		if probeBatchI != nil && impl(probeBatchI) {
+		if impl(probeBatchI) {
 			if !impl(probeI) {
 				report("ProbeBatcher", "Probe", "the kernel's rows are checked against ProbeLookup, so the type must have it")
 			}
@@ -90,10 +84,10 @@ func runCapLadder(pass *Pass) {
 				report("ProbeBatcher", "BatchRunner", "the kernel is RunBatch that also writes rows; without RunBatch there is nothing to check its state against")
 			}
 		}
-		if snapshotterI != nil && impl(snapshotterI) && !impl(predictorI) {
+		if impl(snapshotterI) && !impl(predictorI) {
 			report("Snapshotter", "Predictor", "checkpointable state belongs to a predictor; resume drives the restored instance through the Predictor protocol")
 		}
-		if blockedI != nil && sourceI != nil && impl(blockedI) && !impl(sourceI) {
+		if impl(blockedI) && !impl(sourceI) {
 			pass.Reportf(tn.Pos(), "%s implements trace.Blocked but not trace.Source (the block iterator is the fast rung; without Stream the block/record differential oracle has nothing to compare it against)", name)
 		}
 	}

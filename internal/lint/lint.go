@@ -12,7 +12,7 @@
 //     but keeps every other restriction.
 //   - capladder: the optional-capability ladder of internal/predictor is
 //     downward closed — a BatchRunner or Probe must also be a Predictor,
-//     and a Probe must be Indexed.
+//     and a ProbeBatcher must be a Probe and a BatchRunner.
 //   - registry: calls to functions annotated //bimode:registry (the zoo's
 //     register) use unique, lowercase-canonical, constant spec names,
 //     family-prefixed examples, and factories provably unable to return a

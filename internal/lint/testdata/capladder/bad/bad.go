@@ -15,10 +15,13 @@ type BatchOnly struct{} // want `implements predictor.BatchRunner but not predic
 func (BatchOnly) RunBatch(recs []trace.Record) int { return 0 }
 
 // ProbeOnly reports decision paths without being a predictor at all.
-type ProbeOnly struct{} // want `implements predictor.Probe but not predictor.Predictor` `implements predictor.Probe but not predictor.Indexed`
+type ProbeOnly struct{} // want `implements predictor.Probe but not predictor.Predictor`
 
 // ProbeLookup implements predictor.Probe.
 func (ProbeOnly) ProbeLookup(pc uint64) predictor.Lookup { return predictor.Lookup{} }
+
+// NumCounters implements predictor.Probe.
+func (ProbeOnly) NumCounters() int { return 1 }
 
 // SnapshotOnly serializes state that no predictor protocol can replay.
 type SnapshotOnly struct{} // want `implements predictor.Snapshotter but not predictor.Predictor`

@@ -7,7 +7,7 @@ import (
 	"bimode/internal/trace"
 )
 
-// Full climbs the whole ladder: Predictor, BatchRunner, Indexed, Probe,
+// Full climbs the whole ladder: Predictor, BatchRunner, Probe,
 // ProbeBatcher, Snapshotter.
 type Full struct{ bit bool }
 
@@ -29,10 +29,7 @@ func (*Full) CostBits() int { return 0 }
 // RunBatch implements predictor.BatchRunner.
 func (*Full) RunBatch(recs []trace.Record) int { return 0 }
 
-// CounterID implements predictor.Indexed.
-func (*Full) CounterID(pc uint64) int { return 0 }
-
-// NumCounters implements predictor.Indexed.
+// NumCounters implements predictor.Probe.
 func (*Full) NumCounters() int { return 1 }
 
 // ProbeLookup implements predictor.Probe.

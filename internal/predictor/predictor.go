@@ -79,21 +79,6 @@ type Snapshotter interface {
 	RestoreSnapshot(data []byte) error
 }
 
-// Indexed is implemented by predictors whose prediction comes from a
-// single identifiable counter in a second-level table. The Section 4
-// analysis uses it to attribute each dynamic branch to the counter it
-// exercised, building the per-counter substream statistics behind
-// Figures 5-8 and Tables 3-4.
-type Indexed interface {
-	// CounterID returns a stable identifier of the counter that
-	// Predict(pc) would consult right now (before Update). Identifiers
-	// must be dense in [0, NumCounters()).
-	CounterID(pc uint64) int
-
-	// NumCounters returns the number of distinct counter identifiers.
-	NumCounters() int
-}
-
 // Func adapts a pair of functions to the Predictor interface; used by
 // tests and by the static predictors.
 type Func struct {

@@ -15,7 +15,7 @@ import (
 // aggregates into a Report.
 type Lookup struct {
 	// CounterID is the dense identifier of the direction counter
-	// Predict(pc) would consult right now, in [0, Indexed.NumCounters()),
+	// Predict(pc) would consult right now, in [0, Probe.NumCounters()),
 	// or -1 when the predictor has no identifiable counter.
 	CounterID int
 	// Bank is the predictor-specific bank the lookup selects (bi-mode:
@@ -31,31 +31,22 @@ type Lookup struct {
 }
 
 // Probe is the optional observability capability, the introspective rung
-// beside the one BatchRunner forms for speed: a predictor that can
-// describe, BEFORE Update, the internal decision path the next
-// Predict(pc) would take. ProbeLookup must be read-only — it must not
-// touch counters or history — so instrumented and uninstrumented runs of
-// the same stream leave the predictor in identical states.
+// beside the one BatchRunner forms for speed: a predictor whose
+// prediction comes from an identifiable second-level counter, and that
+// can describe, BEFORE Update, the internal decision path the next
+// Predict(pc) would take. The Section 4 analysis uses the counter to
+// attribute each dynamic branch to the counter it exercised, building the
+// per-counter substream statistics behind Figures 5-8 and Tables 3-4.
+// ProbeLookup must be read-only — it must not touch counters or history —
+// so instrumented and uninstrumented runs of the same stream leave the
+// predictor in identical states.
 type Probe interface {
 	// ProbeLookup reports the decision path Predict(pc) would take now.
 	ProbeLookup(pc uint64) Lookup
-}
 
-// LookupOf returns the observation function for p: ProbeLookup when p
-// implements Probe, a fallback derived from Indexed when it only exposes
-// counter indices, and nil when the predictor exposes nothing. The nil
-// return is the cost-free default: predictors opt in per capability, and
-// the uninstrumented simulation tiers never call this at all.
-func LookupOf(p Predictor) func(pc uint64) Lookup {
-	if pr, ok := p.(Probe); ok {
-		return pr.ProbeLookup
-	}
-	if ix, ok := p.(Indexed); ok {
-		return func(pc uint64) Lookup {
-			return Lookup{CounterID: ix.CounterID(pc), Bank: -1}
-		}
-	}
-	return nil
+	// NumCounters returns the number of distinct counter identifiers
+	// ProbeLookup reports.
+	NumCounters() int
 }
 
 // ProbeRow is one record's observation: the Lookup ProbeLookup would
@@ -94,28 +85,41 @@ type ProbeBatcher interface {
 // allocates nothing.
 var ErrShortRows = errors.New("predictor: ProbeBatch given fewer rows than records")
 
-// FillEach is the fill for a predictor without a ProbeBatch kernel: per
-// record, in order, lookup(pc) (CounterID and Bank -1 when lookup is
-// nil), then Predict and Update, written to the record's row as
-// ProbeBatch would write it. A lookup whose CounterID is counters or more
-// panics, so that no caller indexes its per-counter state with it.
+// Fill steps p over recs in order and writes rows[i] for recs[i], the
+// row ProbeLookup, Predict and Update give. A ProbeBatcher fills with its
+// kernel; any other predictor is stepped per record: the lookup of its
+// Probe (CounterID and Bank -1 when it is not one), then Predict and
+// Update. A lookup whose CounterID is NumCounters or more panics, so
+// that no caller indexes its per-counter state with it, and rows shorter
+// than recs panic with ErrShortRows.
 //
 // *filled counts the rows written so far: when the predictor panics at
-// record i, the panic goes on with *filled == i, and a caller that
-// defers its accounting can cover exactly the records before the failing
-// one.
-func FillEach(p Predictor, lookup func(pc uint64) Lookup, counters int, recs []trace.Record, rows []ProbeRow, filled *int) {
+// record i, the panic goes on with *filled == i when stepped per record
+// and 0 under a kernel, so a caller that defers its accounting can cover
+// exactly the rows written before the failure.
+func Fill(p Predictor, recs []trace.Record, rows []ProbeRow, filled *int) {
+	*filled = 0
+	if batch, ok := p.(ProbeBatcher); ok {
+		batch.ProbeBatch(recs, rows)
+		*filled = len(recs)
+		return
+	}
 	if len(rows) < len(recs) {
 		panic(ErrShortRows)
+	}
+	probe, _ := p.(Probe)
+	counters := 0
+	if probe != nil {
+		counters = probe.NumCounters()
 	}
 	for i := range recs {
 		rec := &recs[i]
 		look := Lookup{CounterID: -1, Bank: -1}
-		if lookup != nil {
-			look = lookup(rec.PC)
-		}
-		if look.CounterID >= counters {
-			panic(fmt.Sprintf("predictor: %s looked up counter %d of %d", p.Name(), look.CounterID, counters))
+		if probe != nil {
+			look = probe.ProbeLookup(rec.PC)
+			if look.CounterID >= counters {
+				panic(fmt.Sprintf("predictor: %s looked up counter %d of %d", p.Name(), look.CounterID, counters))
+			}
 		}
 		pred := p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken)

@@ -46,7 +46,7 @@ type SpecReport struct {
 	// Failed marks a spec disabled by a runtime failure; its report is
 	// frozen at the point of failure and the session's footnotes say why.
 	Failed bool `json:"failed,omitempty"`
-	// Interference is present for predictor.Indexed families; its
+	// Interference is present for predictor.Probe families; its
 	// destructive count is the paper's Section 4 metric, and
 	// aliased_mispredicts counts every mispredicted aliased access.
 	Interference *sim.InterferenceMetrics `json:"interference,omitempty"`

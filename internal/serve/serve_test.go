@@ -164,7 +164,7 @@ func TestSessionLifecycle(t *testing.T) {
 			t.Errorf("spec %q: missing predictor identity (%q, %v)", sr.Spec, sr.Predictor, sr.CostBytes)
 		}
 	}
-	// The bimode spec is Indexed and a Probe: its interference and choice
+	// The bimode spec is a Probe with a choice: its interference and choice
 	// metrics and its H2P ranking must be populated.
 	if a := res.Report.Specs[0].Interference; a == nil || a.Counters == 0 {
 		t.Errorf("bimode spec: no interference metrics (%+v)", a)

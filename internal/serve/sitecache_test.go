@@ -12,11 +12,6 @@ import (
 	"bimode/internal/trace"
 )
 
-// slotPCs are PCs that all index one slot of the session's site cache:
-// the same bits above the 4-byte alignment modulo its size, with and
-// without the backward flag in bit 63.
-var slotPCs = []uint64{0x401000, 0x401000 + 4*siteCacheSize, 0x401000 | 1<<63, 0x401000 + 8*siteCacheSize | 1<<63}
-
 // firstAppearance numbers PCs densely in order of first appearance, the
 // ids the session's site map gives.
 func firstAppearance(pcs []uint64) map[uint64]uint32 {
@@ -35,9 +30,10 @@ func firstAppearance(pcs []uint64) map[uint64]uint32 {
 // whose reports must equal one Observe pass over the first-appearance
 // numbering.
 func TestSiteCacheCollisions(t *testing.T) {
+	slotPCs := hashSlotPCs(6)
 	for _, pc := range slotPCs {
-		if (pc>>2)%siteCacheSize != (slotPCs[0]>>2)%siteCacheSize {
-			t.Fatalf("pc %#x does not share slot %d", pc, (slotPCs[0]>>2)%siteCacheSize)
+		if siteSlot(pc) != siteSlot(slotPCs[0]) {
+			t.Fatalf("pc %#x does not share slot %d", pc, siteSlot(slotPCs[0]))
 		}
 	}
 	rng := rand.New(rand.NewPCG(7, 11))
@@ -99,10 +95,21 @@ func TestSiteCacheRollback(t *testing.T) {
 		Now:         func() time.Time { return now },
 	})
 	recs := testTrace(t, 14500).Records()
+	// moved gives every PC of recs a new PC at or above high that shares
+	// its site cache slot, so the bodies below fight over the slots the
+	// first one filled.
 	moved := func(recs []trace.Record, high uint64) []trace.Record {
+		to, taken := map[uint64]uint64{}, map[uint64]bool{}
 		out := slices.Clone(recs)
 		for i := range out {
-			out[i].PC |= high
+			pc := out[i].PC
+			n, ok := to[pc]
+			if !ok {
+				for n = pc | high; siteSlot(n) != siteSlot(pc) || taken[n]; n += 4 {
+				}
+				to[pc], taken[n] = n, true
+			}
+			out[i].PC = n
 		}
 		return out
 	}

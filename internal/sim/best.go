@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"bimode/internal/baselines"
 	"bimode/internal/predictor"
 	"bimode/internal/trace"
@@ -60,12 +62,13 @@ func FindBestGshare(indexBits int, sources []trace.Source) BestGshare {
 }
 
 // PickBestGshare selects the best configuration from a SweepGshare
-// matrix.
+// matrix. A row with a failed cell has a NaN average and never wins over
+// a complete row; when every row failed, the first wins with its NaN.
 func PickBestGshare(indexBits int, sweep [][]Result) BestGshare {
 	best := BestGshare{IndexBits: indexBits, HistoryBits: -1}
 	for h, results := range sweep {
 		avg := AverageRate(results)
-		if best.HistoryBits < 0 || avg < best.AvgRate {
+		if best.HistoryBits < 0 || avg < best.AvgRate || math.IsNaN(best.AvgRate) && !math.IsNaN(avg) {
 			best = BestGshare{IndexBits: indexBits, HistoryBits: h, AvgRate: avg, PerWorkload: results}
 		}
 	}

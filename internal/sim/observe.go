@@ -41,9 +41,9 @@ type ObserveOptions struct {
 // equivalence.
 //
 // Metrics degrade gracefully with the predictor's capabilities:
-// interference classification needs predictor.Indexed (directly or via
-// predictor.Probe), choice metrics need predictor.Probe with a steering
-// structure; the H2P ranking and throughput need only the base interface.
+// interference classification needs predictor.Probe, choice metrics a
+// Probe with a steering structure; the H2P ranking and throughput need
+// only the base interface.
 func Observe(p predictor.Predictor, src trace.Source, opts ObserveOptions) *Report {
 	rep, err := ObserveContext(context.Background(), p, src, opts)
 	if err != nil {
@@ -105,8 +105,6 @@ func ObserveContext(ctx context.Context, p predictor.Predictor, src trace.Source
 // dense: the arrays grow to the largest id a block carries.
 type Observer struct {
 	p           predictor.Predictor
-	batch       predictor.ProbeBatcher // the predictor's probe kernel, if it has one
-	lookup      func(pc uint64) predictor.Lookup
 	branches    int
 	mispredicts int
 	inter       *InterferenceMetrics
@@ -137,23 +135,16 @@ type staticRow struct {
 const stripLen = 1024
 
 // NewObserver returns an Observer for p with nothing fed yet. The
-// interference metrics need predictor.Indexed (with Probe or its Indexed
-// fallback for the lookup), the choice metrics predictor.Probe. A
-// predictor.ProbeBatcher fills the observer's rows with its own kernel.
+// interference and choice metrics need predictor.Probe.
 func NewObserver(p predictor.Predictor) *Observer {
-	o := &Observer{p: p, lookup: predictor.LookupOf(p)}
-	o.batch, _ = p.(predictor.ProbeBatcher)
-	if o.lookup != nil {
-		if ix, ok := p.(predictor.Indexed); ok {
-			o.inter = &InterferenceMetrics{Counters: ix.NumCounters()}
-			o.lastWriter = make([]int32, ix.NumCounters())
-			for i := range o.lastWriter {
-				o.lastWriter[i] = -1
-			}
+	o := &Observer{p: p}
+	if pr, ok := p.(predictor.Probe); ok {
+		o.inter = &InterferenceMetrics{Counters: pr.NumCounters()}
+		o.lastWriter = make([]int32, pr.NumCounters())
+		for i := range o.lastWriter {
+			o.lastWriter[i] = -1
 		}
-		if _, ok := p.(predictor.Probe); ok {
-			o.choice = &ChoiceMetrics{}
-		}
+		o.choice = &ChoiceMetrics{}
 	}
 	return o
 }
@@ -174,9 +165,9 @@ func (o *Observer) grow(n int) {
 // counts covering the records before the failing one.
 //
 // The block goes through in strips of stripLen records, each in two
-// passes: a fill that steps the predictor and writes one row per record
-// (the lookup before the update, and the miss), then account, the one
-// accounting loop, over the strip's rows.
+// passes: predictor.Fill, which steps the predictor and writes one row
+// per record (the lookup before the update, and the miss), then account,
+// the one accounting loop, over the strip's rows.
 func (o *Observer) Feed(blk []trace.Record) {
 	if o.rows == nil {
 		o.rows = make([]predictor.ProbeRow, stripLen)
@@ -184,32 +175,23 @@ func (o *Observer) Feed(blk []trace.Record) {
 	for len(blk) > 0 {
 		strip := blk[:min(len(blk), stripLen)]
 		rows := o.rows[:len(strip)]
-		if o.batch != nil {
-			o.batch.ProbeBatch(strip, rows)
-		} else {
-			o.fillEach(strip, rows)
-		}
+		o.fill(strip, rows)
 		o.account(strip, rows)
 		blk = blk[len(strip):]
 	}
 }
 
-// fillEach is the fill for predictors without a probe kernel,
-// predictor.FillEach. When the predictor panics at record i, it accounts
-// the rows before it, so the counts cover exactly the records before the
-// failing one, and lets the panic go on.
-func (o *Observer) fillEach(recs []trace.Record, rows []predictor.ProbeRow) {
+// fill is predictor.Fill over one strip. When the predictor panics, it
+// accounts the rows Fill wrote before the failing record, so the counts
+// cover exactly the records before it, and lets the panic go on.
+func (o *Observer) fill(recs []trace.Record, rows []predictor.ProbeRow) {
 	filled := 0
 	defer func() {
 		if filled < len(recs) {
 			o.account(recs[:filled], rows[:filled])
 		}
 	}()
-	counters := math.MaxInt
-	if o.inter != nil {
-		counters = len(o.lastWriter)
-	}
-	predictor.FillEach(o.p, o.lookup, counters, recs, rows, &filled)
+	predictor.Fill(o.p, recs, rows, &filled)
 }
 
 // account folds one strip of filled rows into the metrics. It first

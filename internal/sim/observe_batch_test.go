@@ -2,7 +2,7 @@ package sim
 
 // The differential gate for the observer's two-pass strips: a verbatim
 // copy of the per-record body the strips replaced (observeBlock, the
-// oracle) against Feed, for every Indexed zoo spec on the 14 suite
+// oracle) against Feed, for every Probe zoo spec on the 14 suite
 // traces, fed whole to the oracle and cut at every shape a strip can
 // take to the observer.
 
@@ -22,7 +22,11 @@ import (
 // observeBlock is the instrumented per-record body, run over one block
 // whose static ids the per-static arrays already cover.
 func (o *oracleObserver) observeBlock(blk []trace.Record) {
-	p, lookup, inter, lastWriter, choice := o.p, o.lookup, o.inter, o.lastWriter, o.choice
+	p, inter, lastWriter, choice := o.p, o.inter, o.lastWriter, o.choice
+	var lookup func(pc uint64) predictor.Lookup
+	if pr, ok := p.(predictor.Probe); ok {
+		lookup = pr.ProbeLookup
+	}
 	counts, takens, misses, firstPC, shadow := o.counts, o.takens, o.misses, o.firstPC, o.shadow
 	for _, rec := range blk {
 		s := int(rec.Static)
@@ -155,8 +159,7 @@ func scrambledRecords(n int) []trace.Record {
 // interface hides bi-mode's kernel, so the generic fill runs.
 type oddProbe struct{ predictor.Predictor }
 
-func (p oddProbe) CounterID(pc uint64) int { return p.Predictor.(predictor.Indexed).CounterID(pc) }
-func (p oddProbe) NumCounters() int        { return p.Predictor.(predictor.Indexed).NumCounters() }
+func (p oddProbe) NumCounters() int { return p.Predictor.(predictor.Probe).NumCounters() }
 
 func (p oddProbe) ProbeLookup(pc uint64) predictor.Lookup {
 	look := p.Predictor.(predictor.Probe).ProbeLookup(pc)
@@ -171,7 +174,7 @@ func (p oddProbe) ProbeLookup(pc uint64) predictor.Lookup {
 	return look
 }
 
-// TestObserveBatchMatchesPerRecord: for every Indexed zoo spec, the
+// TestObserveBatchMatchesPerRecord: for every Probe zoo spec, the
 // bi-mode ablation variants and oddProbe, on the 14 suite traces and a
 // scrambled stream, Feed in chunks of 977, stripLen-1, stripLen,
 // stripLen+1 and 64Ki records — and of 1 record, on the first suite
@@ -193,7 +196,7 @@ func TestObserveBatchMatchesPerRecord(t *testing.T) {
 		"odd-probe": func() predictor.Predictor { return oddProbe{zoo.MustNew("bimode:b=9")} },
 	}
 	for _, spec := range append(zoo.Known(), "bimode:b=8,fullchoice=1", "bimode:b=8,bothbanks=1", "bimode:c=6,b=8,h=5", "gshare:i=10,h=0") {
-		if _, ok := zoo.MustNew(spec).(predictor.Indexed); ok {
+		if _, ok := zoo.MustNew(spec).(predictor.Probe); ok {
 			builds[spec] = func() predictor.Predictor { return zoo.MustNew(spec) }
 		}
 	}

@@ -1,11 +1,9 @@
 package sim_test
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
-	"bimode/internal/predictor"
 	"bimode/internal/sim"
 	"bimode/internal/synth"
 	"bimode/internal/trace"
@@ -25,8 +23,8 @@ func observeWorkload(t testing.TB, name string, dynamic int) *trace.Memory {
 
 // TestObserveMatchesRun pins the tentpole invariant: the instrumented tier
 // must count exactly what the uninstrumented engine counts, for every
-// capability shape in the zoo (BatchRunner, Predict/Update only,
-// probe-less, non-Indexed).
+// capability shape in the zoo (BatchRunner, Predict/Update only, a
+// Probe without a kernel, no Probe).
 func TestObserveMatchesRun(t *testing.T) {
 	mem := observeWorkload(t, "gcc", 60000)
 	specs := []string{
@@ -36,8 +34,8 @@ func TestObserveMatchesRun(t *testing.T) {
 		"gshare:i=10,h=7",     // multi-PHT
 		"smith:a=10",          // PC-indexed Probe
 		"agree:i=10,h=10,b=8", // Probe with bias-bit choice
-		"gas:h=8,s=2",         // Indexed only (no Probe)
-		"taken",               // neither Indexed nor Probe
+		"gas:h=8,s=2",         // Probe without a kernel or choice
+		"taken",               // no Probe
 	}
 	for _, spec := range specs {
 		runRes := sim.Run(zoo.MustNew(spec), mem)
@@ -138,7 +136,7 @@ func TestObserveMetricsInvariants(t *testing.T) {
 	}
 }
 
-// TestObserveGracefulDegradation: predictors without Indexed/Probe still
+// TestObserveGracefulDegradation: predictors without Probe still
 // get counts, throughput and the H2P ranking.
 func TestObserveGracefulDegradation(t *testing.T) {
 	mem := observeWorkload(t, "xlisp", 30000)
@@ -157,60 +155,6 @@ func TestObserveGracefulDegradation(t *testing.T) {
 	rep = sim.Observe(zoo.MustNew("smith:a=8"), mem, sim.ObserveOptions{TopN: -1})
 	if len(rep.TopBranches) != 0 {
 		t.Errorf("TopN<0 should disable ranking, got %d rows", len(rep.TopBranches))
-	}
-}
-
-// TestReportJSONRoundTrip: WriteJSON and ReadReport are inverses.
-func TestReportJSONRoundTrip(t *testing.T) {
-	mem := observeWorkload(t, "compress", 20000)
-	rep := sim.Observe(zoo.MustNew("bimode:b=7"), mem, sim.ObserveOptions{TopN: 3})
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sim.ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Predictor != rep.Predictor || got.Branches != rep.Branches ||
-		got.Mispredicts != rep.Mispredicts || got.TopShare != rep.TopShare {
-		t.Errorf("round trip changed report: %+v vs %+v", got, rep)
-	}
-	if got.Interference == nil || *got.Interference != *rep.Interference {
-		t.Errorf("round trip changed interference: %+v vs %+v", got.Interference, rep.Interference)
-	}
-	if len(got.TopBranches) != len(rep.TopBranches) {
-		t.Errorf("round trip changed top branches")
-	}
-}
-
-// TestLookupOf covers the capability ladder's fallback rungs directly.
-func TestLookupOf(t *testing.T) {
-	if fn := predictor.LookupOf(zoo.MustNew("taken")); fn != nil {
-		t.Error("static predictor should expose no lookup")
-	}
-	// GAs is Indexed but not Probe: fallback path, no choice, bank -1.
-	gas := zoo.MustNew("gas:h=8,s=2")
-	fn := predictor.LookupOf(gas)
-	if fn == nil {
-		t.Fatal("Indexed predictor should get a fallback lookup")
-	}
-	look := fn(0x40)
-	if look.HasChoice || look.Bank != -1 {
-		t.Errorf("fallback lookup should be bankless and choiceless: %+v", look)
-	}
-	ix := gas.(predictor.Indexed)
-	if look.CounterID != ix.CounterID(0x40) {
-		t.Errorf("fallback counter id %d != CounterID %d", look.CounterID, ix.CounterID(0x40))
-	}
-	// Bi-mode's probe must agree with its Indexed view.
-	bm := zoo.MustNew("bimode:b=8")
-	look = predictor.LookupOf(bm)(0x40)
-	if want := bm.(predictor.Indexed).CounterID(0x40); look.CounterID != want {
-		t.Errorf("bi-mode probe counter id %d != CounterID %d", look.CounterID, want)
-	}
-	if !look.HasChoice || look.Bank < 0 || look.Bank > 1 {
-		t.Errorf("bi-mode probe missing choice/bank: %+v", look)
 	}
 }
 

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -30,7 +28,7 @@ type Report struct {
 	BranchesPerSec float64 `json:"branches_per_sec"`
 
 	// Interference is present when the predictor exposes counter indices
-	// (predictor.Indexed or predictor.Probe).
+	// (predictor.Probe).
 	Interference *InterferenceMetrics `json:"interference,omitempty"`
 	// Choice is present when the predictor has a steering structure
 	// (bi-mode, tri-mode, agree) and implements predictor.Probe.
@@ -101,22 +99,6 @@ type BranchMetrics struct {
 	Taken       int     `json:"taken"`
 	Mispredicts int     `json:"mispredicts"`
 	MissRate    float64 `json:"miss_rate"`
-}
-
-// WriteJSON serializes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadReport deserializes a report written by WriteJSON.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("sim: decoding report: %w", err)
-	}
-	return &r, nil
 }
 
 // String renders the headline numbers in one line.

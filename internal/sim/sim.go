@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"bimode/internal/predictor"
 	"bimode/internal/trace"
@@ -39,9 +40,6 @@ func (r Result) MispredictRate() float64 {
 	}
 	return float64(r.Mispredicts) / float64(r.Branches)
 }
-
-// Accuracy returns 1 - MispredictRate.
-func (r Result) Accuracy() float64 { return 1 - r.MispredictRate() }
 
 // String renders the result in one line.
 func (r Result) String() string {
@@ -180,13 +178,18 @@ func RunAll(jobs []Job) []Result {
 }
 
 // AverageRate returns the arithmetic mean misprediction rate of the
-// results, the aggregation the paper's Figure 2 uses.
+// results, the aggregation the paper's Figure 2 uses. It is NaN when any
+// result failed (Err set): a partial average would silently misstate the
+// suite.
 func AverageRate(results []Result) float64 {
 	if len(results) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, r := range results {
+		if r.Err != nil {
+			return math.NaN()
+		}
 		sum += r.MispredictRate()
 	}
 	return sum / float64(len(results))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -35,8 +36,8 @@ func TestRunCountsEverything(t *testing.T) {
 	if res.Mispredicts != 250 {
 		t.Fatalf("mispredicts = %d, want 250", res.Mispredicts)
 	}
-	if res.MispredictRate() != 0.25 || res.Accuracy() != 0.75 {
-		t.Fatalf("rates wrong: %v %v", res.MispredictRate(), res.Accuracy())
+	if res.MispredictRate() != 0.25 {
+		t.Fatalf("rate wrong: %v", res.MispredictRate())
 	}
 	if res.Workload != "fixed" || res.Predictor != "static-taken" {
 		t.Fatalf("labels wrong: %+v", res)
@@ -45,7 +46,7 @@ func TestRunCountsEverything(t *testing.T) {
 
 func TestResultZeroBranches(t *testing.T) {
 	var r Result
-	if r.MispredictRate() != 0 || r.Accuracy() != 1 {
+	if r.MispredictRate() != 0 {
 		t.Fatalf("zero-branch result must have rate 0")
 	}
 }
@@ -88,6 +89,35 @@ func TestAverageRate(t *testing.T) {
 	}
 	if AverageRate(nil) != 0 {
 		t.Fatalf("empty average must be 0")
+	}
+	// A failed cell has no rate: the average is NaN, not a mean that
+	// counts the cell as 0%.
+	rs = append(rs, Result{Err: errors.New("context canceled")})
+	if got := AverageRate(rs); !math.IsNaN(got) {
+		t.Fatalf("average over a failed cell = %v, want NaN", got)
+	}
+}
+
+// TestPickBestGshareSkipsFailedRows: a history length whose row has a
+// failed cell never wins over a complete row, even where counting the
+// failed cell as 0% would make its row the best, and wherever it sits;
+// when every row failed, the first wins with a NaN average.
+func TestPickBestGshareSkipsFailedRows(t *testing.T) {
+	ok := func(miss int) Result { return Result{Branches: 100, Mispredicts: miss} }
+	failed := Result{Err: errors.New("context canceled")}
+	sweep := [][]Result{
+		{failed, ok(1)},
+		{ok(30), ok(30)},
+		{failed, ok(10)},
+		{ok(20), ok(30)},
+	}
+	best := PickBestGshare(3, sweep)
+	if best.HistoryBits != 3 || math.Abs(best.AvgRate-0.25) > 1e-12 {
+		t.Fatalf("best = h%d at %v, want h3 at 0.25", best.HistoryBits, best.AvgRate)
+	}
+	best = PickBestGshare(1, [][]Result{{failed}, {ok(5), failed}})
+	if best.HistoryBits != 0 || !math.IsNaN(best.AvgRate) {
+		t.Fatalf("all rows failed: best = h%d at %v, want h0 at NaN", best.HistoryBits, best.AvgRate)
 	}
 }
 

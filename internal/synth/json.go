@@ -7,8 +7,9 @@ import (
 )
 
 // profileJSON is the on-disk schema for user-defined workload profiles.
-// Field names mirror the Profile struct; zero-valued knobs take the same
-// defaults the built-in benchmarks use.
+// Its fields are the Profile struct's, in order, so the two convert into
+// each other; zero-valued knobs take the same defaults the built-in
+// benchmarks use.
 type profileJSON struct {
 	Name           string  `json:"name"`
 	Suite          string  `json:"suite,omitempty"`
@@ -47,19 +48,7 @@ func ReadProfile(r io.Reader) (Profile, error) {
 	if err := dec.Decode(&pj); err != nil {
 		return Profile{}, fmt.Errorf("synth: parsing profile: %w", err)
 	}
-	p := Profile{
-		Name: pj.Name, Suite: pj.Suite, Statics: pj.Statics, Dynamic: pj.Dynamic,
-		Seed:     pj.Seed,
-		FracLoop: pj.FracLoop, FracCorrelated: pj.FracCorrelated,
-		FracPattern: pj.FracPattern, FracWeak: pj.FracWeak,
-		TakenShare: pj.TakenShare,
-		StrongLo:   pj.StrongLo, StrongHi: pj.StrongHi,
-		WeakLo: pj.WeakLo, WeakHi: pj.WeakHi, WeakRun: pj.WeakRun,
-		LoopTrip: pj.LoopTrip, LoopJitter: pj.LoopJitter,
-		BodyMean: pj.BodyMean, CorrK: pj.CorrK, CorrNoise: pj.CorrNoise,
-		ZipfTheta: pj.ZipfTheta, InputNote: pj.InputNote,
-	}
-	p = ApplyDefaults(p)
+	p := ApplyDefaults(Profile(pj))
 	if p.Seed == 0 {
 		p.Seed = 0x5EEDF11E
 	}
@@ -67,23 +56,4 @@ func ReadProfile(r io.Reader) (Profile, error) {
 		return Profile{}, err
 	}
 	return p, nil
-}
-
-// WriteProfile serializes a profile as indented JSON.
-func WriteProfile(w io.Writer, p Profile) error {
-	pj := profileJSON{
-		Name: p.Name, Suite: p.Suite, Statics: p.Statics, Dynamic: p.Dynamic,
-		Seed:     p.Seed,
-		FracLoop: p.FracLoop, FracCorrelated: p.FracCorrelated,
-		FracPattern: p.FracPattern, FracWeak: p.FracWeak,
-		TakenShare: p.TakenShare,
-		StrongLo:   p.StrongLo, StrongHi: p.StrongHi,
-		WeakLo: p.WeakLo, WeakHi: p.WeakHi, WeakRun: p.WeakRun,
-		LoopTrip: p.LoopTrip, LoopJitter: p.LoopJitter,
-		BodyMean: p.BodyMean, CorrK: p.CorrK, CorrNoise: p.CorrNoise,
-		ZipfTheta: p.ZipfTheta, InputNote: p.InputNote,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(pj)
 }

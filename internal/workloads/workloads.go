@@ -31,7 +31,6 @@ type Options struct {
 // program describes one instrumented real program.
 type program struct {
 	name    string
-	note    string
 	dynamic int // default dynamic branch budget
 	run     func(t *Tracer, seed uint64, round int)
 }
@@ -39,15 +38,15 @@ type program struct {
 // programs lists the instrumented real programs; definitions live in the
 // program_*.go files.
 var programs = []program{
-	{name: "lzw", note: "LZW compression of generated text (compress-like)", dynamic: 400000, run: runLZW},
-	{name: "expr", note: "recursive-descent parsing and evaluation (gcc-like front end)", dynamic: 400000, run: runExpr},
-	{name: "minilisp", note: "list-structured interpreter (xlisp-like)", dynamic: 400000, run: runLisp},
-	{name: "sortbench", note: "quicksort, heapsort and binary search (comparison-heavy)", dynamic: 400000, run: runSort},
-	{name: "playout", note: "game-tree playouts with pattern heuristics (go-like)", dynamic: 400000, run: runPlayout},
-	{name: "huffman", note: "Huffman tree build, encode and decode (heap + tree walks)", dynamic: 400000, run: runHuffman},
-	{name: "regexish", note: "backtracking pattern matcher over generated text (grep-like)", dynamic: 400000, run: runRegex},
-	{name: "mpmatch", note: "Morris-Pratt string search with analytic comparison traces", dynamic: 400000, run: runMPMatch},
-	{name: "kmpmatch", note: "Knuth-Morris-Pratt search, strong-failure shifting", dynamic: 400000, run: runKMPMatch},
+	{name: "lzw", dynamic: 400000, run: runLZW},           // LZW compression of generated text (compress-like)
+	{name: "expr", dynamic: 400000, run: runExpr},         // recursive-descent parsing and evaluation (gcc-like front end)
+	{name: "minilisp", dynamic: 400000, run: runLisp},     // list-structured interpreter (xlisp-like)
+	{name: "sortbench", dynamic: 400000, run: runSort},    // quicksort, heapsort and binary search (comparison-heavy)
+	{name: "playout", dynamic: 400000, run: runPlayout},   // game-tree playouts with pattern heuristics (go-like)
+	{name: "huffman", dynamic: 400000, run: runHuffman},   // Huffman tree build, encode and decode (heap + tree walks)
+	{name: "regexish", dynamic: 400000, run: runRegex},    // backtracking pattern matcher over generated text (grep-like)
+	{name: "mpmatch", dynamic: 400000, run: runMPMatch},   // Morris-Pratt string search with analytic comparison traces
+	{name: "kmpmatch", dynamic: 400000, run: runKMPMatch}, // Knuth-Morris-Pratt search, strong-failure shifting
 }
 
 // Names returns every registered workload name, synthetic benchmarks
@@ -113,15 +112,4 @@ func Suite(suite string) []trace.Source {
 		}
 	}
 	return out
-}
-
-// ProgramNote returns the one-line description of an instrumented
-// program, or "" if name is not a program.
-func ProgramNote(name string) string {
-	for _, p := range programs {
-		if p.name == name {
-			return p.note
-		}
-	}
-	return ""
 }

@@ -132,15 +132,6 @@ func TestProgramsExerciseBothDirections(t *testing.T) {
 	}
 }
 
-func TestProgramNote(t *testing.T) {
-	if ProgramNote("lzw") == "" {
-		t.Fatalf("lzw should have a note")
-	}
-	if ProgramNote("gcc") != "" {
-		t.Fatalf("synthetic benchmarks are not programs")
-	}
-}
-
 func TestTracerSiteStability(t *testing.T) {
 	tr := newTracer(100)
 	a1 := tr.Site("x", false)

@@ -158,10 +158,3 @@ func Describe(spec string) (Geometry, error) {
 	}
 	return g, nil
 }
-
-// Families lists every registered family name in registration order.
-func Families() []string {
-	out := make([]string, len(registryOrder))
-	copy(out, registryOrder)
-	return out
-}

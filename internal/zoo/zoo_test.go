@@ -149,7 +149,7 @@ func TestGeometryDeclaredForEveryKnownSpec(t *testing.T) {
 	}
 	// The registry check: every registered family is covered by the
 	// example sweep above, so none can ship without valid geometry.
-	for _, fam := range Families() {
+	for _, fam := range registryOrder {
 		if !seen[fam] {
 			t.Errorf("family %q registered without a geometry-checked example", fam)
 		}
