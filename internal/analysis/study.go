@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -127,8 +126,9 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 }
 
 // accounts is the study's running state. Each substream accumulates in
-// subs, numbered in order of first appearance, with its mispredictions in
-// miss; table finds a substream's number from its (static, counter) key.
+// subs, with its mispredictions in miss, at the id table gives its
+// (static, counter) key, so substreams are numbered in order of first
+// appearance.
 // last holds the substream that last accessed each counter (-1 before
 // the first access), and switches logs, in stream order, every access
 // whose substream differs from the last one at its counter: the accesses
@@ -139,7 +139,7 @@ func RunStudy(p predictor.Predictor, src trace.Source) (*Study, error) {
 type accounts struct {
 	subs     []Substream
 	miss     []int
-	table    subTable
+	table    trace.IDTable
 	last     []int32
 	switches []int32
 	firsts   []trace.Record
@@ -151,7 +151,6 @@ func newAccounts(st *Study) *accounts {
 	for c := range a.last {
 		a.last[c] = -1
 	}
-	a.table.init(minTableLen)
 	return a
 }
 
@@ -180,12 +179,10 @@ func (a *accounts) account(recs []trace.Record, rows []predictor.ProbeRow) {
 // substream returns the number of rec's substream at counter cid,
 // opening one when this is its first access.
 func (a *accounts) substream(rec *trace.Record, cid int) int32 {
-	k := key(rec.Static, cid)
-	e := a.table.entry(k)
-	if e.slot > 0 {
-		return e.slot - 1
+	s, fresh := a.table.ID(key(rec.Static, cid))
+	if !fresh {
+		return int32(s)
 	}
-	s := int32(len(a.subs))
 	a.subs = append(grown(a.subs), Substream{Static: rec.Static, Counter: cid})
 	a.miss = append(grown(a.miss), 0)
 	if w := int(rec.Static >> 6); w >= len(a.seen) {
@@ -195,9 +192,7 @@ func (a *accounts) substream(rec *trace.Record, cid int) int32 {
 		a.seen[rec.Static>>6] |= bit
 		a.firsts = append(a.firsts, *rec)
 	}
-	e.key, e.slot = k, s+1
-	a.table.added()
-	return s
+	return int32(s)
 }
 
 // finish derives the study's results from the accumulated substreams.
@@ -286,64 +281,6 @@ func b2i(b bool) int {
 // key packs a (static, counter) pair into the table's key.
 func key(static uint32, counter int) uint64 {
 	return uint64(static)<<32 | uint64(uint32(counter))
-}
-
-// subTable maps substream keys to substream numbers: open addressing
-// with linear probing over a power-of-two array of entries, indexed by a
-// multiplicative hash of the key and doubled whenever it is three
-// quarters full.
-type subTable struct {
-	ents  []subEntry
-	shift uint // 64 - log2(len(ents)): the hash keeps the product's top bits
-	n     int  // entries in use
-}
-
-// subEntry holds a key and its substream number plus one, so that the
-// zero entry is empty.
-type subEntry struct {
-	key  uint64
-	slot int32
-}
-
-// minTableLen is the table's first size, 4 KB: the table grows with the
-// substreams a study finds, not with the predictor's counter count.
-const minTableLen = 256
-
-// hashMul is 2^64 divided by the golden ratio, the multiplier of
-// Fibonacci hashing.
-const hashMul = 0x9e3779b97f4a7c15
-
-func (t *subTable) init(n int) {
-	t.ents = make([]subEntry, n)
-	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	t.n = 0
-}
-
-// entry returns key's entry, or the empty entry where key goes.
-func (t *subTable) entry(key uint64) *subEntry {
-	mask := uint64(len(t.ents) - 1)
-	for i := key * hashMul >> t.shift; ; i = (i + 1) & mask {
-		if e := &t.ents[i]; e.slot == 0 || e.key == key {
-			return e
-		}
-	}
-}
-
-// added records that an empty entry was filled, growing the table at
-// three-quarters load.
-func (t *subTable) added() {
-	t.n++
-	if 4*t.n <= 3*len(t.ents) {
-		return
-	}
-	old := t.ents
-	t.init(2 * len(old))
-	for _, e := range old {
-		if e.slot > 0 {
-			*t.entry(e.key) = e
-			t.n++
-		}
-	}
 }
 
 // categoryOf maps a substream class to its Table 4 category relative to

@@ -66,32 +66,11 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 	t.b.Update(pc, taken)
 }
 
-// step is Predict and Update for one branch with the meta counter read
-// once: each component predicts, the meta counter trains when the two
-// disagree, then each component updates. It returns the prediction the
-// meta counter selected.
-//
-//bimode:hotpath dispatch
-func (t *Tournament) step(pc uint64, taken bool) bool {
-	mi := t.metaIndex(pc)
-	useB := t.meta.Taken(mi)
-	pa := t.a.Predict(pc)
-	pb := t.b.Predict(pc)
-	if pa != pb {
-		t.meta.Update(mi, pb == taken)
-	}
-	t.a.Update(pc, taken)
-	t.b.Update(pc, taken)
-	if useB {
-		return pb
-	}
-	return pa
-}
-
 // RunBatch implements predictor.BatchRunner. The pairing
 // NewAlpha21264Style builds, a per-address two-level component a and a
 // global two-level component b, runs as one kernel (runLocalGlobal); any
-// other pairing runs step per record.
+// other pairing runs Predict then Update per record, the reference the
+// kernel is checked against.
 //
 //bimode:hotpath dispatch
 func (t *Tournament) RunBatch(recs []trace.Record) int {
@@ -103,9 +82,10 @@ func (t *Tournament) RunBatch(recs []trace.Record) int {
 	miss := 0
 	for i := range recs {
 		r := &recs[i]
-		if t.step(r.PC, r.Taken) != r.Taken {
+		if t.Predict(r.PC) != r.Taken {
 			miss++
 		}
+		t.Update(r.PC, r.Taken)
 	}
 	return miss
 }
@@ -113,10 +93,10 @@ func (t *Tournament) RunBatch(recs []trace.Record) int {
 // runLocalGlobal is RunBatch for a per-address component a and a global
 // component b: the meta table, both components' PHTs, a's history
 // registers and b's history register in locals, and per record the
-// transitions of step with both components' TwoLevel.step inlined. The
-// meta counter trains only when the components disagreed, which is the
-// enable key of counter.SatNextIf, and its taken bit selects between the
-// two predictions by masking.
+// transitions of Predict and Update with both components' TwoLevel.step
+// inlined. The meta counter trains only when the components disagreed,
+// which is the enable key of counter.SatNextIf, and its taken bit
+// selects between the two predictions by masking.
 //
 //bimode:hotpath
 func (t *Tournament) runLocalGlobal(a, b *TwoLevel, recs []trace.Record) int {

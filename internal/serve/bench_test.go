@@ -29,7 +29,7 @@ func BenchmarkTextIngest(b *testing.B) {
 		texts[i] = []byte(textBody(recs[i*per : (i+1)*per]))
 	}
 	fresh := func() *session {
-		sess := &session{sites: map[uint64]uint32{}}
+		sess := &session{}
 		for _, spec := range specs {
 			sp, err := newSpecState(spec, zoo.MustNew(spec))
 			if err != nil {

@@ -258,8 +258,8 @@ func decodeHeader(payload []byte) (sessionHeader, error) {
 // one snapshot record. Live specs' observers encode in place.
 func (sess *session) appendSnap(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(append(dst, tagSnap), uint64(sess.cursor))
-	dst = binary.AppendUvarint(dst, uint64(len(sess.pcs)))
-	for _, pc := range sess.pcs {
+	dst = binary.AppendUvarint(dst, uint64(sess.sites.Len()))
+	for _, pc := range sess.sites.Keys() {
 		dst = binary.AppendUvarint(dst, pc)
 	}
 	dst = journal.AppendStrings(dst, sess.footnotes)

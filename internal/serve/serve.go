@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"bimode/internal/predictor"
+	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
 
@@ -273,6 +274,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpErrorf(http.StatusBadRequest, "no predictor specs requested"))
 		return
 	}
+	// A full table refuses before any predictor is built or journal
+	// created; the check at insert below still decides races.
+	s.mu.Lock()
+	full := len(s.sessions) >= s.cfg.MaxSessions
+	s.mu.Unlock()
+	if full {
+		s.refuseFull(w)
+		return
+	}
 
 	// Build every requested spec, admitting the Snapshotter-capable ones
 	// and footnoting the rest — per-spec degradation from the first
@@ -319,15 +329,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		journal:   journal,
 		specs:     specs,
 		footnotes: append([]string(nil), footnotes...),
-		sites:     map[uint64]uint32{},
 	}
 
 	s.mu.Lock()
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		journal.remove()
-		s.ctr.overload.Add(1)
-		writeError(w, overloadError("session table full", 5*time.Second))
+		s.refuseFull(w)
 		return
 	}
 	s.sessions[id] = sess
@@ -338,6 +346,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	rep := sess.report(s.cfg.TopN)
 	s.enforceResidentCap(sess)
 	writeJSON(w, http.StatusCreated, rep)
+}
+
+// refuseFull answers a create that would pass MaxSessions.
+func (s *Server) refuseFull(w http.ResponseWriter) {
+	s.ctr.overload.Add(1)
+	writeError(w, overloadError("session table full", 5*time.Second))
 }
 
 // sessionSummary is one row of GET /v1/sessions.
@@ -478,8 +492,8 @@ func (s *Server) dropResident(sess *session) {
 	sess.journal.close()
 	sess.resident = false
 	sess.specs = nil
-	sess.pcs, sess.sites, sess.footnotes = nil, nil, nil
-	sess.siteCache, sess.remap, sess.enc = nil, nil, nil
+	sess.sites, sess.footnotes = trace.IDTable{}, nil
+	sess.remap, sess.enc = nil, nil
 	sess.cursor = 0
 	s.mu.Lock()
 	if sess.lruToken != nil {

@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,8 +486,8 @@ func TestBinaryClientIDsUntrusted(t *testing.T) {
 		t.Fatal("locking the session")
 	}
 	defer sess.unlock()
-	if len(sess.remap) > len(sess.pcs)+per {
-		t.Fatalf("remap grew to %d entries for %d sites and %d-record bodies", len(sess.remap), len(sess.pcs), per)
+	if len(sess.remap) > sess.sites.Len()+per {
+		t.Fatalf("remap grew to %d entries for %d sites and %d-record bodies", len(sess.remap), sess.sites.Len(), per)
 	}
 }
 
@@ -576,6 +579,35 @@ func TestAdmissionSessionCap(t *testing.T) {
 	resp := doJSON(t, "POST", base+"/v1/sessions", bytes.NewReader(body), nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create: status %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestAdmissionSessionCapBuildsNothing: a create refused because the
+// session table is full builds no predictor and leaves no journal file
+// behind, so a stream of refused requests costs no predictor memory.
+func TestAdmissionSessionCapBuildsNothing(t *testing.T) {
+	dir := t.TempDir()
+	var builds atomic.Int64
+	_, base := newTestServer(t, Config{Dir: dir, MaxSessions: 1, Build: func(spec string) (predictor.Predictor, error) {
+		builds.Add(1)
+		return zoo.New(spec)
+	}})
+	createSession(t, base, "bimode:b=11")
+	before, err := filepath.Glob(filepath.Join(dir, "*.session"))
+	if err != nil || len(before) != 1 {
+		t.Fatalf("after one create: session files %v (%v), want one", before, err)
+	}
+	builds.Store(0)
+	body, _ := json.Marshal(createRequest{Specs: []string{"bimode:b=11", "gshare:i=12,h=12"}})
+	resp := doJSON(t, "POST", base+"/v1/sessions", bytes.NewReader(body), nil)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-cap create: status %d, want 429", resp.StatusCode)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("the refused create built %d predictors, want 0", n)
+	}
+	if after, _ := filepath.Glob(filepath.Join(dir, "*.session")); !slices.Equal(after, before) {
+		t.Errorf("session files went from %v to %v", before, after)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 	"bimode/internal/trace"
 )
 
-// A session is one client's long-lived simulation: a site table mapping
-// branch PCs to dense static ids, plus one sim.Observer per predictor
-// spec, trained incrementally by streamed trace chunks and holding every
-// metric behind the spec's report.
+// A session is one client's long-lived simulation: a site table
+// numbering branch PCs with dense static ids, plus one sim.Observer per
+// predictor spec, trained incrementally by streamed trace chunks and
+// holding every metric behind the spec's report.
 //
 // Sessions live in two states. Resident: predictors in memory, journal
 // open, requests apply directly. Spilled: nothing in memory but the
@@ -49,18 +49,15 @@ type session struct {
 	journal   *sessionJournal
 	specs     []*specState
 	footnotes []string
-	pcs       []uint64          // dense static id -> branch PC
-	sites     map[uint64]uint32 // branch PC -> dense static id
-	cursor    int               // records committed (the durability watermark)
+	sites     trace.IDTable // branch PC -> dense static id, in order of first appearance
+	cursor    int           // records committed (the durability watermark)
 
 	// Derived state, rebuilt on demand and dropped with the rest: the
-	// PC -> site cache in front of sites (see siteFor), the remap from
-	// binary bodies' static ids to session ids (see mapSites) and the
-	// buffer each commit encodes its snapshot record, or its body
-	// record's head, into.
-	siteCache *[siteCacheSize]uint32
-	remap     []uint32
-	enc       []byte
+	// remap from binary bodies' static ids to session ids (see mapSites)
+	// and the buffer each commit encodes its snapshot record, or its
+	// body record's head, into.
+	remap []uint32
+	enc   []byte
 
 	lruToken any // opaque LRU handle owned by the Server, nil when spilled
 }
@@ -114,70 +111,25 @@ func buildOnce(build func(string) (predictor.Predictor, error), spec string) (p 
 	return build(spec)
 }
 
-// siteCacheBits sets the size of a session's PC -> site cache:
-// siteCacheSize slots, 16 KiB per resident session. Over four gcc-profile
-// sessions of serve-text's shape (seeds 5000 to 5003: 16 bodies of 4096
-// records, 961 to 1649 distinct PCs) it served 96.4% to 98.0% of
-// records, where first appearances alone miss 1.5% to 2.5%; indexed by
-// the PC bits above the alignment modulo its size, it served 95.2% to
-// 97.4%.
-const (
-	siteCacheBits = 12
-	siteCacheSize = 1 << siteCacheBits
-)
-
-// siteSlot is pc's slot in the site cache: the top siteCacheBits of the
-// PC bits above the 4-byte alignment times an odd 64-bit constant
-// (2^64 over the golden ratio). The low bits alone would reach only the
-// even slots for 8-aligned PCs, as every gcc-profile PC is; the product's
-// top bits depend on every bit of the PC, bit 63's backward flag
-// included.
-func siteSlot(pc uint64) uint64 {
-	return (pc >> 2) * 0x9e3779b97f4a7c15 >> (64 - siteCacheBits)
-}
-
-// siteFor maps a branch PC to the session's dense static id, assigning
-// the next id on first appearance. A direct-mapped cache, indexed by
-// siteSlot, stands in front of the site map. A slot holds a session id +
-// 1 and is used only when that id's PC is pc — remap's rule — so a slot
-// left by any earlier PC costs one map lookup, never a wrong site.
-func (sess *session) siteFor(pc uint64) uint32 {
-	if sess.siteCache == nil {
-		sess.siteCache = new([siteCacheSize]uint32)
-	}
-	slot := &sess.siteCache[siteSlot(pc)]
-	if e := int(*slot) - 1; e >= 0 && e < len(sess.pcs) && sess.pcs[e] == pc {
-		return uint32(e)
-	}
-	st, ok := sess.sites[pc]
-	if !ok {
-		st = uint32(len(sess.sites))
-		sess.sites[pc] = st
-		sess.pcs = append(sess.pcs, pc)
-	}
-	*slot = st + 1
-	return st
-}
-
 // mapSites rewrites a binary body's static ids, which belong to the
-// client's capture, into the session's id space, in place. The site map
-// is consulted once per distinct site, not once per record: remap caches
-// client id -> session id + 1, and an entry is used only when the
+// client's capture, into the session's id space, in place. The site
+// table is consulted once per distinct site, not once per record: remap
+// caches client id -> session id + 1, and an entry is used only when the
 // session id's PC is the record's, so a client whose ids are wrong or
 // reused costs lookups, never a wrong site. Client ids are untrusted, so
 // remap grows only to the largest id seen below limit; ids past it take
-// the map every time.
+// the table every time.
 func (sess *session) mapSites(recs []trace.Record, limit int) {
 	for i := range recs {
 		r := &recs[i]
 		id := int(r.Static)
 		if id < len(sess.remap) {
-			if e := sess.remap[id]; e != 0 && sess.pcs[e-1] == r.PC {
+			if e := sess.remap[id]; e != 0 && sess.sites.Keys()[e-1] == r.PC {
 				r.Static = e - 1
 				continue
 			}
 		}
-		r.Static = sess.siteFor(r.PC)
+		r.Static, _ = sess.sites.ID(r.PC)
 		if id < limit {
 			for id >= len(sess.remap) {
 				sess.remap = append(sess.remap, 0)
@@ -266,14 +218,13 @@ func (s *Server) restoreState(sess *session, snap *sessionSnap) error {
 		}
 		specs = append(specs, sp)
 	}
-	sites := make(map[uint64]uint32, len(snap.PCs))
-	for st, pc := range snap.PCs {
-		sites[pc] = uint32(st)
+	var sites trace.IDTable
+	for _, pc := range snap.PCs {
+		if _, fresh := sites.ID(pc); !fresh {
+			return damage("snapshot site table repeats a PC")
+		}
 	}
-	if len(sites) != len(snap.PCs) {
-		return damage("snapshot site table repeats a PC")
-	}
-	sess.pcs, sess.sites = append([]uint64(nil), snap.PCs...), sites
+	sess.sites = sites
 	sess.cursor = snap.Cursor
 	sess.footnotes = append([]string(nil), snap.Footnotes...)
 	sess.specs = specs
@@ -292,7 +243,7 @@ func (sess *session) report(topN int) Report {
 		ID:        sess.id,
 		Name:      sess.name,
 		Cursor:    sess.cursor,
-		Statics:   len(sess.pcs),
+		Statics:   sess.sites.Len(),
 		Footnotes: append([]string(nil), sess.footnotes...),
 		Specs:     []SpecReport{},
 	}
@@ -394,7 +345,8 @@ var chunkPool = sync.Pool{New: func() any { return new([ingestChunk]trace.Record
 // OpenColumnar — every block CRC, so a damaged body applies nothing —
 // and then decoded block by block into one reused buffer; a row ("BMT1")
 // body is read by trace.Read; anything else is the text capture format,
-// parsed in place a record at a time, each PC given its id by siteFor. A
+// parsed in place a record at a time, each PC given its id by the site
+// table. A
 // decode failure is a 400; records already applied when it surfaces are
 // the caller's to roll back.
 func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error) {
@@ -431,7 +383,7 @@ func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error
 		if err != nil {
 			return 0, badBody(err)
 		}
-		limit := len(sess.pcs) + c.Len()
+		limit := sess.sites.Len() + c.Len()
 		for bs := c.BlockStream(); ; {
 			recs, err := bs.NextBlock()
 			if err != nil {
@@ -449,7 +401,7 @@ func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error
 		if err != nil {
 			return 0, badBody(err)
 		}
-		if err := applyBinary(mem.Records(), len(sess.pcs)+mem.Len()); err != nil {
+		if err := applyBinary(mem.Records(), sess.sites.Len()+mem.Len()); err != nil {
 			return 0, err
 		}
 	default:
@@ -462,7 +414,8 @@ func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error
 			if !ok {
 				break
 			}
-			chunk = append(chunk, trace.Record{PC: pc, Static: sess.siteFor(pc), Taken: taken})
+			st, _ := sess.sites.ID(pc)
+			chunk = append(chunk, trace.Record{PC: pc, Static: st, Taken: taken})
 			if len(chunk) == ingestChunk {
 				if err := apply(chunk); err != nil {
 					return 0, err

@@ -13,7 +13,7 @@ import (
 )
 
 // firstAppearance numbers PCs densely in order of first appearance, the
-// ids the session's site map gives.
+// ids the session's site table gives.
 func firstAppearance(pcs []uint64) map[uint64]uint32 {
 	ids := map[uint64]uint32{}
 	for _, pc := range pcs {
@@ -24,16 +24,16 @@ func firstAppearance(pcs []uint64) map[uint64]uint32 {
 	return ids
 }
 
-// TestSiteCacheCollisions: PCs that share a cache slot, alternating
-// record by record, within one body and across bodies, each get the id
-// the site map gives — directly from siteFor, and through text bodies
-// whose reports must equal one Observe pass over the first-appearance
-// numbering.
+// TestSiteCacheCollisions: PCs that share a site table slot, alternating
+// record by record, within one body and across bodies, each get their
+// first-appearance id — directly from the session's site table, and
+// through text bodies whose reports must equal one Observe pass over the
+// first-appearance numbering.
 func TestSiteCacheCollisions(t *testing.T) {
-	slotPCs := hashSlotPCs(6)
+	slotPCs := tableSlotPCs(6)
 	for _, pc := range slotPCs {
-		if siteSlot(pc) != siteSlot(slotPCs[0]) {
-			t.Fatalf("pc %#x does not share slot %d", pc, siteSlot(slotPCs[0]))
+		if homeSlot(pc) != homeSlot(slotPCs[0]) {
+			t.Fatalf("pc %#x does not share slot %d", pc, homeSlot(slotPCs[0]))
 		}
 	}
 	rng := rand.New(rand.NewPCG(7, 11))
@@ -51,10 +51,10 @@ func TestSiteCacheCollisions(t *testing.T) {
 	}
 	want := firstAppearance(pcs)
 
-	sess := &session{sites: map[uint64]uint32{}}
+	sess := &session{}
 	for i, pc := range pcs {
-		if got := sess.siteFor(pc); got != want[pc] {
-			t.Fatalf("record %d: siteFor(%#x) = %d, the map gives %d", i, pc, got, want[pc])
+		if got, _ := sess.sites.ID(pc); got != want[pc] {
+			t.Fatalf("record %d: sites.ID(%#x) = %d, first appearance gives %d", i, pc, got, want[pc])
 		}
 	}
 
@@ -75,9 +75,12 @@ func TestSiteCacheCollisions(t *testing.T) {
 		t.Fatal("locking the session")
 	}
 	defer live.unlock()
+	if live.sites.Len() != len(want) {
+		t.Fatalf("session has %d sites, want %d", live.sites.Len(), len(want))
+	}
 	for pc, st := range want {
-		if live.sites[pc] != st || live.pcs[st] != pc {
-			t.Errorf("pc %#x: site map %d, pcs[%d] = %#x; want id %d", pc, live.sites[pc], st, live.pcs[st], st)
+		if got := live.sites.Keys()[st]; got != pc {
+			t.Errorf("site %d is pc %#x, want %#x", st, got, pc)
 		}
 	}
 }
@@ -96,8 +99,8 @@ func TestSiteCacheRollback(t *testing.T) {
 	})
 	recs := testTrace(t, 14500).Records()
 	// moved gives every PC of recs a new PC at or above high that shares
-	// its site cache slot, so the bodies below fight over the slots the
-	// first one filled.
+	// its site table home slot, so the bodies below fight over the slots
+	// the first one filled.
 	moved := func(recs []trace.Record, high uint64) []trace.Record {
 		to, taken := map[uint64]uint64{}, map[uint64]bool{}
 		out := slices.Clone(recs)
@@ -105,7 +108,7 @@ func TestSiteCacheRollback(t *testing.T) {
 			pc := out[i].PC
 			n, ok := to[pc]
 			if !ok {
-				for n = pc | high; siteSlot(n) != siteSlot(pc) || taken[n]; n += 4 {
+				for n = pc | high; homeSlot(n) != homeSlot(pc) || taken[n]; n += 4 {
 				}
 				to[pc], taken[n] = n, true
 			}
@@ -138,13 +141,22 @@ func TestSiteCacheRollback(t *testing.T) {
 	sameAsControl(t, base, id, control)
 }
 
-// hashSlotPCs returns n 4-byte-aligned PCs, with and without the
-// backward flag, that all index the site cache slot of the first.
-func hashSlotPCs(n int) []uint64 {
+// slotBits is how many top bits of a PC's hash product homeSlot keeps:
+// PCs with equal homeSlot share their home slot in every site table of
+// up to 2^slotBits entries, far more than these tests' PCs fill.
+const slotBits = 14
+
+// homeSlot is pc's home slot in a 2^slotBits-entry trace.IDTable: the top
+// bits of pc times 2^64 over the golden ratio, the table's Fibonacci hash.
+func homeSlot(pc uint64) uint64 { return pc * 0x9e3779b97f4a7c15 >> (64 - slotBits) }
+
+// tableSlotPCs returns n 4-byte-aligned PCs, with and without the
+// backward flag, that all have the home slot of the first.
+func tableSlotPCs(n int) []uint64 {
 	pcs := []uint64{0x401000}
 	for pc := uint64(0x401004); len(pcs) < n; pc += 4 {
 		for _, p := range []uint64{pc, pc | 1<<63} {
-			if siteSlot(p) == siteSlot(pcs[0]) && len(pcs) < n {
+			if homeSlot(p) == homeSlot(pcs[0]) && len(pcs) < n {
 				pcs = append(pcs, p)
 			}
 		}
@@ -152,13 +164,13 @@ func hashSlotPCs(n int) []uint64 {
 	return pcs
 }
 
-// TestSiteCacheHashCollisions: PCs that share a slot under siteSlot,
+// TestSiteCacheHashCollisions: PCs that share a site table home slot,
 // alternating record by record with neighbors in other slots, each get
-// the id the site map gives, directly from siteFor and through text
-// bodies whose reports must equal one Observe pass over the
+// their first-appearance id, directly from the session's site table and
+// through text bodies whose reports must equal one Observe pass over the
 // first-appearance numbering.
 func TestSiteCacheHashCollisions(t *testing.T) {
-	shared := hashSlotPCs(4)
+	shared := tableSlotPCs(4)
 	rng := rand.New(rand.NewPCG(7, 11))
 	recs := make([]trace.Record, 3*ingestChunk)
 	pcs := make([]uint64, len(recs))
@@ -171,10 +183,10 @@ func TestSiteCacheHashCollisions(t *testing.T) {
 		pcs[i] = pc
 	}
 	want := firstAppearance(pcs)
-	sess := &session{sites: map[uint64]uint32{}}
+	sess := &session{}
 	for i, pc := range pcs {
-		if got := sess.siteFor(pc); got != want[pc] {
-			t.Fatalf("record %d: siteFor(%#x) = %d, the map gives %d", i, pc, got, want[pc])
+		if got, _ := sess.sites.ID(pc); got != want[pc] {
+			t.Fatalf("record %d: sites.ID(%#x) = %d, first appearance gives %d", i, pc, got, want[pc])
 		}
 	}
 
@@ -187,28 +199,5 @@ func TestSiteCacheHashCollisions(t *testing.T) {
 	_, rep := rawReport(t, base, id)
 	for i, spec := range specs {
 		sameSpecReport(t, rep.Specs[i], referenceSpecReport(spec, recs, s.cfg.TopN))
-	}
-}
-
-// TestSiteSlotUsesOddSlots: 8-aligned PCs, the only kind the gcc
-// profile makes, reach odd slots as well as even ones, and 4096
-// consecutive ones fill well over the half of the cache that the
-// alignment bits alone would leave them.
-func TestSiteSlotUsesOddSlots(t *testing.T) {
-	used := map[uint64]bool{}
-	odd := 0
-	for i := range uint64(siteCacheSize) {
-		slot := siteSlot(0x400000 + 8*i)
-		if slot >= siteCacheSize {
-			t.Fatalf("slot %d out of range", slot)
-		}
-		if !used[slot] && slot%2 == 1 {
-			odd++
-		}
-		used[slot] = true
-	}
-	if odd == 0 || len(used) <= siteCacheSize/2 {
-		t.Fatalf("%d 8-aligned PCs use %d slots, %d of them odd; want odd slots and more than %d",
-			siteCacheSize, len(used), odd, siteCacheSize/2)
 	}
 }

@@ -45,9 +45,8 @@ func IsColumnar(data []byte) bool {
 // pc is hexadecimal (with or without 0x) or decimal and taken is 1/0,
 // t/n, T/N, taken/not. Blank lines and lines starting with '#' are
 // skipped. Static site ids are assigned densely in first-appearance
-// order of the PC — the identifier contract workload generators follow —
-// and the site table can be seeded and carried across scanners, so that
-// the bodies of one capture share one id space.
+// order of the PC, through an IDTable — the identifier contract workload
+// generators follow.
 //
 // A scanner reads an io.Reader through a window it refills
 // (NewTextScanner), or parses a body already in memory where it lies,
@@ -67,7 +66,7 @@ type TextScanner struct {
 	pos    int       // the start of the next line in buf
 	r      io.Reader // the reader still to drain: nil once it ended, and for a body
 	rerr   error     // the error the reader ended with, io.EOF at a clean end
-	sites  map[uint64]uint32
+	sites  IDTable   // PC -> static id
 	rec    Record
 	err    error
 	lineNo int
@@ -79,28 +78,18 @@ const maxLine = 1 << 20
 
 // NewTextScanner returns a scanner over r with a fresh site table.
 func NewTextScanner(r io.Reader) *TextScanner {
-	return &TextScanner{buf: make([]byte, 0, 64<<10), r: r, sites: map[uint64]uint32{}}
+	return &TextScanner{buf: make([]byte, 0, 64<<10), r: r}
 }
 
 // NewTextScannerBytes returns a scanner over body with a fresh site
 // table. It reads body in place and never modifies it.
 func NewTextScannerBytes(body []byte) *TextScanner {
-	return &TextScanner{buf: body, sites: map[uint64]uint32{}}
+	return &TextScanner{buf: body}
 }
 
-// SetSites replaces the scanner's site table with sites (pc -> static
-// id), so new PCs extend an existing id space. The map is used directly,
-// not copied; ids already present must be dense in [0, len(sites)).
-func (s *TextScanner) SetSites(sites map[uint64]uint32) {
-	if sites == nil {
-		sites = map[uint64]uint32{}
-	}
-	s.sites = sites
-}
-
-// Sites exposes the scanner's live site table: every PC seen so far
-// mapped to its dense static id. Callers must not mutate it mid-scan.
-func (s *TextScanner) Sites() map[uint64]uint32 { return s.sites }
+// Sites returns every PC seen so far in static id order: Sites()[id] is
+// id's PC. The slice is the scanner's own; callers must not modify it.
+func (s *TextScanner) Sites() []uint64 { return s.sites.Keys() }
 
 // Record returns the record parsed by the last successful Scan.
 func (s *TextScanner) Record() Record { return s.rec }
@@ -116,11 +105,7 @@ func (s *TextScanner) Scan() bool {
 	if !ok {
 		return false
 	}
-	st, ok := s.sites[pc]
-	if !ok {
-		st = uint32(len(s.sites))
-		s.sites[pc] = st
-	}
+	st, _ := s.sites.ID(pc)
 	s.rec = Record{PC: pc, Static: st, Taken: taken}
 	return true
 }
@@ -431,7 +416,7 @@ func ImportText(r io.Reader, name string) (*Memory, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	statics := len(sc.Sites())
+	statics := sc.sites.Len()
 	if statics == 0 {
 		statics = 1 // a well-formed empty trace still declares a site space
 	}

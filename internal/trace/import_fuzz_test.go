@@ -4,10 +4,9 @@ package trace
 // parser TextScanner.Scan ran on every line before the byte-level pass:
 // a verbatim copy, kept here as the oracle. A scanner from each
 // constructor (NewTextScanner over a reader, NewTextScannerBytes over
-// the body in place) reads the same body as the oracle, optionally over
-// the same seeded site table, and must deliver the same records, leave
-// the same site table and stop with the same error text, line number
-// included; the body must come out unmodified. The seed corpus in
+// the body in place) reads the same body as the oracle and must deliver
+// the same records, leave the same site table and stop with the same
+// error text, line number included; the body must come out unmodified. The seed corpus in
 // testdata/fuzz/FuzzTextScanner covers CRLF endings, tab, \v and \f
 // separators, a U+00A0 separator, a flag spelled with U+212A, 0X and a
 // bare 0x, the largest decimal PC and one past it, a 17-hex-digit PC, CSV
@@ -18,9 +17,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"maps"
-	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,14 +113,8 @@ func refParseTaken(s string) (bool, error) {
 	return false, fmt.Errorf("bad taken flag %q (want 1/0, t/n, taken/not)", s)
 }
 
-// fuzzSeedSites is the site table a seeded fuzz input starts from: ids
-// dense in first-appearance order, as a service session carries them.
-func fuzzSeedSites() map[uint64]uint32 {
-	return map[uint64]uint32{0x1000: 0, 0x10: 1, 0xdead: 2, math.MaxUint64: 3}
-}
-
 func FuzzTextScanner(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte, seeded bool) {
+	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
 		for _, c := range []struct {
 			name string
@@ -133,10 +125,6 @@ func FuzzTextScanner(f *testing.F) {
 		} {
 			got := c.got
 			want := newRefTextScanner(bytes.NewReader(body))
-			if seeded {
-				got.SetSites(fuzzSeedSites())
-				want.sites = fuzzSeedSites()
-			}
 			for n := 0; ; n++ {
 				g, w := got.Scan(), want.Scan()
 				if g != w {
@@ -152,8 +140,12 @@ func FuzzTextScanner(f *testing.F) {
 			if !reflect.DeepEqual(got.Err(), want.err) {
 				t.Fatalf("%s: error %q, oracle %q", c.name, got.Err(), want.err)
 			}
-			if !maps.Equal(got.Sites(), want.sites) {
-				t.Fatalf("%s: site table %v, oracle %v", c.name, got.Sites(), want.sites)
+			wantPCs := make([]uint64, len(want.sites))
+			for pc, st := range want.sites {
+				wantPCs[st] = pc
+			}
+			if !slices.Equal(got.Sites(), wantPCs) {
+				t.Fatalf("%s: site table %v, oracle %v", c.name, got.Sites(), wantPCs)
 			}
 		}
 		if !bytes.Equal(body, orig) {

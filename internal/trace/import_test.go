@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -227,9 +228,8 @@ func TestTextScannerReaders(t *testing.T) {
 }
 
 // TestTextScannerStreaming: the record-at-a-time scanner yields exactly
-// what ImportText materializes, and a seeded site table carried across
-// two scanners assigns one consistent id space — the contract predserve
-// relies on when a session's trace arrives over many request bodies.
+// what ImportText materializes, and its site table lists the PCs in the
+// order their ids were given.
 func TestTextScannerStreaming(t *testing.T) {
 	in := "0x1000 1\n0x2000 0\n0x1000 0\n# note\n0x3000 t\n"
 	want, err := ImportText(strings.NewReader(in), "w")
@@ -253,31 +253,8 @@ func TestTextScannerStreaming(t *testing.T) {
 		}
 	}
 
-	// Split the same capture across two bodies sharing one site table:
-	// ids must continue, not restart.
-	sc1 := NewTextScanner(strings.NewReader("0x1000 1\n0x2000 0\n"))
-	for sc1.Scan() {
-	}
-	if err := sc1.Err(); err != nil {
-		t.Fatalf("first body: %v", err)
-	}
-	sc2 := NewTextScanner(strings.NewReader("0x1000 0\n0x3000 t\n"))
-	sc2.SetSites(sc1.Sites())
-	var second []Record
-	for sc2.Scan() {
-		second = append(second, sc2.Record())
-	}
-	if err := sc2.Err(); err != nil {
-		t.Fatalf("second body: %v", err)
-	}
-	if second[0].Static != 0 {
-		t.Errorf("0x1000 in the second body got id %d, want the seeded 0", second[0].Static)
-	}
-	if second[1].Static != 2 {
-		t.Errorf("new pc 0x3000 got id %d, want 2 (continuing the seeded space)", second[1].Static)
-	}
-	if n := len(sc2.Sites()); n != 3 {
-		t.Errorf("combined site table has %d entries, want 3", n)
+	if sites := sc.Sites(); !slices.Equal(sites, []uint64{0x1000, 0x2000, 0x3000}) {
+		t.Errorf("Sites() = %#x, want 0x1000, 0x2000, 0x3000 in id order", sites)
 	}
 }
 
@@ -326,8 +303,10 @@ func TestImportTextEmpty(t *testing.T) {
 }
 
 // TestTextScannerAllocs: once every PC is in the site table, scanning an
-// ASCII capture allocates nothing per record — the scanner's setup is the
-// whole cost, so twice the lines cost exactly as many allocations. The
+// ASCII capture allocates nothing per record. The capture's 509 PCs all
+// appear in its first 509 lines, so the scanner's setup and its site
+// table's growth are the whole cost, and twice the lines cost exactly as
+// many allocations. The
 // same holds for a scanner over the body in place, whose allocations per
 // scanner also stay the same for a body 64 times as long.
 func TestTextScannerAllocs(t *testing.T) {
@@ -336,12 +315,10 @@ func TestTextScannerAllocs(t *testing.T) {
 		fmt.Fprintf(&sb, "0x%x %d\n", 0x400000+4*(i%509), i%2)
 	}
 	body := []byte(sb.String())
-	sites := map[uint64]uint32{}
 	allocs := func(lines int) float64 {
 		in := body[:len(body)*lines/8192]
 		return testing.AllocsPerRun(20, func() {
 			sc := NewTextScanner(bytes.NewReader(in))
-			sc.SetSites(sites)
 			n := 0
 			for sc.Scan() {
 				n++
@@ -351,7 +328,6 @@ func TestTextScannerAllocs(t *testing.T) {
 			}
 		})
 	}
-	allocs(8192) // fills the site table
 	if half, full := allocs(4096), allocs(8192); half != full {
 		t.Errorf("%v allocations for 4096 lines, %v for 8192: the scan allocates per record", half, full)
 	}
@@ -360,7 +336,6 @@ func TestTextScannerAllocs(t *testing.T) {
 	inPlace := func(in []byte) float64 {
 		return testing.AllocsPerRun(20, func() {
 			sc := NewTextScannerBytes(in)
-			sc.SetSites(sites)
 			n := 0
 			for sc.Scan() {
 				n++
