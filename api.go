@@ -119,8 +119,8 @@ func WriteColumnarTrace(w io.Writer, src Source) error {
 // way. The caller must not mutate data while the handle is in use.
 func OpenColumnarTrace(data []byte) (*ColumnarTrace, error) { return trace.OpenColumnar(data) }
 
-// DecodeTrace sniffs the magic of an encoded trace file — row varint
-// "BMT1" or columnar "BMC1" — and materializes it.
+// DecodeTrace opens an encoded BMC1 trace file and materializes it.
+// Anything else fails at its magic with a *trace.ColumnarDecodeError.
 func DecodeTrace(data []byte) (Source, error) { return trace.Decode(data) }
 
 // Result summarizes one simulation run.

@@ -9,11 +9,10 @@
 //	bimodesim -list
 //
 // Workloads are the fourteen calibrated synthetic benchmarks (SPEC CINT95
-// and IBS-Ultrix stand-ins), the instrumented programs, a binary trace
-// file produced by tracegen in either format, record-stream BMT1 or
-// columnar BMC1 (prefix with @, e.g. -w @gcc.trace or -w @gcc.bmc), or a
-// user-defined profile (any name ending in .json; see synth.ReadProfile
-// for the schema).
+// and IBS-Ultrix stand-ins), the instrumented programs, a BMC1 trace
+// file produced by tracegen or tracecat (prefix with @, e.g.
+// -w @gcc.bmc), or a user-defined profile (any name ending in .json; see
+// synth.ReadProfile for the schema).
 package main
 
 import (
@@ -48,7 +47,7 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bimodesim", flag.ContinueOnError)
 	var (
-		workloadList = fs.String("w", "gcc", "comma-separated workload names, or @file for a saved trace in either format (BMT1 or BMC1)")
+		workloadList = fs.String("w", "gcc", "comma-separated workload names, or @file for a saved BMC1 trace")
 		predList     = fs.String("p", "bimode:b=11;gshare:i=12,h=12", "semicolon-separated predictor specs")
 		branches     = fs.Int("n", 0, "override dynamic branch count per workload (0 = profile default)")
 		seed         = fs.Uint64("seed", 0, "override workload seed (0 = profile default)")

@@ -1,8 +1,8 @@
 // Command predserve runs the prediction service (internal/serve):
 // branch-prediction simulation as a crash-safe HTTP service. Clients
 // open sessions naming predictor specs, stream branch traces — text
-// captures, "BMT1" row binary, or "BMC1" columnar bodies — and read
-// incremental mispredict / aliasing / H2P reports as the trace grows.
+// captures or "BMC1" columnar bodies — and read incremental mispredict /
+// aliasing / H2P reports as the trace grows.
 //
 // Every acknowledged ingest is journaled before the response is sent, so
 // killing the process (or the box) loses only unacknowledged requests:

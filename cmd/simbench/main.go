@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -89,20 +88,6 @@ type WorkerPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// DecodeResult compares on-disk trace decode throughput: the legacy row
-// varint decoder (trace.Read, record at a time through a byte reader)
-// against columnar block iteration (trace.OpenColumnar + BlockStream,
-// a block of records at a time over raw slices). Both decode the same
-// suite of workloads; Speedup is columnar over varint on this host.
-type DecodeResult struct {
-	Records               int     `json:"records"`
-	VarintBytes           int     `json:"varint_bytes"`
-	ColumnarBytes         int     `json:"columnar_bytes"`
-	VarintRecordsPerSec   float64 `json:"varint_records_per_sec"`
-	ColumnarRecordsPerSec float64 `json:"columnar_records_per_sec"`
-	Speedup               float64 `json:"speedup"`
-}
-
 // Report is the top-level BENCH_sim.json document.
 type Report struct {
 	Suite              string         `json:"suite"`
@@ -113,7 +98,6 @@ type Report struct {
 	GOARCH             string         `json:"goarch"`
 	Results            []Result       `json:"results"`
 	SuiteParallel      *SuiteParallel `json:"suite_parallel,omitempty"`
-	Decode             *DecodeResult  `json:"decode,omitempty"`
 }
 
 func run(args []string) error {
@@ -199,14 +183,6 @@ func run(args []string) error {
 			"", pt.Workers, pt.BranchesPerSec/1e6, pt.Speedup)
 	}
 
-	dec, err := measureDecode(srcs, *reps)
-	if err != nil {
-		return err
-	}
-	rep.Decode = &dec
-	fmt.Printf("%-20s varint %6.1f Mrec/s  columnar %6.1f Mrec/s  speedup %.2fx\n",
-		"trace decode", dec.VarintRecordsPerSec/1e6, dec.ColumnarRecordsPerSec/1e6, dec.Speedup)
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -242,12 +218,6 @@ func run(args []string) error {
 // Per-spec ratios are individually noisy (short measurements, shared CI
 // cores), which is why the suite-wide check uses the geometric mean and
 // the per-spec floor is 3x looser.
-//
-// When both the fresh report and the baseline carry a decode entry, the
-// same machine-relative treatment covers it: the columnar/varint decode
-// speedup ratio (fresh over baseline) must stay above the per-spec floor
-// 1-3*tol, catching the columnar block decoder silently losing its edge
-// over the record-at-a-time path.
 func guardAgainst(path string, fresh Report, tol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -287,100 +257,7 @@ func guardAgainst(path string, fresh Report, tol float64) error {
 		return fmt.Errorf("guard: suite-wide fast-path regression: geomean speedup ratio %.3f below floor %.3f (%d specs vs %s)",
 			gm, 1-tol, matched, path)
 	}
-	if fresh.Decode != nil && base.Decode != nil && base.Decode.Speedup > 0 && fresh.Decode.Speedup > 0 {
-		if ratio := fresh.Decode.Speedup / base.Decode.Speedup; ratio < 1-3*tol {
-			return fmt.Errorf("guard: decode throughput collapsed: columnar/varint speedup %.2fx is %.0f%% below baseline %.2fx",
-				fresh.Decode.Speedup, 100*(1-ratio), base.Decode.Speedup)
-		}
-	}
 	return nil
-}
-
-// measureDecode times full-file decode of the suite in both on-disk
-// formats, best of reps passes per workload per format. The varint path
-// is trace.Read — the record-at-a-time decoder every pre-columnar tool
-// used; the columnar path is trace.OpenColumnar (index + checksum
-// validation) plus a full BlockStream drain, the exact sequence
-// sim.Run's block dispatch performs.
-func measureDecode(srcs []trace.Source, reps int) (DecodeResult, error) {
-	var dec DecodeResult
-	rows := make([][]byte, len(srcs))
-	cols := make([][]byte, len(srcs))
-	for i, src := range srcs {
-		m := trace.Materialize(src)
-		dec.Records += m.Len()
-		var row, col bytes.Buffer
-		if err := trace.Write(&row, m); err != nil {
-			return dec, err
-		}
-		if err := trace.WriteColumnar(&col, m); err != nil {
-			return dec, err
-		}
-		rows[i], cols[i] = row.Bytes(), col.Bytes()
-		dec.VarintBytes += row.Len()
-		dec.ColumnarBytes += col.Len()
-	}
-
-	timeBest := func(pass func() (int, error)) (float64, error) {
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < reps; rep++ {
-			start := time.Now()
-			n, err := pass()
-			if err != nil {
-				return 0, err
-			}
-			if n != dec.Records {
-				return 0, fmt.Errorf("decode pass yielded %d records, want %d", n, dec.Records)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best.Seconds(), nil
-	}
-
-	varSecs, err := timeBest(func() (int, error) {
-		n := 0
-		for _, data := range rows {
-			m, err := trace.Read(bytes.NewReader(data))
-			if err != nil {
-				return 0, err
-			}
-			n += m.Len()
-		}
-		return n, nil
-	})
-	if err != nil {
-		return dec, err
-	}
-	colSecs, err := timeBest(func() (int, error) {
-		n := 0
-		for _, data := range cols {
-			c, err := trace.OpenColumnar(data)
-			if err != nil {
-				return 0, err
-			}
-			bs := c.BlockStream()
-			for {
-				recs, err := bs.NextBlock()
-				if err != nil {
-					return 0, err
-				}
-				if recs == nil {
-					break
-				}
-				n += len(recs)
-			}
-		}
-		return n, nil
-	})
-	if err != nil {
-		return dec, err
-	}
-	dec.VarintRecordsPerSec = float64(dec.Records) / varSecs
-	dec.ColumnarRecordsPerSec = float64(dec.Records) / colSecs
-	dec.Speedup = dec.ColumnarRecordsPerSec / dec.VarintRecordsPerSec
-	return dec, nil
 }
 
 // suiteWorkerCounts returns the pool widths the suite curve samples:

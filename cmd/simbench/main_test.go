@@ -40,18 +40,6 @@ func TestSimbenchSmoke(t *testing.T) {
 	if len(rep.Workloads) != 6 {
 		t.Errorf("got %d workloads, want 6", len(rep.Workloads))
 	}
-	if rep.Decode == nil {
-		t.Fatalf("report is missing the decode-throughput entry")
-	}
-	if rep.Decode.Records != 6*20000 {
-		t.Errorf("decode entry covered %d records, want %d", rep.Decode.Records, 6*20000)
-	}
-	if rep.Decode.VarintRecordsPerSec <= 0 || rep.Decode.ColumnarRecordsPerSec <= 0 || rep.Decode.Speedup <= 0 {
-		t.Errorf("non-positive decode throughput: %+v", rep.Decode)
-	}
-	if rep.Decode.VarintBytes <= 0 || rep.Decode.ColumnarBytes <= 0 {
-		t.Errorf("decode entry lacks encoded sizes: %+v", rep.Decode)
-	}
 }
 
 func TestSimbenchErrors(t *testing.T) {
@@ -129,31 +117,6 @@ func TestGuardAgainst(t *testing.T) {
 	}
 	if err := guardAgainst(badPath, Report{Results: cases[0].fresh}, 0.05); err == nil {
 		t.Error("malformed baseline should fail")
-	}
-
-	// Decode-throughput guard: covered when both reports carry the entry,
-	// machine-relative, per-spec-style floor of 1-3*tol.
-	decBase := writeBase("decode-base.json", Report{
-		Results: []Result{{Spec: "bimode:b=8", Speedup: 2.0}},
-		Decode:  &DecodeResult{Speedup: 8.0},
-	})
-	okFresh := Report{
-		Results: []Result{{Spec: "bimode:b=8", Speedup: 2.0}},
-		Decode:  &DecodeResult{Speedup: 7.5},
-	}
-	if err := guardAgainst(decBase, okFresh, 0.15); err != nil {
-		t.Errorf("decode within tolerance failed the guard: %v", err)
-	}
-	collapsedFresh := Report{
-		Results: []Result{{Spec: "bimode:b=8", Speedup: 2.0}},
-		Decode:  &DecodeResult{Speedup: 3.0},
-	}
-	if err := guardAgainst(decBase, collapsedFresh, 0.15); err == nil {
-		t.Error("collapsed decode speedup passed the guard")
-	}
-	// A fresh report without a decode entry still guards the spec results.
-	if err := guardAgainst(decBase, Report{Results: okFresh.Results}, 0.15); err != nil {
-		t.Errorf("missing fresh decode entry should not fail the guard: %v", err)
 	}
 }
 

@@ -1,21 +1,17 @@
-// Command tracecat converts, imports, inspects and verifies on-disk
-// branch traces. It is the migration path between the legacy row varint
-// format ("BMT1") and the block-compressed columnar format ("BMC1"),
-// and the entry point for external (pc, taken) captures.
+// Command tracecat imports, inspects and verifies on-disk branch
+// traces. It is the entry point for external (pc, taken) captures, which
+// it writes as BMC1, the repository's block-compressed, checksummed trace
+// format.
 //
 // Usage:
 //
-//	tracecat convert -o gcc.bmc gcc.trace          # row -> columnar
-//	tracecat convert -format varint -o x.trace x.bmc
 //	tracecat import -name capture -o cap.bmc capture.txt
-//	tracecat info gcc.bmc                          # sniff + stats
-//	tracecat verify gcc.trace gcc.bmc              # record-for-record proof
-//
-// Every subcommand sniffs input formats from the magic, so conversion is
-// idempotent and verify compares traces across formats.
+//	tracecat info gcc.bmc                          # layout + stats
+//	tracecat verify a.bmc b.bmc                    # record-for-record proof
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -33,11 +29,9 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("need a subcommand: convert, import, info, or verify")
+		return fmt.Errorf("need a subcommand: import, info, or verify")
 	}
 	switch args[0] {
-	case "convert":
-		return runConvert(args[1:], out)
 	case "import":
 		return runImport(args[1:], out)
 	case "info":
@@ -45,75 +39,15 @@ func run(args []string, out io.Writer) error {
 	case "verify":
 		return runVerify(args[1:], out)
 	}
-	return fmt.Errorf("unknown subcommand %q (want convert, import, info, or verify)", args[0])
-}
-
-// writeAs encodes m to path in the requested format and reports the
-// resulting size.
-func writeAs(out io.Writer, path, format string, block int, m *trace.Memory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "varint":
-		err = trace.Write(f, m)
-	case "columnar":
-		err = trace.WriteColumnarBlocks(f, m, block)
-	default:
-		err = fmt.Errorf("unknown -format %q (want varint or columnar)", format)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	perBranch := 0.0
-	if m.Len() > 0 {
-		perBranch = float64(st.Size()) / float64(m.Len())
-	}
-	fmt.Fprintf(out, "wrote %s (%s): %d branches, %d bytes (%.2f bytes/branch)\n",
-		path, format, m.Len(), st.Size(), perBranch)
-	return nil
-}
-
-func runConvert(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("tracecat convert", flag.ContinueOnError)
-	var (
-		o      = fs.String("o", "", "output trace file")
-		format = fs.String("format", "columnar", "output format: varint or columnar")
-		block  = fs.Int("block", trace.DefaultColumnarBlock, "records per block for columnar output")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *o == "" || fs.NArg() != 1 {
-		return fmt.Errorf("usage: tracecat convert -o <out> [-format varint|columnar] <in>")
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	m, err := trace.Decode(data)
-	if err != nil {
-		return err
-	}
-	return writeAs(out, *o, *format, *block, m)
+	return fmt.Errorf("unknown subcommand %q (want import, info, or verify)", args[0])
 }
 
 func runImport(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracecat import", flag.ContinueOnError)
 	var (
-		o      = fs.String("o", "", "output trace file")
-		name   = fs.String("name", "", "workload name for the imported trace (default: input filename)")
-		format = fs.String("format", "columnar", "output format: varint or columnar")
-		block  = fs.Int("block", trace.DefaultColumnarBlock, "records per block for columnar output")
+		o     = fs.String("o", "", "output trace file")
+		name  = fs.String("name", "", "workload name for the imported trace (default: input filename)")
+		block = fs.Int("block", trace.DefaultColumnarBlock, "records per block")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -134,7 +68,28 @@ func runImport(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeAs(out, *o, *format, *block, m)
+	w, err := os.Create(*o)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteColumnarBlocks(w, m, *block); err != nil {
+		w.Close()
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	st, err := os.Stat(*o)
+	if err != nil {
+		return err
+	}
+	perBranch := 0.0
+	if m.Len() > 0 {
+		perBranch = float64(st.Size()) / float64(m.Len())
+	}
+	fmt.Fprintf(out, "wrote %s: %d branches, %d bytes (%.2f bytes/branch)\n",
+		*o, m.Len(), st.Size(), perBranch)
+	return nil
 }
 
 func runInfo(args []string, out io.Writer) error {
@@ -145,25 +100,18 @@ func runInfo(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if trace.IsColumnar(data) {
-		c, err := trace.OpenColumnar(data)
-		if err != nil {
-			return err
-		}
-		m := trace.Materialize(c)
-		stats := trace.Collect(m)
-		fmt.Fprintf(out, "%s: columnar, %d blocks of %d, %d static sites (%d declared), %d dynamic branches, %.1f%% taken\n",
-			stats.Name, c.NumBlocks(), c.BlockSize(), stats.StaticBranches, m.StaticCount(),
-			stats.DynamicBranches, 100*stats.TakenRate())
-		return nil
+	c, err := trace.OpenColumnar(data)
+	if err != nil {
+		return err
 	}
-	m, err := trace.Decode(data)
+	m, err := trace.MaterializeContext(context.Background(), c)
 	if err != nil {
 		return err
 	}
 	stats := trace.Collect(m)
-	fmt.Fprintf(out, "%s: varint, %d static sites (%d declared), %d dynamic branches, %.1f%% taken\n",
-		stats.Name, stats.StaticBranches, m.StaticCount(), stats.DynamicBranches, 100*stats.TakenRate())
+	fmt.Fprintf(out, "%s: columnar, %d blocks of %d, %d static sites (%d declared), %d dynamic branches, %.1f%% taken\n",
+		stats.Name, c.NumBlocks(), c.BlockSize(), stats.StaticBranches, m.StaticCount(),
+		stats.DynamicBranches, 100*stats.TakenRate())
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,7 @@ import (
 	"bimode/internal/trace"
 )
 
-// fixture writes a small row-format trace to dir and returns its path.
+// fixture writes a small BMC1 trace to dir and returns its path.
 func fixture(t *testing.T, dir string) string {
 	t.Helper()
 	recs := make([]trace.Record, 300)
@@ -18,12 +19,12 @@ func fixture(t *testing.T, dir string) string {
 		recs[i] = trace.Record{PC: uint64(0x2000 + 8*(i%11)), Static: uint32(i % 11), Taken: i%4 != 0}
 	}
 	m := trace.NewMemory("fixture", 11, recs)
-	path := filepath.Join(dir, "fixture.trace")
+	path := filepath.Join(dir, "fixture.bmc")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, m); err != nil {
+	if err := trace.WriteColumnarBlocks(f, m, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -32,53 +33,28 @@ func fixture(t *testing.T, dir string) string {
 	return path
 }
 
-func TestConvertThenVerify(t *testing.T) {
-	dir := t.TempDir()
-	row := fixture(t, dir)
-	col := filepath.Join(dir, "fixture.bmc")
-	var out bytes.Buffer
-	if err := run([]string{"convert", "-o", col, row}, &out); err != nil {
-		t.Fatalf("convert to columnar: %v", err)
-	}
-	data, err := os.ReadFile(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trace.IsColumnar(data) {
-		t.Fatalf("convert did not produce a columnar file")
-	}
-	if err := run([]string{"verify", row, col}, &out); err != nil {
-		t.Fatalf("verify row vs columnar: %v", err)
-	}
-	// Round trip back to varint and verify against the original.
-	back := filepath.Join(dir, "back.trace")
-	if err := run([]string{"convert", "-format", "varint", "-o", back, col}, &out); err != nil {
-		t.Fatalf("convert back to varint: %v", err)
-	}
-	if err := run([]string{"verify", row, back}, &out); err != nil {
-		t.Fatalf("verify after round trip: %v", err)
-	}
-	if !strings.Contains(out.String(), "identical") {
-		t.Fatalf("verify output does not say identical: %q", out.String())
-	}
-}
-
 func TestVerifyDetectsDifferences(t *testing.T) {
 	dir := t.TempDir()
 	row := fixture(t, dir)
-	other := filepath.Join(dir, "other.trace")
+	other := filepath.Join(dir, "other.bmc")
 	m := trace.NewMemory("fixture", 11, []trace.Record{{PC: 1, Static: 0, Taken: true}})
 	f, err := os.Create(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, m); err != nil {
+	if err := trace.WriteColumnar(f, m); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	var out bytes.Buffer
 	if err := run([]string{"verify", row, other}, &out); err == nil {
 		t.Fatalf("verify accepted differing traces")
+	}
+	if err := run([]string{"verify", row, row}, &out); err != nil {
+		t.Fatalf("verify of a file against itself: %v", err)
+	}
+	if !strings.Contains(out.String(), "identical") {
+		t.Fatalf("verify output does not say identical: %q", out.String())
 	}
 }
 
@@ -113,27 +89,26 @@ func TestImportTextCapture(t *testing.T) {
 	}
 }
 
+// TestInfoBothFormats: info prints a BMC1 file's block layout, and
+// refuses a file in the retired BMT1 row format at its magic.
 func TestInfoBothFormats(t *testing.T) {
 	dir := t.TempDir()
-	row := fixture(t, dir)
-	col := filepath.Join(dir, "fixture.bmc")
+	col := fixture(t, dir)
 	var out bytes.Buffer
-	if err := run([]string{"convert", "-o", col, row}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"info", row}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "varint") {
-		t.Fatalf("info on row file: %q", out.String())
-	}
-	out.Reset()
 	if err := run([]string{"info", col}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "blocks of") {
+	if !strings.Contains(out.String(), "5 blocks of 64") {
 		t.Fatalf("info on columnar file lacks block layout: %q", out.String())
+	}
+	row := filepath.Join(dir, "old.trace")
+	if err := os.WriteFile(row, []byte("BMT1\x0b\x01\x07fixture\x02\x80\x40"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"info", row}, &out)
+	var dec *trace.ColumnarDecodeError
+	if !errors.As(err, &dec) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("info on a BMT1 file: %v, want a bad-magic *trace.ColumnarDecodeError", err)
 	}
 }
 
@@ -144,10 +119,9 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"frobnicate"},
-		{"convert", row},
-		{"convert", "-o", filepath.Join(dir, "x.bmc"), "/nonexistent.trace"},
-		{"convert", "-format", "bogus", "-o", filepath.Join(dir, "x.bmc"), row},
+		{"convert", "-o", filepath.Join(dir, "x.bmc"), row},
 		{"import", "-o", filepath.Join(dir, "x.bmc"), "/nonexistent.txt"},
+		{"import", "-format", "varint", "-o", filepath.Join(dir, "x.bmc"), row},
 		{"info"},
 		{"info", "/nonexistent.trace"},
 		{"verify", row},

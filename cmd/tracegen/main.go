@@ -1,14 +1,14 @@
 // Command tracegen generates, saves, and inspects branch traces in the
-// repository's binary format, so expensive workloads can be generated
-// once and replayed from disk.
+// repository's binary format (BMC1, block-compressed and checksummed),
+// so expensive workloads can be generated once and replayed from disk.
 //
 // Usage:
 //
-//	tracegen -w gcc -o gcc.trace
-//	tracegen -w gcc -format columnar -o gcc.bmc
-//	tracegen -info gcc.trace              # sniffs either binary format
-//	tracegen -w playout -n 1000000 -o playout.trace
-//	tracegen -w mine.json -o mine.trace   # user-defined profile
+//	tracegen -w gcc -o gcc.bmc
+//	tracegen -w gcc -block 1024 -o gcc.bmc
+//	tracegen -info gcc.bmc
+//	tracegen -w playout -n 1000000 -o playout.bmc
+//	tracegen -w mine.json -o mine.bmc     # user-defined profile
 package main
 
 import (
@@ -36,9 +36,8 @@ func run(args []string) error {
 		out     = fs.String("o", "", "output trace file")
 		dynamic = fs.Int("n", 0, "dynamic branches (0 = calibrated default)")
 		seed    = fs.Uint64("seed", 0, "workload seed override")
-		format  = fs.String("format", "varint", "output format: varint (row) or columnar (block-compressed, checksummed)")
-		block   = fs.Int("block", trace.DefaultColumnarBlock, "records per block for -format columnar")
-		info    = fs.String("info", "", "print statistics of an existing trace file (either format) and exit")
+		block   = fs.Int("block", trace.DefaultColumnarBlock, "records per block")
+		info    = fs.String("info", "", "print statistics of an existing trace file and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,20 +90,11 @@ func run(args []string) error {
 		}
 	}
 	m := trace.Materialize(src)
-	var encode func(f *os.File) error
-	switch *format {
-	case "varint":
-		encode = func(f *os.File) error { return trace.Write(f, m) }
-	case "columnar":
-		encode = func(f *os.File) error { return trace.WriteColumnarBlocks(f, m, *block) }
-	default:
-		return fmt.Errorf("unknown -format %q (want varint or columnar)", *format)
-	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	if err := encode(f); err != nil {
+	if err := trace.WriteColumnarBlocks(f, m, *block); err != nil {
 		f.Close()
 		return err
 	}

@@ -70,47 +70,49 @@ func TestJSONProfileTrace(t *testing.T) {
 
 func TestColumnarFormat(t *testing.T) {
 	dir := t.TempDir()
-	row := filepath.Join(dir, "w.trace")
-	col := filepath.Join(dir, "w.bmc")
-	if err := run([]string{"-w", "verilog", "-n", "10000", "-o", row}); err != nil {
+	def := filepath.Join(dir, "w.bmc")
+	small := filepath.Join(dir, "w64.bmc")
+	if err := run([]string{"-w", "verilog", "-n", "10000", "-o", def}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-w", "verilog", "-n", "10000", "-format", "columnar", "-o", col}); err != nil {
+	if err := run([]string{"-w", "verilog", "-n", "10000", "-block", "64", "-o", small}); err != nil {
 		t.Fatal(err)
 	}
-	// -info sniffs both formats and must agree on the statistics.
-	if err := run([]string{"-info", col}); err != nil {
+	if err := run([]string{"-info", small}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := os.ReadFile(row)
-	if err != nil {
-		t.Fatal(err)
+	// Both files are BMC1 at their block sizes and hold the same trace.
+	var mems [2]*trace.Memory
+	for i, path := range []string{def, small} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := trace.OpenColumnar(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if want := []int{trace.DefaultColumnarBlock, 64}[i]; c.BlockSize() != want {
+			t.Fatalf("%s: block size %d, want %d", path, c.BlockSize(), want)
+		}
+		if mems[i], err = trace.Decode(data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := os.ReadFile(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, err := trace.Decode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := trace.Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ma, mb := mems[0], mems[1]
 	if ma.Len() != mb.Len() || ma.Name() != mb.Name() || ma.StaticCount() != mb.StaticCount() {
-		t.Fatalf("formats disagree: (%q,%d,%d) vs (%q,%d,%d)",
+		t.Fatalf("block sizes disagree: (%q,%d,%d) vs (%q,%d,%d)",
 			ma.Name(), ma.StaticCount(), ma.Len(), mb.Name(), mb.StaticCount(), mb.Len())
 	}
 	for i := range ma.Records() {
 		if ma.Records()[i] != mb.Records()[i] {
-			t.Fatalf("record %d differs between formats", i)
+			t.Fatalf("record %d differs between block sizes", i)
 		}
 	}
-	if err := run([]string{"-w", "verilog", "-n", "100", "-format", "bogus", "-o", col}); err == nil {
-		t.Fatalf("unknown format accepted")
+	if err := run([]string{"-w", "verilog", "-n", "100", "-format", "varint", "-o", def}); err == nil {
+		t.Fatalf("retired -format flag accepted")
 	}
-	if err := run([]string{"-w", "verilog", "-n", "100", "-format", "columnar", "-block", "0", "-o", col}); err == nil {
+	if err := run([]string{"-w", "verilog", "-n", "100", "-block", "0", "-o", def}); err == nil {
 		t.Fatalf("bad block size accepted")
 	}
 }

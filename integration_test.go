@@ -160,10 +160,10 @@ func TestTraceRoundTripThroughSimulation(t *testing.T) {
 
 	var buf bytes.Buffer
 	m := trace.Materialize(src)
-	if err := trace.Write(&buf, m); err != nil {
+	if err := trace.WriteColumnar(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.Read(&buf)
+	loaded, err := trace.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,14 +181,14 @@ func sleepUnless(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Corrupt returns a source that round-trips src through the binary trace
-// format with the payload byte at offset pos (mod the encoded length,
-// past the magic) flipped, modeling on-disk corruption. Depending on
-// where the flip lands the decode either fails — the stream panics with
-// the decode error, surfacing as a Result.Err — or yields a valid trace
-// with altered records; both outcomes are legitimate corruption
-// behaviors the runtime must survive. The corrupted decode is computed
-// once, on first use, and is deterministic in (src, pos).
+// Corrupt returns a source that round-trips src through the BMC1 trace
+// format with the byte at offset pos (mod the encoded length, past the
+// magic) flipped, modeling on-disk corruption. The header and per-block
+// CRCs make every such flip detectable, so a corrupted source always
+// fails and never yields an altered trace: its stream panics with an
+// error wrapping the typed *trace.ColumnarDecodeError, which the
+// scheduler's per-job recovery turns into Result.Err. The outcome is
+// computed once, on first use, and is deterministic in (src, pos).
 func Corrupt(src trace.Source, pos int64) trace.Source {
 	return &corruptSource{wrap: wrap{src}, pos: pos}
 }
@@ -196,68 +196,10 @@ func Corrupt(src trace.Source, pos int64) trace.Source {
 type corruptSource struct {
 	wrap
 	pos    int64
-	mem    *trace.Memory
 	decErr error
 }
 
 func (s *corruptSource) decode() {
-	if s.mem != nil || s.decErr != nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, trace.Materialize(s.src)); err != nil {
-		s.decErr = err
-		return
-	}
-	data := buf.Bytes()
-	// Skip the 4-byte magic: flipping it models a different failure (not a
-	// trace at all) that the loader rejects before any record machinery.
-	if len(data) > 4 {
-		i := 4 + int(s.pos%int64(len(data)-4))
-		data[i] ^= 0x40
-		faultsInjected.Add(1)
-	}
-	s.mem, s.decErr = trace.Read(bytes.NewReader(data))
-}
-
-func (s *corruptSource) Stream() trace.Stream {
-	s.decode()
-	if s.decErr != nil {
-		panic(fmt.Errorf("faults: corrupted trace %q: %w", s.src.Name(), s.decErr))
-	}
-	return s.mem.Stream()
-}
-
-// StaticCount defers to the decoded trace when it survives decoding,
-// since corruption may legitimately alter the static count header.
-func (s *corruptSource) StaticCount() int {
-	s.decode()
-	if s.decErr == nil {
-		return s.mem.StaticCount()
-	}
-	return s.src.StaticCount()
-}
-
-// CorruptColumnar is Corrupt for the checksummed columnar format: it
-// round-trips src through trace.WriteColumnar with the byte at offset
-// pos (mod the encoded length, past the magic) flipped. Where row-format
-// corruption may silently yield altered records, the columnar format's
-// header and per-block CRCs make every flip detectable, so this injector
-// carries the stronger contract the chaos suite asserts: a corrupted
-// columnar source ALWAYS surfaces a typed decode error (the stream
-// panics, landing in the scheduler's per-job recovery as Result.Err) and
-// NEVER an altered trace. The outcome is deterministic in (src, pos).
-func CorruptColumnar(src trace.Source, pos int64) trace.Source {
-	return &corruptColumnarSource{wrap: wrap{src}, pos: pos}
-}
-
-type corruptColumnarSource struct {
-	wrap
-	pos    int64
-	decErr error
-}
-
-func (s *corruptColumnarSource) decode() {
 	if s.decErr != nil {
 		return
 	}
@@ -267,32 +209,22 @@ func (s *corruptColumnarSource) decode() {
 		return
 	}
 	data := buf.Bytes()
-	// Skip the 4-byte magic, as Corrupt does: flipping it models
-	// not-a-trace-at-all, which the loader rejects before any checksum.
-	if len(data) > 4 {
-		i := 4 + int(s.pos%int64(len(data)-4))
-		data[i] ^= 0x40
-		faultsInjected.Add(1)
+	// Skip the 4-byte magic: flipping it models not-a-trace-at-all, which
+	// the loader rejects before any checksum.
+	at := 4 + s.pos%int64(len(data)-4)
+	data[at] ^= 0x40
+	faultsInjected.Add(1)
+	if _, err := trace.Decode(data); err != nil {
+		s.decErr = err
+		return
 	}
-	c, err := trace.OpenColumnar(data)
-	if err == nil {
-		// The index validated; the flip must still be caught at decode.
-		bs := c.BlockStream()
-		for err == nil {
-			var recs []trace.Record
-			recs, err = bs.NextBlock()
-			if recs == nil && err == nil {
-				// A flip that decodes cleanly end-to-end is exactly the
-				// wrong-answer outcome the format rules out; report it as
-				// its own loud failure rather than serving the records.
-				err = fmt.Errorf("faults: columnar corruption at byte %d went undetected", s.pos)
-			}
-		}
-	}
-	s.decErr = err
+	// A flip that decodes cleanly is exactly the wrong-answer outcome the
+	// format rules out; report it as its own loud failure rather than
+	// serving the records.
+	s.decErr = fmt.Errorf("faults: corruption at byte %d went undetected", at)
 }
 
-func (s *corruptColumnarSource) Stream() trace.Stream {
+func (s *corruptSource) Stream() trace.Stream {
 	s.decode()
-	panic(fmt.Errorf("faults: corrupted columnar trace %q: %w", s.src.Name(), s.decErr))
+	panic(fmt.Errorf("faults: corrupted trace %q: %w", s.src.Name(), s.decErr))
 }

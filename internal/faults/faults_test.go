@@ -119,8 +119,8 @@ func TestCorruptDeterministic(t *testing.T) {
 	}
 }
 
-// TestCorruptColumnarAlwaysDetected pins the injector's stronger
-// contract: for MANY corruption positions across the encoded file, the
+// TestCorruptColumnarAlwaysDetected pins the injector's contract over
+// BMC1: for MANY corruption positions across the encoded file, the
 // stream panics with an error that unwraps to a located
 // *trace.ColumnarDecodeError — never yields records, altered or not.
 func TestCorruptColumnarAlwaysDetected(t *testing.T) {
@@ -141,7 +141,7 @@ func TestCorruptColumnarAlwaysDetected(t *testing.T) {
 					t.Fatalf("pos %d: %v does not unwrap to a *trace.ColumnarDecodeError", pos, err)
 				}
 			}()
-			faults.CorruptColumnar(mem, pos).Stream()
+			faults.Corrupt(mem, pos).Stream()
 		}()
 	}
 }
@@ -154,7 +154,7 @@ func TestCorruptColumnarSurfacesAsResultErr(t *testing.T) {
 	mk := func() predictor.Predictor { return zoo.MustNew("smith:a=12") }
 	jobs := []sim.Job{
 		{Make: mk, Source: mem},
-		{Make: mk, Source: faults.CorruptColumnar(mem, 99)},
+		{Make: mk, Source: faults.Corrupt(mem, 99)},
 		{Make: mk, Source: mem},
 	}
 	for _, workers := range []int{0, 4} {

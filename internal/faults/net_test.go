@@ -127,7 +127,7 @@ func TestCutReader(t *testing.T) {
 // and always differs from the input past it.
 func TestFlipByte(t *testing.T) {
 	var buf bytes.Buffer
-	if err := trace.Write(&buf, testTrace()); err != nil {
+	if err := trace.WriteColumnar(&buf, testTrace()); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -296,7 +296,7 @@ func (c *chaosClient) do(op chaosOp) {
 	case opCleanBinary:
 		recs := c.chunk()
 		var buf bytes.Buffer
-		if err := trace.Write(&buf, trace.NewMemory("chaos", c.statics, recs)); err != nil {
+		if err := trace.WriteColumnar(&buf, trace.NewMemory("chaos", c.statics, recs)); err != nil {
 			c.t.Errorf("%v: encoding: %v", op, err)
 			return
 		}

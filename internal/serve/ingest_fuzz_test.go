@@ -6,12 +6,13 @@ package serve
 // posts the input as a body. Only two outcomes are allowed: a 4xx that
 // leaves the session's report, cursor included, byte-identical; or a 2xx
 // that acknowledges exactly the records the body decodes to on its own
-// (trace.Decode for "BMT1" and "BMC1" bodies, trace.ImportText for
-// anything else), after which every spec reports what one sim.Observe
-// pass over the prefix and those records reports. A panic, which the
-// guard renders as a 500, or any other status fails the target. The
-// seed corpus in testdata/fuzz/FuzzIngestBody holds text, BMT1 and BMC1
-// bodies, whole and damaged.
+// (trace.Decode for bodies that open with a binary magic, trace.ImportText
+// for anything else), after which every spec reports what one
+// sim.Observe pass over the prefix and those records reports. A panic,
+// which the guard renders as a 500, or any other status fails the
+// target. The seed corpus in testdata/fuzz/FuzzIngestBody holds text and
+// BMC1 bodies, whole and damaged, and bodies in the retired BMT1 row
+// format, which Decode and the handler both refuse.
 
 import (
 	"bytes"

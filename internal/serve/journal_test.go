@@ -333,8 +333,8 @@ func TestJournalLyingColumnarBlock(t *testing.T) {
 // not replay to what its commit acknowledged is damage — a located
 // *journal.DamageError from the restore, and over HTTP a 410 with the
 // journal quarantined — whether it starts off the session's cursor,
-// claims the wrong record count, fails to decode, or freezes a spec on
-// replay.
+// claims the wrong record count, fails to decode, holds a body in the
+// retired BMT1 format, or freezes a spec on replay.
 func TestJournalBodyDamage(t *testing.T) {
 	recs := testTrace(t, 600).Records()
 	specs := []string{"bimode:b=11", "smith:a=12"}
@@ -375,11 +375,13 @@ func TestJournalBodyDamage(t *testing.T) {
 		records [][]byte
 		left    int // smith's updates before it panics in the restore
 		index   int
+		msg     string // a piece of the damage's text, when it matters
 	}{
-		{"cursor gap", append(append([][]byte{}, good[:3]...), good[4:]...), len(recs), 3},
-		{"record count", append(append(append([][]byte{}, good[:4]...), reframe(300, 101, bodyOf(4))), good[5:]...), len(recs), 4},
-		{"undecodable", append(append(append([][]byte{}, good[:3]...), reframe(200, 100, []byte("0x10 maybe\n"))), good[4:]...), len(recs), 3},
-		{"freezes a spec", good, 150, 3},
+		{"cursor gap", append(append([][]byte{}, good[:3]...), good[4:]...), len(recs), 3, ""},
+		{"record count", append(append(append([][]byte{}, good[:4]...), reframe(300, 101, bodyOf(4))), good[5:]...), len(recs), 4, ""},
+		{"undecodable", append(append(append([][]byte{}, good[:3]...), reframe(200, 100, []byte("0x10 maybe\n"))), good[4:]...), len(recs), 3, ""},
+		{"bmt1 body", append(append(append([][]byte{}, good[:3]...), reframe(200, 2, []byte(bmt1Body))), good[4:]...), len(recs), 3, "send BMC1"},
+		{"freezes a spec", good, 150, 3, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -392,8 +394,9 @@ func TestJournalBodyDamage(t *testing.T) {
 			}
 			defer s.Close()
 			var de *journal.DamageError
-			if err := s.restore(s.sessions[id]); !errors.As(err, &de) || de.Index != tc.index {
-				t.Fatalf("restore: %v, want a *journal.DamageError at record %d", err, tc.index)
+			err = s.restore(s.sessions[id])
+			if !errors.As(err, &de) || de.Index != tc.index || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("restore: %v, want a *journal.DamageError at record %d saying %q", err, tc.index, tc.msg)
 			}
 			rr := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/sessions/"+id, nil))

@@ -364,7 +364,7 @@ func TestSessionMatchesOneObservePass(t *testing.T) {
 					ingestText(t, base, id, textBody(chunk))
 				} else {
 					var buf bytes.Buffer
-					if err := trace.Write(&buf, trace.NewMemory("chunk", mem.StaticCount(), chunk)); err != nil {
+					if err := trace.WriteColumnar(&buf, trace.NewMemory("chunk", mem.StaticCount(), chunk)); err != nil {
 						t.Fatal(err)
 					}
 					ingestText(t, base, id, buf.String())

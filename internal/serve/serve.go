@@ -1,9 +1,8 @@
 // Package serve is the prediction service: branch-prediction simulation
 // as a long-lived HTTP service (cmd/predserve) rather than a batch run.
-// Clients open sessions naming predictor specs, stream branch traces in
-// any of the repository's formats (text capture, "BMT1" row binary,
-// "BMC1" columnar), and read incremental mispredict / aliasing / H2P
-// reports as the trace accumulates.
+// Clients open sessions naming predictor specs, stream branch traces as
+// text captures or "BMC1" columnar binary, and read incremental
+// mispredict / aliasing / H2P reports as the trace accumulates.
 //
 // The design center is crash-safety under hostile conditions — the
 // robustness contract the chaos suite (chaos_test.go) enforces:

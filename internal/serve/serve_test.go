@@ -193,23 +193,19 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestIngestFormatsEquivalent streams identical records as text, row
-// binary and columnar; the three sessions must end in identical state
-// (ids aside) because binary Static ids are remapped by PC.
+// TestIngestFormatsEquivalent streams identical records as text and
+// columnar; the two sessions must end in identical state (ids aside)
+// because binary Static ids are remapped by PC.
 func TestIngestFormatsEquivalent(t *testing.T) {
 	_, base := newTestServer(t, Config{})
 	mem := testTrace(t, 4000)
 
-	var row, col bytes.Buffer
-	if err := trace.Write(&row, mem); err != nil {
-		t.Fatal(err)
-	}
+	var col bytes.Buffer
 	if err := trace.WriteColumnar(&col, mem); err != nil {
 		t.Fatal(err)
 	}
 	bodies := map[string][]byte{
 		"text": []byte(textBody(mem.Records())),
-		"bmt1": row.Bytes(),
 		"bmc1": col.Bytes(),
 	}
 
@@ -226,9 +222,34 @@ func TestIngestFormatsEquivalent(t *testing.T) {
 		}
 		reports[name] = strings.ReplaceAll(string(raw), rep.ID, "SESSION")
 	}
-	if reports["text"] != reports["bmt1"] || reports["text"] != reports["bmc1"] {
-		t.Errorf("formats diverged:\ntext: %s\nbmt1: %s\nbmc1: %s",
-			reports["text"], reports["bmt1"], reports["bmc1"])
+	if reports["text"] != reports["bmc1"] {
+		t.Errorf("formats diverged:\ntext: %s\nbmc1: %s", reports["text"], reports["bmc1"])
+	}
+}
+
+// bmt1Body is a two-record trace in the retired BMT1 row format, written
+// out byte by byte: magic, static count, record count, name, then per
+// record static<<1|taken and the zig-zag PC delta.
+const bmt1Body = "BMT1\x03\x02\x03gcc\x01\x80\x40\x02\x10"
+
+// TestBMT1BodyRefused: a BMT1 body is refused whole with a 400 that names
+// BMC1, and the session's report does not move by a byte.
+func TestBMT1BodyRefused(t *testing.T) {
+	_, base := newTestServer(t, Config{})
+	rep := createSession(t, base, "bimode:b=11", "gshare:i=12,h=12")
+	ingestText(t, base, rep.ID, textBody(testTrace(t, 500).Records()))
+	before, _ := rawReport(t, base, rep.ID)
+
+	var errResp errorBody
+	resp := doJSON(t, "POST", base+"/v1/sessions/"+rep.ID+"/branches", strings.NewReader(bmt1Body), &errResp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("BMT1 body: status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(errResp.Error, "BMT1") || !strings.Contains(errResp.Error, "BMC1") {
+		t.Errorf("refusal %q does not name BMT1 and BMC1", errResp.Error)
+	}
+	if after, _ := rawReport(t, base, rep.ID); !bytes.Equal(before, after) {
+		t.Fatalf("a refused BMT1 body changed the report:\nbefore %s\n after %s", before, after)
 	}
 }
 
@@ -376,13 +397,7 @@ func TestBadBodies(t *testing.T) {
 		body []byte
 	}{
 		{"bad text line", []byte("0x1000 1\n0x2000 maybe\n")},
-		{"truncated bmt1", func() []byte {
-			var buf bytes.Buffer
-			if err := trace.Write(&buf, mem); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()[:buf.Len()-5]
-		}()},
+		{"truncated bmt1", []byte(bmt1Body[:len(bmt1Body)-5])},
 		{"corrupt bmc1", func() []byte {
 			var buf bytes.Buffer
 			if err := trace.WriteColumnar(&buf, mem); err != nil {

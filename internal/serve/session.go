@@ -343,12 +343,12 @@ var chunkPool = sync.Pool{New: func() any { return new([ingestChunk]trace.Record
 // replay passes nil. It returns the records applied. Formats are sniffed
 // from the first bytes: a columnar ("BMC1") body is checked whole by
 // OpenColumnar — every block CRC, so a damaged body applies nothing —
-// and then decoded block by block into one reused buffer; a row ("BMT1")
-// body is read by trace.Read; anything else is the text capture format,
-// parsed in place a record at a time, each PC given its id by the site
-// table. A
-// decode failure is a 400; records already applied when it surfaces are
-// the caller's to roll back.
+// and then decoded block by block into one reused buffer; a body in the
+// retired "BMT1" row format is refused whole with a 400 that names BMC1,
+// before the text scanner could misread it; anything else is the text
+// capture format, parsed in place a record at a time, each PC given its
+// id by the site table. A decode failure is a 400; records already
+// applied when it surfaces are the caller's to roll back.
 func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error) {
 	start := sess.cursor
 	apply := func(recs []trace.Record) error {
@@ -363,26 +363,15 @@ func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error
 		sess.applyChunk(recs)
 		return nil
 	}
-	// applyBinary maps a binary block's client site ids into the
-	// session's and applies it. The remap may grow to the session's sites
-	// plus the body's records: never more than the body's own size.
-	applyBinary := func(recs []trace.Record, limit int) error {
-		for len(recs) > 0 {
-			k := min(len(recs), ingestChunk)
-			sess.mapSites(recs[:k], limit)
-			if err := apply(recs[:k]); err != nil {
-				return err
-			}
-			recs = recs[k:]
-		}
-		return nil
-	}
 	switch {
 	case trace.IsColumnar(body):
 		c, err := trace.OpenColumnar(body)
 		if err != nil {
 			return 0, badBody(err)
 		}
+		// Each piece's client site ids are mapped into the session's
+		// before it applies. The remap may grow to the session's sites
+		// plus the body's records: never more than the body's own size.
 		limit := sess.sites.Len() + c.Len()
 		for bs := c.BlockStream(); ; {
 			recs, err := bs.NextBlock()
@@ -392,18 +381,17 @@ func (sess *session) applyBody(body []byte, admit func(n int) error) (int, error
 			if recs == nil {
 				break
 			}
-			if err := applyBinary(recs, limit); err != nil {
-				return 0, err
+			for len(recs) > 0 {
+				k := min(len(recs), ingestChunk)
+				sess.mapSites(recs[:k], limit)
+				if err := apply(recs[:k]); err != nil {
+					return 0, err
+				}
+				recs = recs[k:]
 			}
 		}
 	case bytes.HasPrefix(body, []byte("BMT1")):
-		mem, err := trace.Read(bytes.NewReader(body))
-		if err != nil {
-			return 0, badBody(err)
-		}
-		if err := applyBinary(mem.Records(), sess.sites.Len()+mem.Len()); err != nil {
-			return 0, err
-		}
+		return 0, httpErrorf(http.StatusBadRequest, "BMT1 trace bodies are no longer accepted: send BMC1")
 	default:
 		sc := trace.NewTextScannerBytes(body)
 		buf := chunkPool.Get().(*[ingestChunk]trace.Record)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,11 +10,10 @@ import (
 	"sync/atomic"
 )
 
-// Columnar trace format ("BMC1"): the block-structured, column-oriented
-// sibling of the record-at-a-time varint format in io.go, built for batch
-// iteration — the decoder hands whole blocks of records to the engine
-// (the shape the RunBatch kernels consume) instead of
-// paying an interface call and a varint state machine per record.
+// Columnar trace format ("BMC1"), the repository's one binary trace
+// format, built for batch iteration: the decoder hands whole blocks of
+// records to the engine (the shape the RunBatch kernels consume) instead
+// of paying an interface call and a varint state machine per record.
 //
 // Layout (all integers are uvarints unless stated):
 //
@@ -57,8 +57,12 @@ import (
 // block cleanly; after that, BranchBlocks streams skip its static column
 // (see columnarBlocks.NextBlock).
 
-// columnarMagic distinguishes columnar files from the "BMT1" row format.
+// columnarMagic opens every trace file; anything else is refused at
+// byte 0.
 const columnarMagic = "BMC1"
+
+// ErrBadFormat reports a malformed or truncated trace file.
+var ErrBadFormat = errors.New("trace: malformed trace data")
 
 // DefaultColumnarBlock is the records-per-block the writers use unless
 // told otherwise: 4096 records keep a block's three streams (~12 KB)
@@ -73,8 +77,7 @@ const maxColumnarBlock = 1 << 20
 // the block being decoded (headerBlock, -1, while still in the file
 // header) and the absolute byte offset of the field where decoding
 // stopped. It wraps the underlying cause, so errors.Is sees ErrBadFormat
-// and the io sentinels through it, exactly like the row format's
-// DecodeError.
+// and the io sentinels through it.
 type ColumnarDecodeError struct {
 	// Block is the zero-based index of the block being decoded, or -1 if
 	// decoding failed in the file header.
@@ -377,6 +380,9 @@ func eofOrBad(n int) error {
 	return io.ErrUnexpectedEOF
 }
 
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // Name implements Source.
 func (c *Columnar) Name() string { return c.name }
 
@@ -453,7 +459,7 @@ func columnarBlockErr(block int64, at int, err error) error {
 // values. The outcome column is a shift-and-mask per record, done in the
 // static loop. Per-column loops keep each iteration's branch pattern
 // uniform, so the per-record cost is a handful of predictable
-// instructions against the row decoder's per-byte interface calls.
+// instructions.
 func decodeColumnarBlock(data []byte, m blockMeta, block int64, statics int, scratch []Record) ([]Record, error) {
 	if m.count > len(scratch) {
 		scratch = make([]Record, m.count)

@@ -325,29 +325,24 @@ func TestColumnarConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestDecodeSniffsFormats: Decode materializes either on-disk format.
+// TestDecodeSniffsFormats: IsColumnar recognizes BMC1 by its magic, and
+// Decode materializes a BMC1 file record for record.
 func TestDecodeSniffsFormats(t *testing.T) {
 	m := synthetic("sniff", 500)
-	var row bytes.Buffer
-	if err := Write(&row, m); err != nil {
-		t.Fatal(err)
-	}
 	col := encodeColumnar(t, m, 128)
-	if !IsColumnar(col) || IsColumnar(row.Bytes()) {
+	if !IsColumnar(col) || IsColumnar([]byte("BMT1\x00\x00\x00")) || IsColumnar(col[:3]) {
 		t.Fatalf("IsColumnar misclassifies")
 	}
-	for _, enc := range [][]byte{row.Bytes(), col} {
-		got, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		if got.Len() != m.Len() || got.Name() != m.Name() {
-			t.Fatalf("Decode changed shape")
-		}
-		for i, r := range got.Records() {
-			if r != m.Records()[i] {
-				t.Fatalf("Decode changed record %d", i)
-			}
+	got, err := Decode(col)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.Len() != m.Len() || got.Name() != m.Name() || got.StaticCount() != m.StaticCount() {
+		t.Fatalf("Decode changed shape")
+	}
+	for i, r := range got.Records() {
+		if r != m.Records()[i] {
+			t.Fatalf("Decode changed record %d", i)
 		}
 	}
 }
@@ -403,14 +398,7 @@ func TestImportText(t *testing.T) {
 		}
 	}
 
-	// An imported trace must survive both binary formats.
-	var row bytes.Buffer
-	if err := Write(&row, m); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Read(&row); err != nil || got.Len() != m.Len() {
-		t.Fatalf("imported trace row round-trip: %v", err)
-	}
+	// An imported trace must survive the binary format.
 	c, err := OpenColumnar(encodeColumnar(t, m, 4))
 	if err != nil {
 		t.Fatalf("imported trace columnar round-trip: %v", err)

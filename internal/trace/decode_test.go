@@ -1,158 +1,62 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 )
 
-func encodedFixture(t *testing.T) (*Memory, []byte) {
-	t.Helper()
-	recs := []Record{
-		{PC: 0x1000, Static: 0, Taken: true},
-		{PC: 0x1010, Static: 1, Taken: false},
-		{PC: 0x1000, Static: 0, Taken: true},
-		{PC: 0x1024, Static: 2, Taken: true},
-	}
-	m := NewMemory("decode-fixture", 3, recs)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	return m, buf.Bytes()
-}
-
-// TestDecodeErrorLocatesHeaderDamage: failures before any record carry
-// Record == -1 and still satisfy errors.Is(err, ErrBadFormat).
+// TestDecodeErrorLocatesHeaderDamage: Decode reads BMC1 and nothing
+// else. Any other input — garbage, an empty file, or the header of an
+// old "BMT1" row file — fails at byte 0 of the header with a typed
+// *ColumnarDecodeError that unwraps to ErrBadFormat.
 func TestDecodeErrorLocatesHeaderDamage(t *testing.T) {
-	_, err := Read(strings.NewReader("NOPE...."))
-	var dec *DecodeError
-	if !errors.As(err, &dec) {
-		t.Fatalf("bad magic: error %v is not a *DecodeError", err)
-	}
-	if dec.Record != -1 {
-		t.Errorf("header failure reported record %d, want -1", dec.Record)
-	}
-	if !errors.Is(err, ErrBadFormat) {
-		t.Errorf("bad magic no longer unwraps to ErrBadFormat: %v", err)
-	}
-	if !strings.Contains(err.Error(), "header") {
-		t.Errorf("header failure message does not say so: %q", err)
-	}
-}
-
-// TestDecodeErrorLocatesMidStreamTruncation: a file cut inside the
-// record stream names the record being decoded and the byte offset of
-// the cut, and unwraps to the standard truncation sentinel.
-func TestDecodeErrorLocatesMidStreamTruncation(t *testing.T) {
-	m, enc := encodedFixture(t)
-	// Cut two bytes into the record payload region: past the header, so
-	// the failure lands on a record, not the header.
-	cut := len(enc) - 3
-	_, err := Read(bytes.NewReader(enc[:cut]))
-	var dec *DecodeError
-	if !errors.As(err, &dec) {
-		t.Fatalf("truncated stream: error %v is not a *DecodeError", err)
-	}
-	if dec.Record < 0 || dec.Record >= int64(m.Len()) {
-		t.Errorf("record index %d out of range [0,%d)", dec.Record, m.Len())
-	}
-	if dec.Offset <= 0 || dec.Offset > int64(cut) {
-		t.Errorf("offset %d outside the %d-byte prefix", dec.Offset, cut)
-	}
-	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncation does not unwrap to an EOF sentinel: %v", err)
-	}
-}
-
-// recordStarts returns the byte offset where each record of m's encoding
-// begins, derived from the encoding itself: the header is identical for
-// any record count below 128 and the delta chain of a prefix encodes
-// byte-identically, so the length of the i-record prefix encoding IS
-// record i's start offset.
-func recordStarts(t *testing.T, m *Memory) []int {
-	t.Helper()
-	starts := make([]int, m.Len())
-	for i := range starts {
-		var buf bytes.Buffer
-		if err := Write(&buf, NewMemory(m.Name(), m.StaticCount(), m.Records()[:i])); err != nil {
-			t.Fatalf("Write prefix %d: %v", i, err)
+	for _, in := range []string{"NOPE....", "", "BMT1", "BMT1\x03\x04\x03gcc\x01\x02"} {
+		_, err := Decode([]byte(in))
+		var dec *ColumnarDecodeError
+		if !errors.As(err, &dec) {
+			t.Fatalf("Decode(%q): error %v is not a *ColumnarDecodeError", in, err)
 		}
-		starts[i] = buf.Len()
-	}
-	return starts
-}
-
-// TestDecodeErrorOffsetAnchors pins the DecodeError.Offset contract: the
-// offset is the first byte of the damaged field, for corruption and
-// truncation alike. The decoder used to report consumed-byte counts,
-// which anchored truncation at the cut point but corruption one field
-// past the damage; this is the regression test for that fix.
-func TestDecodeErrorOffsetAnchors(t *testing.T) {
-	m, enc := encodedFixture(t)
-	starts := recordStarts(t, m)
-	last := m.Len() - 1
-
-	// Corrupt the last record's outcome word (static out of range): the
-	// damage is the word itself, which starts the record.
-	corrupt := append([]byte(nil), enc...)
-	corrupt[starts[last]] = byte(m.StaticCount()) << 1
-	_, err := Read(bytes.NewReader(corrupt))
-	var dec *DecodeError
-	if !errors.As(err, &dec) {
-		t.Fatalf("corrupt outcome word: %v is not a *DecodeError", err)
-	}
-	if dec.Record != int64(last) || dec.Offset != int64(starts[last]) {
-		t.Errorf("corrupt outcome word located at (record %d, byte %d), want (%d, %d)",
-			dec.Record, dec.Offset, last, starts[last])
-	}
-
-	// Cut mid-varint inside record 0's pc delta (the delta field starts
-	// one byte after the record, and zigzag(0x1000) encodes in two
-	// bytes): the error must anchor at the field start, not the cut.
-	deltaStart := starts[0] + 1
-	if _, err := Read(bytes.NewReader(enc[:deltaStart+1])); !errors.As(err, &dec) {
-		t.Fatalf("mid-varint cut: %v is not a *DecodeError", err)
-	}
-	if dec.Record != 0 || dec.Offset != int64(deltaStart) {
-		t.Errorf("mid-varint cut located at (record %d, byte %d), want (0, %d)",
-			dec.Record, dec.Offset, deltaStart)
-	}
-
-	// Cut exactly on a record boundary: the missing record's first field
-	// starts at the cut.
-	if _, err := Read(bytes.NewReader(enc[:starts[2]])); !errors.As(err, &dec) {
-		t.Fatalf("boundary cut: %v is not a *DecodeError", err)
-	}
-	if dec.Record != 2 || dec.Offset != int64(starts[2]) {
-		t.Errorf("boundary cut located at (record %d, byte %d), want (2, %d)",
-			dec.Record, dec.Offset, starts[2])
+		if dec.Block != headerBlock || dec.Offset != 0 {
+			t.Errorf("Decode(%q) located at (block %d, byte %d), want (-1, 0)", in, dec.Block, dec.Offset)
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("Decode(%q) does not unwrap to ErrBadFormat: %v", in, err)
+		}
+		if !strings.Contains(err.Error(), "header") || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("Decode(%q) message does not name the header's magic: %q", in, err)
+		}
 	}
 }
 
-// TestDecodeErrorLocatesCorruptRecord: structural damage inside a record
-// (an out-of-range static site) reports the record index and offset and
-// remains an ErrBadFormat.
-func TestDecodeErrorLocatesCorruptRecord(t *testing.T) {
-	m, enc := encodedFixture(t)
-	// The last record's outcome word is 2 bytes from the end (site<<1|taken,
-	// then the pc delta). Force its site beyond the static count.
-	corrupt := append([]byte(nil), enc...)
-	corrupt[len(corrupt)-2] = byte(m.StaticCount()) << 1
-	_, err := Read(bytes.NewReader(corrupt))
-	var dec *DecodeError
-	if !errors.As(err, &dec) {
-		t.Fatalf("corrupt record: error %v is not a *DecodeError", err)
+// TestColumnarEveryBitFlipIsTyped pins why BMC1 is the one binary
+// trace format: every single-bit flip of an encoded trace, the magic
+// included, makes Decode fail with a typed *ColumnarDecodeError. The
+// header and every block carry a CRC-32, which detects every single-bit
+// error, so no flip may decode into a different trace, and none may
+// panic.
+func TestColumnarEveryBitFlipIsTyped(t *testing.T) {
+	m := synthetic("every-flip", 300)
+	enc := encodeColumnar(t, m, 64)
+	if _, err := Decode(enc); err != nil {
+		t.Fatalf("Decode of the clean file: %v", err)
 	}
-	if !errors.Is(err, ErrBadFormat) {
-		t.Errorf("corrupt record no longer unwraps to ErrBadFormat: %v", err)
-	}
-	if dec.Record != int64(m.Len()-1) {
-		t.Errorf("corrupt record reported index %d, want %d", dec.Record, m.Len()-1)
-	}
-	if dec.Offset <= 0 || dec.Offset > int64(len(corrupt)) {
-		t.Errorf("offset %d outside the file", dec.Offset)
+	flipped := make([]byte, len(enc))
+	for bit := range 8 * len(enc) {
+		copy(flipped, enc)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("flip of bit %d of byte %d panicked: %v", bit%8, bit/8, r)
+				}
+			}()
+			_, err := Decode(flipped)
+			var dec *ColumnarDecodeError
+			if !errors.As(err, &dec) {
+				t.Fatalf("flip of bit %d of byte %d/%d: error %v is not a *ColumnarDecodeError",
+					bit%8, bit/8, len(enc), err)
+			}
+		}()
 	}
 }

@@ -6,40 +6,48 @@ import (
 	"testing"
 )
 
-// FuzzRead ensures the binary trace decoder never panics or hangs on
-// malformed input, and that valid traces it accepts round-trip.
+// FuzzRead feeds arbitrary bytes to Decode, the one binary trace
+// reader. It must never panic or hang, every rejection must be a typed
+// *ColumnarDecodeError, and anything it accepts must re-encode at its
+// own block size and decode back to the same trace.
 func FuzzRead(f *testing.F) {
-	// Seed with a valid trace and some mutations.
 	m := NewMemory("seed", 3, []Record{
 		{PC: 0x1000, Static: 0, Taken: true},
 		{PC: 0x1008, Static: 2, Taken: false},
 	})
 	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
+	if err := WriteColumnarBlocks(&buf, m, 1); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add([]byte("BMT1"))
-	f.Add([]byte("BMT1\x00\x00\x00"))
+	f.Add([]byte("BMT1")) // the retired row format's magic
+	f.Add([]byte("BMC1\x00\x00\x00"))
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte{}, valid...), 0xFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		got, err := Decode(data)
 		if err != nil {
-			return // rejecting is fine; panicking is not
+			var dec *ColumnarDecodeError
+			if !errors.As(err, &dec) {
+				t.Fatalf("rejection %v is not a *ColumnarDecodeError", err)
+			}
+			return
 		}
-		// Anything accepted must re-serialize and re-read identically.
+		c, err := OpenColumnar(data)
+		if err != nil {
+			t.Fatalf("Decode accepted what OpenColumnar rejects: %v", err)
+		}
 		var out bytes.Buffer
-		if err := Write(&out, got); err != nil {
+		if err := WriteColumnarBlocks(&out, got, c.BlockSize()); err != nil {
 			t.Fatalf("accepted trace failed to re-serialize: %v", err)
 		}
-		again, err := Read(&out)
+		again, err := Decode(out.Bytes())
 		if err != nil {
 			t.Fatalf("round-trip of accepted trace failed: %v", err)
 		}
-		if again.Len() != got.Len() || again.Name() != got.Name() {
+		if again.Len() != got.Len() || again.Name() != got.Name() || again.StaticCount() != got.StaticCount() {
 			t.Fatalf("round-trip changed shape")
 		}
 		for i := range got.Records() {
@@ -50,24 +58,26 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip drives the writer/reader pair from structured inputs: any
-// trace the writer can produce must be read back record-for-record, every
-// strict prefix of the encoding (a truncated file) must error rather than
-// panic or silently succeed, and single-byte corruption must never panic.
+// FuzzRoundTrip drives WriteColumnar and Decode from structured inputs:
+// any trace the writer produces must decode back record for record,
+// every strict prefix of the encoding (a truncated file) must be refused
+// with a located *ColumnarDecodeError, and every single-bit flip of the
+// encoding must be refused with a typed one. FuzzColumnarRoundTrip
+// covers the block iterator at fuzzed block sizes with one flip per
+// input; this target covers Decode, the materializing reader, with every
+// flip.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("gcc", uint16(8), []byte{0x01, 0x02, 0x03, 0x04, 0xFF, 0x00, 0x10, 0x81})
 	f.Add("", uint16(1), []byte{})
 	f.Add("a trace with a long-ish name", uint16(1024), bytes.Repeat([]byte{0xAB, 0x40, 0x07}, 40))
-	// A record-heavy trace so the prefix scan spends most cuts mid-stream,
-	// deep in the record loop rather than the header.
 	f.Add("midstream", uint16(16), bytes.Repeat([]byte{0x5A, 0x01, 0x03, 0x01}, 64))
 
 	f.Fuzz(func(t *testing.T, name string, statics uint16, raw []byte) {
 		nStatics := int(statics)%1024 + 1
 		// Decode records from the raw bytes: 4 bytes each — 2 for the PC
 		// delta (zig-zag style around the previous PC), 1 for the static
-		// site, 1 whose low bit is the outcome. Capped so the prefix scan
-		// below stays fast.
+		// site, 1 whose low bit is the outcome. Capped so the prefix and
+		// flip scans below stay fast.
 		if len(raw) > 4*64 {
 			raw = raw[:4*64]
 		}
@@ -85,14 +95,14 @@ func FuzzRoundTrip(f *testing.F) {
 		m := NewMemory(name, nStatics, recs)
 
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			t.Fatalf("Write failed on a valid trace: %v", err)
+		if err := WriteColumnar(&buf, m); err != nil {
+			t.Fatalf("WriteColumnar failed on a valid trace: %v", err)
 		}
 		enc := buf.Bytes()
 
-		got, err := Read(bytes.NewReader(enc))
+		got, err := Decode(enc)
 		if err != nil {
-			t.Fatalf("Read rejected Write's output: %v", err)
+			t.Fatalf("Decode rejected WriteColumnar's output: %v", err)
 		}
 		if got.Name() != m.Name() || got.StaticCount() != m.StaticCount() || got.Len() != m.Len() {
 			t.Fatalf("shape changed: (%q,%d,%d) vs (%q,%d,%d)",
@@ -104,39 +114,31 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Truncation at EVERY boundary must error, never panic: the header
-		// carries the record count, so a strict prefix can never satisfy it.
-		// The error must be a located *DecodeError whose offset points
-		// inside the prefix and whose record index is in range.
+		// Truncation at EVERY boundary must be refused: the header carries
+		// the record count, so a strict prefix can never satisfy it. The
+		// error must locate itself inside the prefix.
 		for cut := 0; cut < len(enc); cut++ {
-			_, err := Read(bytes.NewReader(enc[:cut]))
-			if err == nil {
-				t.Fatalf("truncation to %d/%d bytes was accepted", cut, len(enc))
-			}
-			var dec *DecodeError
+			_, err := Decode(enc[:cut])
+			var dec *ColumnarDecodeError
 			if !errors.As(err, &dec) {
-				t.Fatalf("truncation to %d bytes: error %v is not a *DecodeError", cut, err)
+				t.Fatalf("truncation to %d/%d bytes: error %v is not a *ColumnarDecodeError", cut, len(enc), err)
 			}
 			if dec.Offset < 0 || dec.Offset > int64(cut) {
 				t.Fatalf("truncation to %d bytes: offset %d outside the prefix", cut, dec.Offset)
 			}
-			if dec.Record < -1 || dec.Record >= int64(len(recs)) {
-				t.Fatalf("truncation to %d bytes: record index %d out of range", cut, dec.Record)
-			}
 		}
 
-		// Corruption derived from the input must never panic; rejecting or
-		// accepting-with-different-contents are both fine.
-		if len(enc) > 0 && len(raw) > 1 {
-			pos := int(raw[0]) % len(enc)
-			corrupt := append([]byte{}, enc...)
-			corrupt[pos] ^= raw[1] | 1
-			if m2, err := Read(bytes.NewReader(corrupt)); err == nil {
-				// Whatever was accepted must still re-serialize cleanly.
-				var out bytes.Buffer
-				if err := Write(&out, m2); err != nil {
-					t.Fatalf("corrupt-accepted trace failed to re-serialize: %v", err)
-				}
+		// Every single-bit flip must be refused with a typed error, never
+		// decoded into a different trace.
+		flipped := make([]byte, len(enc))
+		for bit := range 8 * len(enc) {
+			copy(flipped, enc)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			_, err := Decode(flipped)
+			var dec *ColumnarDecodeError
+			if !errors.As(err, &dec) {
+				t.Fatalf("flip of bit %d of byte %d/%d: error %v is not a *ColumnarDecodeError",
+					bit%8, bit/8, len(enc), err)
 			}
 		}
 	})

@@ -11,28 +11,25 @@ import (
 	"strings"
 )
 
-// External-capture import and format sniffing: the entry points
-// cmd/tracecat and cmd/tracegen use to accept traces that did not
-// originate here — externally captured (pc, taken) text/CSV files and
-// on-disk traces in either binary format.
+// External-capture import and decoding: the entry points cmd/tracecat
+// and cmd/tracegen use to accept traces that did not originate here —
+// externally captured (pc, taken) text/CSV files — and to read BMC1
+// files back.
 
-// Decode sniffs the magic of an encoded trace and materializes it: row
-// varint files ("BMT1") through Read, columnar files ("BMC1") through
-// OpenColumnar and then every block into one fresh, zeroed []Record of
-// the whole trace. It is for callers that want the records as a slice
-// (cmd/tracecat, cmd/tracegen, the api.DecodeTrace facade, the
+// Decode opens a BMC1 trace with OpenColumnar and materializes every
+// block into one fresh, zeroed []Record of the whole trace. Anything
+// that is not BMC1 fails at byte 0 with the bad-magic
+// *ColumnarDecodeError. It is for callers that want the records as a
+// slice (cmd/tracecat, cmd/tracegen, the api.DecodeTrace facade, the
 // benchmark). Anything that only iterates batches should take
 // OpenColumnar's zero-copy handle and its BlockStream instead, as the
 // prediction service does for its request bodies.
 func Decode(data []byte) (*Memory, error) {
-	if len(data) >= len(columnarMagic) && string(data[:len(columnarMagic)]) == columnarMagic {
-		c, err := OpenColumnar(data)
-		if err != nil {
-			return nil, err
-		}
-		return MaterializeContext(context.Background(), c)
+	c, err := OpenColumnar(data)
+	if err != nil {
+		return nil, err
 	}
-	return Read(bytes.NewReader(data))
+	return MaterializeContext(context.Background(), c)
 }
 
 // IsColumnar reports whether data starts with the columnar magic.

@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sample() []Record {
@@ -67,99 +64,6 @@ func TestCollectStats(t *testing.T) {
 	}
 	if (Stats{}).TakenRate() != 0 {
 		t.Fatalf("empty stats taken rate must be 0")
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	m := NewMemory("demo-trace", 3, sample())
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "demo-trace" || got.StaticCount() != 3 || got.Len() != 4 {
-		t.Fatalf("roundtrip metadata wrong: %s %d %d", got.Name(), got.StaticCount(), got.Len())
-	}
-	for i, r := range got.Records() {
-		if r != m.Records()[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, r, m.Records()[i])
-		}
-	}
-}
-
-// TestRoundTripProperty: arbitrary record sequences survive the binary
-// format bit-for-bit.
-func TestRoundTripProperty(t *testing.T) {
-	f := func(pcs []uint32, takens []bool) bool {
-		n := len(pcs)
-		if len(takens) < n {
-			n = len(takens)
-		}
-		recs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			recs[i] = Record{PC: uint64(pcs[i]), Static: uint32(i), Taken: takens[i]}
-		}
-		statics := n
-		if statics == 0 {
-			statics = 1
-		}
-		m := NewMemory("prop", statics, recs)
-		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Len() != n {
-			return false
-		}
-		for i, r := range got.Records() {
-			if r != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(strings.NewReader("NOPE....")); err == nil {
-		t.Fatalf("bad magic must fail")
-	}
-}
-
-func TestReadRejectsTruncation(t *testing.T) {
-	m := NewMemory("x", 2, sample())
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := Read(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Fatalf("truncated trace must fail")
-	}
-	if _, err := Read(bytes.NewReader(raw[:3])); err == nil {
-		t.Fatalf("truncated header must fail")
-	}
-}
-
-func TestReadRejectsOutOfRangeStatic(t *testing.T) {
-	// statics declared as 1 but a record references site 2.
-	m := NewMemory("x", 1, []Record{{PC: 4, Static: 2, Taken: true}})
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
-		t.Fatalf("static id out of declared range must fail")
 	}
 }
 
